@@ -45,7 +45,7 @@ from .ranking import (
     citation_scores,
     pagerank_observed,
     pagerank_reference,
-    share_curve,
+    share_points,
     write_ranking_csv,
     write_share_csv,
 )
@@ -169,11 +169,6 @@ def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _model_from_args(net: CitationNetwork, model: str, attrs: tuple[str, ...],
-                     exact: bool, count_tol: float) -> ExpectedCitations:
-    return compute_model(net, model, attrs, count_tol=count_tol, exact=exact)
-
-
 def _parse_attrs(text: str | None) -> tuple[str, ...]:
     if text is None:
         return ("rank", "country", "topic")
@@ -252,7 +247,7 @@ def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     if model == "RD" and args.attrs is not None:
         log.warning("--attrs is ignored by the random-draws model")
     attrs = () if model == "RD" else _parse_attrs(args.attrs)
-    ec = _model_from_args(net, model, attrs, args.exact, args.count_tol)
+    ec = compute_model(net, model, attrs, count_tol=args.count_tol, exact=args.exact)
     out = _out_dir(args, args.out)
     _write_model_artifact(net, ec, archive, out, exact=args.exact,
                           count_tol=args.count_tol, dump_groups=args.dump_groups)
@@ -264,6 +259,33 @@ def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
+def _read_model_meta(path: Path) -> dict:
+    """The model.json keys a model is recomputed from, schema-checked."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    fields = meta if isinstance(meta, dict) else {}
+    archive = fields.get("archive")
+    attributes = fields.get("attributes")
+    count_tol = fields.get("count_tol", DEFAULT_COUNT_TOL)
+    if not (
+        isinstance(archive, dict)
+        and all(isinstance(archive.get(f"{name}_sha256"), str)
+                for name in ("papers", "citations"))
+        and isinstance(fields.get("model"), str)
+        and isinstance(attributes, list)
+        and all(isinstance(a, str) for a in attributes)
+        and isinstance(fields.get("exact", False), bool)
+        and isinstance(count_tol, (int, float)) and not isinstance(count_tol, bool)
+    ):
+        raise CliError(f"{path} needs string archive.papers_sha256, archive."
+                       "citations_sha256 and model, a list of string attributes, "
+                       "and optionally a boolean exact and a numeric count_tol")
+    return meta
+
+
 def _load_model_artifact(archive: Path, artifact: Path,
                          net: CitationNetwork) -> ExpectedCitations:
     """Recompute the expectations named by a model artifact and verify
@@ -271,8 +293,7 @@ def _load_model_artifact(archive: Path, artifact: Path,
     meta_path = artifact / MODEL_META_FILE
     if not meta_path.is_file():
         raise CliError(f"model artifact {artifact} is missing {MODEL_META_FILE}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_model_meta(meta_path)
     for name, digest in (("papers", meta["archive"]["papers_sha256"]),
                          ("citations", meta["archive"]["citations_sha256"])):
         actual = _sha256(archive / f"{name}.tsv")
@@ -281,9 +302,9 @@ def _load_model_artifact(archive: Path, artifact: Path,
                 f"model artifact {artifact} was built from a different archive "
                 f"({name}.tsv digest mismatch)"
             )
-    ec = _model_from_args(net, meta["model"], tuple(meta["attributes"]),
-                          meta.get("exact", False),
-                          meta.get("count_tol", DEFAULT_COUNT_TOL))
+    ec = compute_model(net, meta["model"], meta["attributes"],
+                       count_tol=meta.get("count_tol", DEFAULT_COUNT_TOL),
+                       exact=meta.get("exact", False))
     stored = {}
     with open(artifact / CBAR_FILE, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
@@ -353,25 +374,22 @@ def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     net = _load_archive(archive)
     inputs = {"papers": archive / PAPERS_FILE,
               "citations": archive / CITATIONS_FILE}
-    models: dict[str, ExpectedCitations] = {}
     ec = None
     if args.model_artifact is not None:
         artifact = Path(args.model_artifact)
         ec = _load_model_artifact(archive, artifact, net)
-        models[ec.model] = ec
         inputs["c_bar"] = artifact / CBAR_FILE
 
-    if args.metric == "pagerank":
-        if ec is not None:
-            result = pagerank_reference(ec, net, args.alpha, args.eps, args.t_max)
-        else:
-            result = pagerank_observed(net, args.alpha, args.eps, args.t_max)
-    else:
-        result = citation_scores(net, ec)
-
     grid = _parse_d_grid(args.d_grid)
-    points = share_curve(net, args.metric, models, grid,
-                         alpha=args.alpha, eps=args.eps, t_max=args.t_max)
+    # the observed ranking, then the model's; rankings.csv holds the last
+    if args.metric == "pagerank":
+        results = [pagerank_observed(net, args.alpha, args.eps, args.t_max)]
+        if ec is not None:
+            results.append(pagerank_reference(ec, net, args.alpha, args.eps, args.t_max))
+    else:
+        results = [citation_scores(net)] + ([] if ec is None else [citation_scores(net, ec)])
+    result = results[-1]
+    points = share_points(results, net, grid)
     out = _out_dir(args, args.out)
     write_ranking_csv(result, net, out / "rankings.csv")
     write_share_csv(points, out / "share_curve.csv")
@@ -423,8 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for stochastic steps (default 0; overrides "
                              "the synth config seed)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results never depend on it)")
     parser.add_argument("--output-dir",
                         default=os.environ.get(OUTPUT_DIR_ENV, "."),
                         help=f"base directory for relative outputs "

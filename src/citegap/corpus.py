@@ -124,10 +124,6 @@ class Paper:
     def year(self) -> int:
         return self.pub_date.year
 
-    @property
-    def sole_author(self) -> bool:
-        return self.first_author == self.last_author
-
 
 @dataclass(frozen=True)
 class PublicationRecord:
@@ -224,13 +220,7 @@ def citation_window_floor(d: date) -> date:
 
 def category_key(paper: Paper, attributes: Iterable[str]) -> tuple:
     """Projection of a paper onto an attribute subset, in canonical order."""
-    selected = frozenset(attributes)
-    unknown = selected - set(ATTRIBUTE_ORDER)
-    if unknown:
-        raise ValueError(f"unknown attributes: {sorted(unknown)}")
-    return tuple(
-        getattr(paper, a) for a in ATTRIBUTE_ORDER if a in selected
-    )
+    return tuple(getattr(paper, a) for a in canonical_attributes(attributes))
 
 
 def canonical_attributes(attributes: Iterable[str]) -> tuple[str, ...]:

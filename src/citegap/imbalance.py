@@ -26,11 +26,14 @@ from .corpus import (
     GenderCategory,
     Paper,
 )
-from .refmodels import ExpectedCitations
+from .refmodels import ExpectedCitations, onehot
 
 _FILTER_FIELDS = ("gender", "rank", "country", "topic", "subfield")
 
 STRATIFIERS = ("conference_rank", "subfield")
+
+#: gender code of GenderCategory.UNKNOWN
+_UNKNOWN = list(GenderCategory).index(GenderCategory.UNKNOWN)
 
 
 @dataclass(frozen=True)
@@ -109,20 +112,10 @@ def expected_by_gender(
     the same citations.
     """
     ec.check_network(net)
-    fm = _filter_mask(net, from_filter)
-    tm = _filter_mask(net, to_filter)
-    gcodes = net.gender_codes
-    known = gcodes != list(GenderCategory).index(GenderCategory.UNKNOWN)
-    totals = np.zeros(len(GenderCategory))
-    for g in ec.groups:
-        if not fm[g.citing]:
-            continue
-        targets = np.asarray(g.targets)
-        m_to = int(np.count_nonzero(tm[targets] & known[targets]))
-        if m_to == 0:
-            continue
-        member_counts = np.bincount(gcodes[g.members], minlength=len(GenderCategory))
-        totals += m_to * member_counts / g.members.size
+    _, m_to, counts, sizes = _counted_groups(
+        net, ec, _filter_mask(net, from_filter), _filter_mask(net, to_filter)
+    )
+    totals = (m_to[:, None] * counts / sizes[:, None]).sum(axis=0)
     return {g: float(totals[k]) for k, g in enumerate(GenderCategory)}
 
 
@@ -134,39 +127,24 @@ def over_under(n_obs: float, n_expected: float) -> float | None:
     return (n_obs - n_expected) / n_expected
 
 
-def _group_arrays(
+def _counted_groups(
     net: CitationNetwork,
     ec: ExpectedCitations,
     from_mask: np.ndarray,
     to_mask: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-group citer index, to-set citation count, and per-category
-    member fractions, restricted to groups passing the from-filter."""
-    gcodes = net.gender_codes
-    known = gcodes != list(GenderCategory).index(GenderCategory.UNKNOWN)
-    citing, m_to, fractions = [], [], []
-    for g in ec.groups:
-        if not from_mask[g.citing]:
-            continue
-        targets = np.asarray(g.targets)
-        count = int(np.count_nonzero(to_mask[targets] & known[targets]))
-        if count == 0:
-            continue
-        citing.append(g.citing)
-        m_to.append(count)
-        member_counts = np.bincount(gcodes[g.members], minlength=len(GenderCategory))
-        fractions.append(member_counts[: len(KNOWN_CATEGORIES)] / g.members.size)
-    if not citing:
-        return (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0),
-            np.zeros((len(KNOWN_CATEGORIES), 0)),
-        )
-    return (
-        np.asarray(citing, dtype=np.int64),
-        np.asarray(m_to, dtype=np.float64),
-        np.asarray(fractions, dtype=np.float64).T,
-    )
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The groups with a citer in the from-set and citations to known-gender
+    papers in the to-set: their citers, those citation counts, their
+    member counts per gender category, and their sizes."""
+    known = net.gender_codes != _UNKNOWN
+    counted = np.concatenate(([0], np.cumsum(to_mask[ec.targets] & known[ec.targets])))
+    m_to = counted[ec.target_ptr[1:]] - counted[ec.target_ptr[:-1]]
+    keep = from_mask[ec.citing] & (m_to > 0)
+    # row g of W holds weight[g] on each member, so the mass it puts on a
+    # category over weight[g] is the member count, exact after rounding
+    mass = (ec.W @ onehot(net.gender_codes, len(GenderCategory))).toarray()[keep]
+    counts = np.rint(mass / ec.weight[keep, None])
+    return ec.citing[keep], m_to[keep], counts, np.diff(ec.W.indptr)[keep]
 
 
 def bootstrap_ci(
@@ -191,23 +169,22 @@ def bootstrap_ci(
     fm = _filter_mask(net, from_filter)
     tm = _filter_mask(net, to_filter)
     gcodes = net.gender_codes
-    known = gcodes != list(GenderCategory).index(GenderCategory.UNKNOWN)
+    known = gcodes != _UNKNOWN
 
     # per-citer observed counts per category, restricted to from/to
     obs = np.zeros((len(KNOWN_CATEGORIES), net.n))
     keep = fm[net.edges[:, 0]] & tm[net.edges[:, 1]] & known[net.edges[:, 1]]
     np.add.at(obs, (gcodes[net.edges[keep, 1]], net.edges[keep, 0]), 1.0)
 
-    citing, m_to, fractions = _group_arrays(net, ec, fm, tm)
+    citing, m_to, counts, sizes = _counted_groups(net, ec, fm, tm)
+    fractions = (counts[:, : len(KNOWN_CATEGORIES)] / sizes[:, None]).T
 
     values = np.full((resamples, len(KNOWN_CATEGORIES)), np.nan)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):
         rng = np.random.default_rng(child)
         mult = np.bincount(rng.integers(0, net.n, net.n), minlength=net.n)
         observed = obs @ mult
-        expected = fractions @ (mult[citing] * m_to) if citing.size else np.zeros(
-            len(KNOWN_CATEGORIES)
-        )
+        expected = fractions @ (mult[citing] * m_to)
         defined = expected > 0
         values[r, defined] = (observed[defined] - expected[defined]) / expected[defined]
 

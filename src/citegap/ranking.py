@@ -28,8 +28,6 @@ DEFAULT_ALPHA = 0.85
 DEFAULT_EPS = 1e-6
 DEFAULT_T_MAX = 100
 
-METRICS = ("citations", "pagerank")
-
 
 @dataclass(frozen=True, eq=False)
 class RankingResult:
@@ -125,8 +123,9 @@ def pagerank_reference(
 
     Citer rows move mass with probability (citation probability)/k_i;
     teleport and dangling rows are proportional to expected in-citations.
-    The operator scatters through contribution groups, so the dense
-    transition matrix is never materialized.
+    Each step spreads every group's share p[citer]/k_citer over its
+    members through ``W.T``, so the dense transition matrix is never
+    materialized.
     """
     ec.check_network(net)
     if net.m == 0:
@@ -134,20 +133,8 @@ def pagerank_reference(
     teleport = ec.c_bar / net.m
     k = net.out_degree
 
-    group_citing = np.asarray([g.citing for g in ec.groups], dtype=np.int64)
-    if len(ec.groups):
-        sizes = np.asarray([g.members.size for g in ec.groups])
-        rows = np.concatenate([g.members for g in ec.groups])
-        cols = np.repeat(np.arange(len(ec.groups)), sizes)
-        data = np.repeat(
-            np.asarray([g.weight for g in ec.groups]) / k[group_citing], sizes
-        )
-        scatter = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(net.n, len(ec.groups))
-        )
-        flow = lambda p: scatter.dot(p[group_citing])
-    else:
-        flow = lambda p: np.zeros(net.n)
+    transpose, k_citing = ec.W.T, k[ec.citing]
+    flow = lambda p: transpose @ (p[ec.citing] / k_citing)
 
     p, used, converged = _power_iteration(
         flow, teleport, k == 0, alpha, eps, t_max
@@ -171,20 +158,28 @@ def citation_scores(
                          None, 0, True)
 
 
-def ranking_order(scores: np.ndarray, net: CitationNetwork) -> list[int]:
+def ranking_order(scores: np.ndarray, net: CitationNetwork) -> np.ndarray:
     """Paper indices by descending score; ties broken by paper id."""
-    return sorted(range(net.n), key=lambda i: (-scores[i], net.papers[i].id))
+    ids = np.array([p.id for p in net.papers])
+    return np.lexsort((ids, -np.asarray(scores)))
+
+
+def _top_shares(scores: np.ndarray, net: CitationNetwork, d_grid: Sequence[float]
+                ) -> list[float]:
+    """Fraction of papers with a woman as first and/or last author among
+    the ceil(d*N/100) papers with the highest scores, for each d."""
+    if any(not 0 < d <= 100 for d in d_grid):
+        raise ValueError("d values must be in (0, 100]")
+    woman = np.fromiter((p.gender in W_CATEGORIES for p in net.papers), bool, net.n)
+    hits = np.cumsum(woman[ranking_order(scores, net)])
+    takes = [math.ceil(d * net.n / 100) for d in d_grid]
+    return [int(hits[take - 1]) / take for take in takes]
 
 
 def top_share(scores: np.ndarray, net: CitationNetwork, d: float) -> float:
     """Fraction of papers with a woman as first and/or last author among
     the ceil(d*N/100) papers with the highest scores."""
-    if not 0 < d <= 100:
-        raise ValueError("d must be in (0, 100]")
-    take = math.ceil(d * net.n / 100)
-    top = ranking_order(scores, net)[:take]
-    hits = sum(1 for i in top if net.papers[i].gender in W_CATEGORIES)
-    return hits / take
+    return _top_shares(scores, net, [d])[0]
 
 
 @dataclass(frozen=True)
@@ -193,6 +188,16 @@ class SharePoint:
     source: str
     metric: str
     ww_share: float
+
+
+def share_points(results: Iterable[RankingResult], net: CitationNetwork,
+                 d_grid: Sequence[float]) -> list[SharePoint]:
+    """Top-share curve of each ranking, from its normalized scores."""
+    return [
+        SharePoint(float(d), result.source, result.metric, share)
+        for result in results
+        for d, share in zip(d_grid, _top_shares(result.normalized_score, net, d_grid))
+    ]
 
 
 def share_curve(
@@ -207,47 +212,28 @@ def share_curve(
 ) -> list[SharePoint]:
     """Top-share curve for the observed network plus each model, using
     normalized scores throughout."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    for d in d_grid:
-        if not 0 < d <= 100:
-            raise ValueError("d values must be in (0, 100]")
-
-    results: list[RankingResult] = []
     if metric == "citations":
-        results.append(citation_scores(net))
-        results.extend(citation_scores(net, ec) for ec in models.values())
+        results = [citation_scores(net), *(citation_scores(net, ec) for ec in models.values())]
+    elif metric == "pagerank":
+        results = [pagerank_observed(net, alpha, eps, t_max),
+                   *(pagerank_reference(ec, net, alpha, eps, t_max) for ec in models.values())]
     else:
-        results.append(pagerank_observed(net, alpha, eps, t_max))
-        results.extend(
-            pagerank_reference(ec, net, alpha, eps, t_max) for ec in models.values()
-        )
-
-    points = []
-    for result in results:
-        for d in d_grid:
-            points.append(
-                SharePoint(
-                    float(d),
-                    result.source,
-                    metric,
-                    top_share(result.normalized_score, net, d),
-                )
-            )
-    return points
+        raise ValueError(f"unknown metric {metric!r}")
+    return share_points(results, net, d_grid)
 
 
 def write_ranking_csv(result: RankingResult, net: CitationNetwork, path: str | Path) -> None:
     """CSV export ``paper_id,raw,normalized,rank`` with ranks from the
     normalized scores (descending, id tiebreak)."""
-    position = {i: r for r, i in enumerate(ranking_order(result.normalized_score, net), start=1)}
+    position = np.empty(net.n, dtype=np.int64)
+    position[ranking_order(result.normalized_score, net)] = np.arange(1, net.n + 1)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["paper_id", "raw", "normalized", "rank"])
         for i, p in enumerate(net.papers):
             writer.writerow(
                 [p.id, repr(float(result.raw_score[i])),
-                 repr(float(result.normalized_score[i])), position[i]]
+                 repr(float(result.normalized_score[i])), int(position[i])]
             )
 
 

@@ -12,22 +12,26 @@ the expected in-citations per paper:
   order, to papers whose running expected in-citation count equals the
   observed target's, approximately preserving in-citation heterogeneity.
 
-Probabilities are piecewise-uniform, so expectations are stored as
-:class:`ContributionGroup` lists instead of dense N x N matrices: one
-group per citer (RD) or per merged citation bundle (HD/PD), each
-carrying the observed targets it represents.  Downstream sums (gender
-expectations, PageRank operators, pairwise matrices) all reduce over
-groups.
+Probabilities are piecewise uniform, so a model's output is a table of
+groups instead of a dense N x N matrix: one group per citer (RD) or per
+merged citation bundle (HD/PD).  Group g puts the uniform mass
+``weight[g]`` on each of its members and represents the observed
+citations of ``citing[g]`` listed in its targets.  The members are the
+rows of one sparse G x N matrix ``W`` holding ``weight[g]`` at (g, j)
+for every member j, so each downstream sum (expected out-citations,
+pairwise counts, gender expectations, the PageRank operator) is one
+product over ``W``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import sparse, stats
 
 from .corpus import (
     ATTRIBUTE_ORDER,
@@ -36,8 +40,6 @@ from .corpus import (
     canonical_attributes,
     category_key,
 )
-
-MODELS = ("RD", "HD", "PD")
 
 #: default tolerance when comparing running expected counts in PD
 DEFAULT_COUNT_TOL = 1e-9
@@ -49,12 +51,11 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class ContributionGroup:
-    """Uniform probability mass from one citer into one member set.
+    """One row of a model's group table, as a read-only view.
 
     ``weight`` is the expected number of citations each member receives
     from this group; ``weight * len(members)`` equals ``len(targets)``,
-    the number of observed citations the group represents.  Citations
-    from the same citer with identical member sets are merged.
+    the number of observed citations the group represents.
     """
 
     citing: int
@@ -62,34 +63,59 @@ class ContributionGroup:
     targets: tuple[int, ...]
     weight: float
 
-    def __post_init__(self) -> None:
-        members = np.asarray(self.members, dtype=np.int64)
-        members.setflags(write=False)
-        object.__setattr__(self, "members", members)
-
 
 @dataclass(frozen=True, eq=False)
 class ExpectedCitations:
-    """A reference model's output on one network."""
+    """A reference model's output on one network: its group table.
+
+    ``citing`` (G,) is ascending and ``weight`` (G,) is each group's mass
+    per member.  Row g of the G x N CSR matrix ``W`` holds ``weight[g]``
+    at each member of group g.  The observed targets of group g are
+    ``targets[target_ptr[g]:target_ptr[g + 1]]``.  Citations from one
+    citer with identical member sets share a group.  Build it through
+    :func:`compute_model` or one of the model functions.
+    """
 
     model: str
     attributes: tuple[str, ...]
-    groups: tuple[ContributionGroup, ...]
+    citing: np.ndarray
+    weight: np.ndarray
+    W: sparse.csr_matrix
+    target_ptr: np.ndarray
+    targets: np.ndarray
     c_bar: np.ndarray
-    n_papers: int
-    n_citations: int
 
     def __post_init__(self) -> None:
-        c_bar = np.asarray(self.c_bar, dtype=np.float64)
-        c_bar.setflags(write=False)
-        object.__setattr__(self, "c_bar", c_bar)
+        for name in ("citing", "weight", "target_ptr", "targets", "c_bar"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def n_papers(self) -> int:
+        return self.W.shape[1]
+
+    @property
+    def n_citations(self) -> int:
+        return self.targets.size
+
+    @cached_property
+    def groups(self) -> tuple[ContributionGroup, ...]:
+        """The table as one :class:`ContributionGroup` per row, for tests
+        and the diagnostic group dump; reductions use the arrays."""
+        views = []
+        for g, (lo, hi) in enumerate(zip(self.W.indptr[:-1], self.W.indptr[1:])):
+            members = self.W.indices[lo:hi]
+            members.setflags(write=False)
+            targets = self.targets[self.target_ptr[g]:self.target_ptr[g + 1]]
+            views.append(ContributionGroup(int(self.citing[g]), members,
+                                           tuple(targets.tolist()),
+                                           float(self.weight[g])))
+        return tuple(views)
 
     @cached_property
     def groups_by_citing(self) -> dict[int, tuple[ContributionGroup, ...]]:
-        buckets: dict[int, list[ContributionGroup]] = {}
-        for g in self.groups:
-            buckets.setdefault(g.citing, []).append(g)
-        return {i: tuple(gs) for i, gs in buckets.items()}
+        citers, starts = np.unique(self.citing, return_index=True)
+        ends = [*starts[1:], len(self.citing)]
+        return {int(i): self.groups[a:b] for i, a, b in zip(citers, starts, ends)}
 
     def check_network(self, net: CitationNetwork) -> None:
         if self.n_papers != net.n or self.n_citations != net.m:
@@ -99,11 +125,36 @@ class ExpectedCitations:
             )
 
 
+#: one group before packing: citer, sorted member ids, observed targets
+Row = tuple[int, np.ndarray, Sequence[int]]
+
+
+def _table(model: str, attributes: tuple[str, ...], net: CitationNetwork,
+           rows: Sequence[Row], c_bar: np.ndarray | None = None) -> ExpectedCitations:
+    """Pack rows, ordered by citer, into the group table.  ``c_bar``
+    defaults to the column sums of ``W``, added in row order."""
+    empty = [np.zeros(0, dtype=np.int64)]
+    sizes = np.array([row[1].size for row in rows], dtype=np.int64)
+    n_targets = np.array([len(row[2]) for row in rows], dtype=np.int64)
+    weight = n_targets / sizes
+    W = sparse.csr_matrix((np.repeat(weight, sizes),
+                           np.concatenate(empty + [row[1] for row in rows]),
+                           np.concatenate(([0], np.cumsum(sizes)))),
+                          shape=(len(rows), net.n))
+    if c_bar is None:
+        c_bar = np.bincount(W.indices, W.data, minlength=net.n)
+    return ExpectedCitations(
+        model, attributes, np.array([row[0] for row in rows], dtype=np.int64), weight,
+        W, np.concatenate(([0], np.cumsum(n_targets))),
+        np.fromiter(chain.from_iterable(row[2] for row in rows), np.int64,
+                    n_targets.sum()), np.asarray(c_bar, np.float64),
+    )
+
+
 class _EligibilityIndex:
     """Vectorized date-window / author-exclusion masks per citer."""
 
     def __init__(self, net: CitationNetwork):
-        self.net = net
         self.dates = net.dates
         self.floors = net.window_floors
         self.firsts, self.lasts = net.author_codes
@@ -167,13 +218,37 @@ def _with_member(members: np.ndarray, j: int) -> np.ndarray:
     return np.insert(members, pos, j)
 
 
+def _bundles(
+    targets: np.ndarray,
+    mask: np.ndarray,
+    codes: np.ndarray,
+    narrow: Callable[[np.ndarray, int], np.ndarray] | None = None,
+) -> list[tuple[np.ndarray, list[int]]]:
+    """One citer's citations as (members, targets) bundles.
+
+    A citation's members are the papers of its target's category inside
+    ``mask``, optionally narrowed, always including the target.
+    Citations with identical member sets merge into one bundle.
+    """
+    base_cache: dict[int, np.ndarray] = {}
+    merged: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for t in targets:
+        t = int(t)
+        code = codes[t]
+        base = base_cache.get(code)
+        if base is None:
+            base = base_cache[code] = np.flatnonzero(mask & (codes == code))
+        members = _with_member(base if narrow is None else narrow(base, t), t)
+        merged.setdefault(members.tobytes(), (members, []))[1].append(t)
+    return list(merged.values())
+
+
 def random_draws(net: CitationNetwork) -> ExpectedCitations:
     """Expected citations when every citation is redrawn uniformly from
     the citer's eligible set.  One group per citing paper; raises
     :class:`ModelError` for a citer with an empty eligible set."""
     index = _EligibilityIndex(net)
-    groups: list[ContributionGroup] = []
-    c_bar = np.zeros(net.n)
+    rows: list[Row] = []
     for i in range(net.n):
         targets = net.out_targets[i]
         if targets.size == 0:
@@ -184,12 +259,8 @@ def random_draws(net: CitationNetwork) -> ExpectedCitations:
                 f"paper {net.papers[i].id!r} makes {targets.size} citation(s) "
                 "but its eligible set is empty"
             )
-        weight = targets.size / members.size
-        groups.append(
-            ContributionGroup(i, members, tuple(int(t) for t in targets), weight)
-        )
-        c_bar[members] += weight
-    return ExpectedCitations("RD", (), tuple(groups), c_bar, net.n, net.m)
+        rows.append((i, members, targets))
+    return _table("RD", (), net, rows)
 
 
 def homophilic_draws(
@@ -204,30 +275,11 @@ def homophilic_draws(
     attrs = canonical_attributes(attributes)
     index = _EligibilityIndex(net)
     codes = _key_codes(net, attrs)
-    groups: list[ContributionGroup] = []
-    c_bar = np.zeros(net.n)
-    for i in range(net.n):
-        targets = net.out_targets[i]
-        if targets.size == 0:
-            continue
-        mask = index.mask(i)
-        base_cache: dict[int, np.ndarray] = {}
-        merged: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for t in targets:
-            t = int(t)
-            code = codes[t]
-            base = base_cache.get(code)
-            if base is None:
-                base = np.flatnonzero(mask & (codes == code))
-                base_cache[code] = base
-            members = _with_member(base, t)
-            entry = merged.setdefault(members.tobytes(), (members, []))
-            entry[1].append(t)
-        for members, tlist in merged.values():
-            weight = len(tlist) / members.size
-            groups.append(ContributionGroup(i, members, tuple(tlist), weight))
-            c_bar[members] += weight
-    return ExpectedCitations("HD", attrs, tuple(groups), c_bar, net.n, net.m)
+    rows: list[Row] = []
+    for i in np.flatnonzero(net.out_degree):
+        bundles = _bundles(net.out_targets[i], index.mask(i), codes)
+        rows.extend((i, members, tlist) for members, tlist in bundles)
+    return _table("HD", attrs, net, rows)
 
 
 def date_order(net: CitationNetwork) -> list[int]:
@@ -257,55 +309,38 @@ def preferential_draws(
     attrs = canonical_attributes(attributes)
     index = _EligibilityIndex(net)
     codes = _key_codes(net, attrs)
-    groups: list[ContributionGroup] = []
+    rows: list[Row] = []
     running: list[Fraction] | np.ndarray
     if exact:
         running = [Fraction(0)] * net.n
+
+        def narrow(base: np.ndarray, t: int) -> np.ndarray:
+            count = running[t]
+            return np.asarray([m for m in base.tolist() if running[m] == count],
+                              dtype=np.int64)
     else:
         running = np.zeros(net.n)
+
+        def narrow(base: np.ndarray, t: int) -> np.ndarray:
+            return base[np.abs(running[base] - running[t]) <= count_tol]
 
     for x in date_order(net):
         targets = net.out_targets[x]
         if targets.size == 0:
             continue
-        mask = index.mask(x)
-        base_cache: dict[int, np.ndarray] = {}
-        merged: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for t in targets:
-            t = int(t)
-            code = codes[t]
-            base = base_cache.get(code)
-            if base is None:
-                base = np.flatnonzero(mask & (codes == code))
-                base_cache[code] = base
-            if exact:
-                ct = running[t]
-                members = np.asarray(
-                    [int(m) for m in base if running[int(m)] == ct], dtype=np.int64
-                )
-            else:
-                members = base[np.abs(running[base] - running[t]) <= count_tol]
-            members = _with_member(members, t)
-            entry = merged.setdefault(members.tobytes(), (members, []))
-            entry[1].append(t)
-        # freeze: apply this paper's mass only after all its citations
-        for members, tlist in merged.values():
+        # freeze: every bundle reads the state before this paper
+        for members, tlist in _bundles(targets, index.mask(x), codes, narrow):
             if exact:
                 frac = Fraction(len(tlist), members.size)
-                for m in members:
-                    running[int(m)] += frac
-                weight = float(frac)
+                for m in members.tolist():
+                    running[m] += frac
             else:
-                weight = len(tlist) / members.size
-                running[members] += weight
-            groups.append(ContributionGroup(x, members, tuple(tlist), weight))
+                running[members] += len(tlist) / members.size
+            rows.append((x, members, tlist))
 
-    if exact:
-        c_bar = np.array([float(v) for v in running])
-    else:
-        c_bar = running.copy()
-    groups.sort(key=lambda g: g.citing)
-    return ExpectedCitations("PD", attrs, tuple(groups), c_bar, net.n, net.m)
+    c_bar = np.array([float(v) for v in running]) if exact else running
+    rows.sort(key=lambda row: row[0])
+    return _table("PD", attrs, net, rows, c_bar)
 
 
 def compute_model(
@@ -333,32 +368,26 @@ def observed_as_expectations(net: CitationNetwork) -> ExpectedCitations:
     Useful as a consistency anchor: reference-model machinery applied to
     these groups must reproduce observed statistics exactly.
     """
-    groups = [
-        ContributionGroup(i, np.array([t]), (int(t),), 1.0)
-        for i in range(net.n)
-        for t in net.out_targets[i]
-    ]
-    return ExpectedCitations(
-        "observed", (), tuple(groups), net.in_degree.astype(float), net.n, net.m
-    )
+    rows = [(int(i), np.array([j]), (int(j),)) for i, j in net.edges]
+    return _table("observed", (), net, rows, net.in_degree.astype(float))
 
 
 def citation_probability(ec: ExpectedCitations, i: int, j: int) -> float:
     """Probability mass the model puts on a citation from i to j."""
-    total = 0.0
-    for g in ec.groups_by_citing.get(i, ()):
-        pos = np.searchsorted(g.members, j)
-        if pos < len(g.members) and g.members[pos] == j:
-            total += g.weight
-    return total
+    lo, hi = np.searchsorted(ec.citing, [i, i + 1])
+    return float(ec.W[lo:hi, j].sum())
 
 
 def expected_out(ec: ExpectedCitations) -> np.ndarray:
     """Per-paper total probability mass placed on outgoing citations."""
-    out = np.zeros(ec.n_papers)
-    for g in ec.groups:
-        out[g.citing] += g.weight * g.members.size
-    return out
+    return np.bincount(ec.citing, ec.weight * np.diff(ec.W.indptr),
+                       minlength=ec.n_papers)
+
+
+def onehot(codes: np.ndarray, size: int) -> sparse.csr_matrix:
+    """``len(codes) x size`` indicator matrix with a 1 at (i, codes[i])."""
+    n = len(codes)
+    return sparse.csr_matrix((np.ones(n), (np.arange(n), codes)), shape=(n, size))
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +452,9 @@ def structural_report(net: CitationNetwork, ec: ExpectedCitations) -> Structural
         size = len(labels)
         observed = np.zeros((size, size))
         np.add.at(observed, (codes[net.edges[:, 0]], codes[net.edges[:, 1]]), 1.0)
-        expected = np.zeros((size, size))
-        for g in ec.groups:
-            expected[codes[g.citing]] += g.weight * np.bincount(
-                codes[g.members], minlength=size
-            )
+        expected = (
+            onehot(codes[ec.citing], size).T @ (ec.W @ onehot(codes, size))
+        ).toarray()
         pairwise[attribute] = PairwiseCounts(attribute, labels, observed, expected)
 
     c_obs = net.in_degree.astype(float)

@@ -129,10 +129,6 @@ class TestModel:
         assert code == 0
         assert any("ignored" in r.message for r in caplog.records)
 
-    def test_threads_flag_accepted(self, archive, tmp_path):
-        assert run("--threads", "4", "model", archive, tmp_path / "t",
-                   "--model", "rd") == 0
-
     def test_structural_report_files(self, archive, tmp_path):
         out = tmp_path / "hd"
         run("model", archive, out, "--model", "hd")
@@ -205,6 +201,27 @@ class TestImbalance:
         rows = read_csv(out / "imbalance.csv")
         assert {r["stratum"] for r in rows} == {"A*"}
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("broken", [
+        lambda meta: {k: v for k, v in meta.items() if k != "archive"},
+        lambda meta: {**meta, "attributes": None},
+        lambda meta: [meta],
+        lambda meta: {**meta, "archive": {"papers_sha256": "0" * 64}},
+        lambda meta: {**meta, "model": 3},
+        lambda meta: {**meta, "exact": "yes"},
+        lambda meta: {**meta, "count_tol": "1e-9"},
+    ], ids=["no-archive", "null-attributes", "top-level-array", "no-digest",
+            "model-not-string", "exact-not-bool", "count-tol-not-number"])
+    def test_malformed_model_json_rejected(self, archive, tmp_path, capsys, broken):
+        model_dir = tmp_path / "rd"
+        run("model", archive, model_dir, "--model", "rd")
+        meta_path = model_dir / "model.json"
+        meta_path.write_text(json.dumps(broken(json.loads(meta_path.read_text()))))
+        capsys.readouterr()
+        assert run("imbalance", archive, model_dir, tmp_path / "imb") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_tampered_artifact_rejected(self, archive, tmp_path, capsys):
         model_dir = tmp_path / "rd"

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from citegap import (
+    ConferenceRank,
+    GenderCategory,
     ModelError,
     SynthConfig,
     citation_probability,
     eligible_set_hd,
     eligible_set_rd,
+    expected_by_gender,
     filter_citations,
     generate_network,
     homophilic_draws,
@@ -17,6 +20,7 @@ from citegap import (
     random_draws,
     structural_report,
 )
+from citegap.imbalance import ALL_PAPERS, PaperFilter
 from citegap.refmodels import (
     ExpectedCitations,
     compute_model,
@@ -374,3 +378,125 @@ def test_check_network_rejects_mismatch(toy4, toy_pd):
 def test_compute_model_rejects_unknown_name(toy4):
     with pytest.raises(ValueError):
         compute_model(toy4, "XX")
+
+
+# ---------------------------------------------------------------------------
+# differential tests: every reduction over the group table against a plain
+# loop over the groups view
+
+
+def year_tie_network(seed, n_papers=120, n_years=6):
+    """Year-only dates (every paper of a year on January 1), a small author
+    pool so the author exclusion fires, UNKNOWN genders, and citations up
+    to two years into the future."""
+    rng = np.random.default_rng(seed)
+    genders = list(GenderCategory)
+    ranks = [ConferenceRank.A_STAR, ConferenceRank.A, ConferenceRank.B]
+    years = 2000 + rng.integers(0, n_years, n_papers)
+    papers = [
+        make_paper(
+            f"Q{k:03d}", date(int(years[k]), 1, 1),
+            gender=genders[rng.integers(len(genders))],
+            rank=ranks[rng.integers(len(ranks))],
+            country=f"C{rng.integers(3)}", topic=f"T{rng.integers(4)}",
+            subfield=f"S{rng.integers(2)}",
+            first=f"a{rng.integers(15)}", last=f"a{rng.integers(15)}",
+        )
+        for k in range(n_papers)
+    ]
+    edges = []
+    for k in range(n_papers):
+        window = np.flatnonzero(years <= years[k] + 2)
+        for j in rng.choice(window, size=min(int(rng.integers(1, 5)), window.size),
+                            replace=False):
+            if j != k:
+                edges.append((papers[k].id, papers[j].id))
+    return filter_citations(papers, edges)
+
+
+def synth_network(seed):
+    return generate_network(SynthConfig(
+        n_papers=150, seed=seed, n_ranks=3, n_countries=4, n_topics=5,
+        out_degree="uniform:1,4", pa_strength=1.0,
+        homophily={"rank": 0.3, "country": 0.3, "topic": 0.8},
+    ))
+
+
+TABLE_MODELS = {
+    "RD": lambda net: random_draws(net),
+    "HD-rank": lambda net: homophilic_draws(net, ("rank",)),
+    "HD": lambda net: homophilic_draws(net, ATTRS),
+    "PD": lambda net: preferential_draws(net, ATTRS),
+    "PD-exact": lambda net: preferential_draws(net, ATTRS, exact=True),
+    "observed": observed_as_expectations,
+}
+
+
+def loop_expected_out(ec):
+    out = np.zeros(ec.n_papers)
+    for g in ec.groups:
+        out[g.citing] += g.weight * g.members.size
+    return out
+
+
+def loop_pairwise(net, ec, attribute):
+    codes, labels = net.attribute_codes(attribute)
+    expected = np.zeros((len(labels), len(labels)))
+    for g in ec.groups:
+        expected[codes[g.citing]] += g.weight * np.bincount(
+            codes[g.members], minlength=len(labels)
+        )
+    return expected
+
+
+def loop_expected_by_gender(net, ec, from_filter, to_filter):
+    fm = np.array([from_filter(p) for p in net.papers], dtype=bool)
+    tm = np.array([to_filter(p) for p in net.papers], dtype=bool)
+    gcodes = net.gender_codes
+    known = gcodes != list(GenderCategory).index(GenderCategory.UNKNOWN)
+    totals = np.zeros(len(GenderCategory))
+    for g in ec.groups:
+        if not fm[g.citing]:
+            continue
+        targets = np.asarray(g.targets)
+        m_to = int(np.count_nonzero(tm[targets] & known[targets]))
+        member_counts = np.bincount(gcodes[g.members], minlength=len(GenderCategory))
+        totals += m_to * member_counts / g.members.size
+    return totals
+
+
+@pytest.mark.parametrize("model", sorted(TABLE_MODELS))
+@pytest.mark.parametrize("corpus", ["synth", "year-ties"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_table_reductions_match_group_loops(seed, corpus, model):
+    net = (synth_network if corpus == "synth" else year_tie_network)(seed)
+    ec = TABLE_MODELS[model](net)
+    assert_group_invariants(net, ec)
+    assert list(ec.citing) == sorted(ec.citing)
+    if model in ("RD", "HD-rank", "HD"):
+        # c_bar sums the table in group order, exactly as the loop does
+        rebuilt = np.zeros(net.n)
+        for g in ec.groups:
+            rebuilt[g.members] += g.weight
+        np.testing.assert_array_equal(ec.c_bar, rebuilt)
+
+    # same operations in the same order as the loops: equal to the bit
+    np.testing.assert_array_equal(expected_out(ec), loop_expected_out(ec))
+    for from_filter, to_filter in [
+        (ALL_PAPERS, ALL_PAPERS),
+        (PaperFilter.parse("gender=WW"), ALL_PAPERS),
+        (ALL_PAPERS, PaperFilter.parse("rank=A")),
+    ]:
+        table = expected_by_gender(net, ec, from_filter, to_filter)
+        np.testing.assert_array_equal(
+            [table[g] for g in GenderCategory],
+            loop_expected_by_gender(net, ec, from_filter, to_filter),
+        )
+    # the pairwise sums run in another order: equal to a few ulps
+    report = structural_report(net, ec)
+    for attribute in report.pairwise:
+        np.testing.assert_allclose(report.pairwise[attribute].expected,
+                                   loop_pairwise(net, ec, attribute), rtol=1e-12, atol=0)
+    for i, j in net.edges[::7]:
+        direct = sum(g.weight for g in ec.groups_by_citing[int(i)] if j in g.members)
+        assert citation_probability(ec, int(i), int(j)) == pytest.approx(direct, rel=1e-12)
