@@ -142,10 +142,11 @@ def _network_summary(net: CitationNetwork) -> dict[str, object]:
     }
 
 
-def _write_archive(net: CitationNetwork, out: Path) -> dict[str, object]:
+def _write_archive(net: CitationNetwork, out: Path,
+                   **extra: object) -> dict[str, object]:
     write_papers(net.papers, out / PAPERS_FILE)
     write_citations(net, out / CITATIONS_FILE)
-    summary = _network_summary(net)
+    summary = {**_network_summary(net), **extra}
     with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -158,7 +159,7 @@ def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
     if net.m == 0:
         raise CliError("empty network: no citations survived filtering")
     out = _out_dir(args, args.out)
-    summary = _write_archive(net, out)
+    summary = _write_archive(net, out, filter=net.filter_counts)
     _write_manifest(out, argv,
                     {"papers": papers_path, "citations": citations_path},
                     args.seed)
@@ -166,6 +167,8 @@ def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
     print(f"citations: {summary['citations']}")
     for g, count in summary["by_gender"].items():
         print(f"gender {g}: {count}")
+    for rule, count in net.filter_counts.items():
+        print(f"filter {rule}: {count}")
     return 0
 
 
@@ -308,12 +311,12 @@ def _load_model_artifact(archive: Path, artifact: Path,
     stored = {}
     with open(artifact / CBAR_FILE, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
-        next(reader)
+        next(reader, None)
         for pid, value in reader:
             stored[pid] = float(value)
     recomputed = {p.id: float(ec.c_bar[i]) for i, p in enumerate(net.papers)}
-    if set(stored) != set(recomputed) or any(
-        abs(stored[pid] - recomputed[pid]) > 1e-9 for pid in stored
+    if set(stored) != set(recomputed) or not all(
+        abs(stored[pid] - recomputed[pid]) <= 1e-9 for pid in stored
     ):
         raise CliError(f"model artifact {artifact} is inconsistent with the archive")
     return ec

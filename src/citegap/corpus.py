@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -326,12 +326,14 @@ class CitationNetwork:
     ``papers`` are indexed 0..N-1; ``edges`` is an (M, 2) integer array of
     (citing, cited) index pairs, lexicographically sorted, without
     duplicates or self-loops.  Construct through :func:`filter_citations`,
-    which establishes the invariants (date window, author exclusion, no
-    isolated papers).
+    which establishes the invariants (every edge :meth:`citable`, no
+    isolated papers) and records in ``filter_counts`` what each rule
+    dropped.
     """
 
     papers: tuple[Paper, ...]
     edges: np.ndarray
+    filter_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -356,11 +358,9 @@ class CitationNetwork:
 
     @cached_property
     def out_targets(self) -> tuple[np.ndarray, ...]:
-        """Per paper, the cited indices in edge order."""
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            buckets[i].append(j)
-        return tuple(np.asarray(b, dtype=np.int64) for b in buckets)
+        """Per paper, the cited indices in edge order (read-only views
+        into ``edges``, which are sorted by citer)."""
+        return tuple(np.split(self.edges[:, 1], np.cumsum(self.out_degree))[:-1])
 
     @cached_property
     def index_of(self) -> dict[str, int]:
@@ -395,6 +395,27 @@ class CitationNetwork:
             lasts[i] = vocab.setdefault(p.last_author, len(vocab))
         return firsts, lasts
 
+    def in_window(self, citing, cited=slice(None)) -> np.ndarray:
+        """Whether ``cited`` is at most ten calendar years older than
+        ``citing``; index arrays broadcast, the default ``cited`` is every
+        paper."""
+        return self.dates[cited] >= self.window_floors[citing]
+
+    def citable(self, citing, cited=slice(None)) -> np.ndarray:
+        """Whether ``citing`` may cite ``cited`` under the corpus rules.
+
+        ``cited`` must be :meth:`in_window`, and not both of its first and
+        last authors may be among ``citing``'s first/last authors (the
+        self-citation rule; a paper never cites itself, as a special
+        case).  Later-dated papers pass.  Index arrays broadcast; the
+        default ``cited`` is every paper.
+        """
+        firsts, lasts = self.author_codes
+        fi, li = firsts[citing], lasts[citing]
+        fj, lj = firsts[cited], lasts[cited]
+        shared = ((fj == fi) | (fj == li)) & ((lj == fi) | (lj == li))
+        return self.in_window(citing, cited) & ~shared
+
     def attribute_codes(self, attribute: str) -> tuple[np.ndarray, tuple[str, ...]]:
         """Per-paper integer codes for one attribute plus the label order.
 
@@ -415,63 +436,55 @@ class CitationNetwork:
         return codes, labels
 
 
-def _edge_allowed(citing: Paper, cited: Paper) -> bool:
-    """The two filtering predicates of the corpus rules.
-
-    Drops the edge if the cited paper is strictly more than ten calendar
-    years older than the citing one, or if both of the cited paper's
-    first and last authors appear among the citing paper's first/last
-    authors (self-citation rule; self-loops fall to it as a special case).
-    """
-    if cited.pub_date < citation_window_floor(citing.pub_date):
-        return False
-    citer_authors = (citing.first_author, citing.last_author)
-    if cited.first_author in citer_authors and cited.last_author in citer_authors:
-        return False
-    return True
-
-
 def filter_citations(
     papers: Sequence[Paper], raw_edges: Iterable[tuple[str, str]]
 ) -> CitationNetwork:
     """Apply the corpus filtering rules and build the network.
 
-    De-duplicates edges, removes edges failing the date-window or
-    author-exclusion predicates, drops papers left without any citation
-    in either direction, and reindexes the survivors (original paper
-    order preserved, edges sorted).  Idempotent: re-filtering a network's
-    own papers/edges is a no-op.
+    De-duplicates edges, removes edges that are not
+    :meth:`CitationNetwork.citable`, drops papers left without any
+    citation in either direction, and reindexes the survivors (original
+    paper order preserved, edges sorted).  The returned network's
+    ``filter_counts`` holds ``duplicates``, ``out_of_window``,
+    ``self_citations`` (in-window edges only, so each dropped edge counts
+    once), ``isolated_papers`` and ``later_dated_kept`` (kept citations to
+    later-dated papers).  Idempotent: re-filtering a network's own
+    papers/edges is a no-op.
     """
     index: dict[str, int] = {}
     for pos, p in enumerate(papers):
         if p.id in index:
             raise IngestError(f"duplicate paper id {p.id!r}")
         index[p.id] = pos
+    n = len(index)
 
-    resolved: dict[tuple[int, int], None] = {}
-    for u, v in raw_edges:
-        if u not in index:
-            raise IngestError(f"citation ({u!r}, {v!r}): unknown citing id {u!r}")
-        if v not in index:
-            raise IngestError(f"citation ({u!r}, {v!r}): unknown cited id {v!r}")
-        resolved.setdefault((index[u], index[v]), None)
+    def unknown(u: str, v: str) -> NoReturn:
+        which, bad = ("citing", u) if u not in index else ("cited", v)
+        raise IngestError(f"citation ({u!r}, {v!r}): unknown {which} id {bad!r}")
 
-    kept = [
-        (i, j) for (i, j) in resolved if _edge_allowed(papers[i], papers[j])
-    ]
-
-    cited_or_citing = set()
-    for i, j in kept:
-        cited_or_citing.add(i)
-        cited_or_citing.add(j)
-    keep_papers = [pos for pos in range(len(papers)) if pos in cited_or_citing]
-    remap = {old: new for new, old in enumerate(keep_papers)}
-
-    new_papers = tuple(papers[pos] for pos in keep_papers)
-    new_edges = sorted((remap[i], remap[j]) for i, j in kept)
-    return CitationNetwork(
-        new_papers, np.array(new_edges, dtype=np.int64).reshape(-1, 2)
+    # one key i*N + j per raw pair; np.unique dedups and sorts by (i, j)
+    keys = np.fromiter(
+        (index[u] * n + index[v] if u in index and v in index else unknown(u, v)
+         for u, v in raw_edges),
+        dtype=np.int64,
     )
+    unique = np.unique(keys)
+    raw = CitationNetwork(tuple(papers), np.stack(np.divmod(unique, n), axis=1))
+    citing, cited = raw.edges.T
+    in_window = raw.in_window(citing, cited)
+    keep = raw.citable(citing, cited)
+    kept = raw.edges[keep]
+    survivors = np.unique(kept)
+    counts = {
+        "duplicates": int(keys.size - unique.size),
+        "out_of_window": int(np.count_nonzero(~in_window)),
+        "self_citations": int(np.count_nonzero(in_window & ~keep)),
+        "isolated_papers": int(n - survivors.size),
+        "later_dated_kept": int(np.count_nonzero(
+            raw.dates[kept[:, 1]] > raw.dates[kept[:, 0]])),
+    }
+    return CitationNetwork(tuple(papers[k] for k in survivors.tolist()),
+                           np.searchsorted(survivors, kept), counts)
 
 
 def read_papers(path: str | Path) -> list[Paper]:

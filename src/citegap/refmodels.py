@@ -151,28 +151,10 @@ def _table(model: str, attributes: tuple[str, ...], net: CitationNetwork,
     )
 
 
-class _EligibilityIndex:
-    """Vectorized date-window / author-exclusion masks per citer."""
-
-    def __init__(self, net: CitationNetwork):
-        self.dates = net.dates
-        self.floors = net.window_floors
-        self.firsts, self.lasts = net.author_codes
-
-    def mask(self, i: int) -> np.ndarray:
-        """Boolean mask over papers eligible to be cited by paper i.
-
-        Eligible: published between ten calendar years before paper i and
-        paper i's own date (no citing the future), not paper i itself,
-        and not sharing both first and last author slots with paper i.
-        """
-        m = (self.dates >= self.floors[i]) & (self.dates <= self.dates[i])
-        fi, li = self.firsts[i], self.lasts[i]
-        overlap_first = (self.firsts == fi) | (self.firsts == li)
-        overlap_last = (self.lasts == fi) | (self.lasts == li)
-        m &= ~(overlap_first & overlap_last)
-        m[i] = False
-        return m
+def _eligible(net: CitationNetwork, i: int) -> np.ndarray:
+    """Boolean mask over the papers paper i could cite: the corpus rule
+    (:meth:`CitationNetwork.citable`) minus later-dated papers."""
+    return net.citable(i) & (net.dates <= net.dates[i])
 
 
 def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
@@ -191,7 +173,7 @@ def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
 
 def eligible_set_rd(net: CitationNetwork, i: int) -> np.ndarray:
     """Sorted indices of papers that paper i could cite under RD."""
-    return np.flatnonzero(_EligibilityIndex(net).mask(i))
+    return np.flatnonzero(_eligible(net, i))
 
 
 def eligible_set_hd(
@@ -204,9 +186,7 @@ def eligible_set_hd(
     target's category, always including the target itself."""
     attrs = canonical_attributes(attributes)
     codes = _key_codes(net, attrs)
-    members = np.flatnonzero(
-        _EligibilityIndex(net).mask(i) & (codes == codes[i_prime])
-    )
+    members = np.flatnonzero(_eligible(net, i) & (codes == codes[i_prime]))
     return _with_member(members, i_prime)
 
 
@@ -247,13 +227,12 @@ def random_draws(net: CitationNetwork) -> ExpectedCitations:
     """Expected citations when every citation is redrawn uniformly from
     the citer's eligible set.  One group per citing paper; raises
     :class:`ModelError` for a citer with an empty eligible set."""
-    index = _EligibilityIndex(net)
     rows: list[Row] = []
     for i in range(net.n):
         targets = net.out_targets[i]
         if targets.size == 0:
             continue
-        members = np.flatnonzero(index.mask(i))
+        members = np.flatnonzero(_eligible(net, i))
         if members.size == 0:
             raise ModelError(
                 f"paper {net.papers[i].id!r} makes {targets.size} citation(s) "
@@ -273,11 +252,10 @@ def homophilic_draws(
     single group with summed multiplicity.
     """
     attrs = canonical_attributes(attributes)
-    index = _EligibilityIndex(net)
     codes = _key_codes(net, attrs)
     rows: list[Row] = []
     for i in np.flatnonzero(net.out_degree):
-        bundles = _bundles(net.out_targets[i], index.mask(i), codes)
+        bundles = _bundles(net.out_targets[i], _eligible(net, i), codes)
         rows.extend((i, members, tlist) for members, tlist in bundles)
     return _table("HD", attrs, net, rows)
 
@@ -307,7 +285,6 @@ def preferential_draws(
     true equality, which removes float drift at the cost of speed.
     """
     attrs = canonical_attributes(attributes)
-    index = _EligibilityIndex(net)
     codes = _key_codes(net, attrs)
     rows: list[Row] = []
     running: list[Fraction] | np.ndarray
@@ -329,7 +306,7 @@ def preferential_draws(
         if targets.size == 0:
             continue
         # freeze: every bundle reads the state before this paper
-        for members, tlist in _bundles(targets, index.mask(x), codes, narrow):
+        for members, tlist in _bundles(targets, _eligible(net, x), codes, narrow):
             if exact:
                 frac = Fraction(len(tlist), members.size)
                 for m in members.tolist():

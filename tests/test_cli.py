@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -63,9 +64,13 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "papers: 4" in out
         assert "citations: 3" in out
+        assert "filter duplicates: 0" in out
         summary = json.loads((tmp_path / "archive" / "summary.json").read_text())
         assert summary["papers"] == 4
         assert summary["by_gender"]["WW"] == 2
+        assert summary["filter"] == {"duplicates": 0, "out_of_window": 0,
+                                     "self_citations": 0, "isolated_papers": 0,
+                                     "later_dated_kept": 0}
 
     def test_archive_files_present(self, toy_inputs, tmp_path):
         papers, citations = toy_inputs
@@ -223,14 +228,24 @@ class TestImbalance:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_tampered_artifact_rejected(self, archive, tmp_path, capsys):
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda text: text.replace("P1\t", "P1\t9"), "inconsistent"),
+        (lambda text: re.sub(r"P1\t\S+", "P1\tnan", text), "inconsistent"),
+        (lambda text: re.sub(r"P1\t\S+", "P1\tinf", text), "inconsistent"),
+        (lambda text: "", "inconsistent"),
+        (lambda text: re.sub(r"P1\t\S+", "P1", text), "error:"),
+    ], ids=["9-prefix", "nan", "inf", "empty-file", "one-column"])
+    def test_tampered_artifact_rejected(self, archive, tmp_path, capsys,
+                                        tamper, message):
         model_dir = tmp_path / "rd"
         run("model", archive, model_dir, "--model", "rd")
         cbar = model_dir / "c_bar.tsv"
-        cbar.write_text(cbar.read_text().replace("P1\t", "P1\t9"))
+        cbar.write_text(tamper(cbar.read_text()))
         code = run("imbalance", archive, model_dir, tmp_path / "imb")
         assert code == 2
-        assert "inconsistent" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 class TestRank:

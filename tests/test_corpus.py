@@ -293,6 +293,31 @@ class TestFilterCitations:
         net = filter_citations(papers, [("A", "B")])
         assert net.m == 1
 
+    def test_filter_counts_one_per_rule(self):
+        # one duplicate, one too-old edge that also shares its authors
+        # (counted by the window rule only), one in-window self-citation,
+        # one self-loop, one isolated paper, one later-dated citation kept
+        papers = [
+            make_paper("OLD", date(2000, 1, 1), first="a1", last="a2"),
+            make_paper("A", date(2010, 1, 1)),
+            make_paper("SELF", date(2011, 1, 1), first="a1", last="a2"),
+            make_paper("C", date(2012, 1, 1), first="a1", last="a2"),
+            make_paper("LONE", date(2012, 1, 1)),
+            make_paper("LATER", date(2013, 1, 1)),
+        ]
+        raw = [("C", "A"), ("C", "A"), ("C", "OLD"), ("C", "SELF"),
+               ("C", "C"), ("A", "LATER")]
+        net = filter_citations(papers, raw)
+        assert net.filter_counts == {
+            "duplicates": 1,
+            "out_of_window": 1,
+            "self_citations": 2,
+            "isolated_papers": 3,
+            "later_dated_kept": 1,
+        }
+        assert [p.id for p in net.papers] == ["A", "C", "LATER"]
+        assert net.edges.tolist() == [[0, 2], [1, 0]]
+
     def test_degree_identity(self, toy4):
         assert toy4.out_degree.sum() == toy4.in_degree.sum() == toy4.m
 
