@@ -2,9 +2,12 @@
 
 Archives and model artifacts are plain directories of the documented
 text formats plus a manifest, so every intermediate stays inspectable.
-Every command is a pure function of its inputs, flags, and seed; reruns
-produce identical outputs (manifests stamp SOURCE_DATE_EPOCH when set,
-wall-clock time otherwise).
+The one binary file is a model artifact's group table, ``groups.npz``
+(numpy's uncompressed array archive, read with ``numpy.load``): ``model``
+computes the table once and ``imbalance``, ``rank`` and ``report`` load
+it instead of recomputing it.  Every command is a pure function of its
+inputs, flags, and seed; reruns produce identical outputs (manifests
+stamp SOURCE_DATE_EPOCH when set, wall-clock time otherwise).
 
 Subcommands: ingest, model, imbalance, rank, synth, report.
 """
@@ -17,8 +20,12 @@ import json
 import logging
 import os
 import sys
+import zipfile
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .corpus import (
@@ -55,6 +62,7 @@ from .refmodels import (
     ModelError,
     StructuralReport,
     compute_model,
+    group_table,
     structural_report,
 )
 from .synth import GenerationError, generate_network, load_config
@@ -69,7 +77,9 @@ SUMMARY_FILE = "summary.json"
 MANIFEST_FILE = "manifest.json"
 CBAR_FILE = "c_bar.tsv"
 MODEL_META_FILE = "model.json"
-GROUPS_FILE = "groups.tsv"
+GROUPS_FILE = "groups.npz"
+#: the arrays stored in GROUPS_FILE, one ``<name>.npy`` entry each
+GROUP_ARRAYS = ("citing", "indptr", "indices", "target_ptr", "targets")
 
 
 class CliError(Exception):
@@ -126,6 +136,19 @@ def _load_archive(path: str | Path) -> CitationNetwork:
         if not p.is_file():
             raise CliError(f"archive {archive} is missing {p.name}")
     return load_network(papers, citations)
+
+
+def _load_inputs(archive: Path, artifact: Path | None = None
+                 ) -> tuple[CitationNetwork, ExpectedCitations | None, dict[str, Path]]:
+    """The archive's network, the model artifact's expectations if an
+    artifact is given, and the files both were read from (manifest inputs)."""
+    net = _load_archive(archive)
+    inputs = {"papers": archive / PAPERS_FILE, "citations": archive / CITATIONS_FILE}
+    if artifact is None:
+        return net, None, inputs
+    ec = _load_model_artifact(archive, artifact, net)
+    inputs.update(c_bar=artifact / CBAR_FILE, groups=artifact / GROUPS_FILE)
+    return net, ec, inputs
 
 
 def _network_summary(net: CitationNetwork) -> dict[str, object]:
@@ -208,7 +231,7 @@ def _write_structural(report: StructuralReport, out: Path) -> None:
 
 def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
                           archive: Path, out: Path, *, exact: bool,
-                          count_tol: float, dump_groups: bool) -> None:
+                          count_tol: float) -> None:
     with open(out / CBAR_FILE, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(["paper_id", "c_bar"])
@@ -232,20 +255,22 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_structural(report, out)
-    if dump_groups:
-        with open(out / GROUPS_FILE, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-            writer.writerow(["citing_id", "member_count", "weight", "member_ids"])
-            for g in ec.groups:
-                writer.writerow(
-                    [net.papers[g.citing].id, g.members.size, repr(g.weight)]
-                    + [net.papers[j].id for j in g.members]
-                )
+    _write_groups(ec, out / GROUPS_FILE)
+
+
+def _write_groups(ec: ExpectedCitations, path: Path) -> None:
+    """Store the table's arrays uncompressed, each zip entry with the same
+    fixed date, so the bytes depend on the arrays alone."""
+    arrays = (ec.citing, ec.W.indptr, ec.W.indices, ec.target_ptr, ec.targets)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in zip(GROUP_ARRAYS, arrays):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
 def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     archive = Path(args.archive)
-    net = _load_archive(archive)
+    net, _, inputs = _load_inputs(archive)
     model = args.model.upper()
     if model == "RD" and args.attrs is not None:
         log.warning("--attrs is ignored by the random-draws model")
@@ -253,17 +278,17 @@ def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     ec = compute_model(net, model, attrs, count_tol=args.count_tol, exact=args.exact)
     out = _out_dir(args, args.out)
     _write_model_artifact(net, ec, archive, out, exact=args.exact,
-                          count_tol=args.count_tol, dump_groups=args.dump_groups)
-    _write_manifest(out, argv,
-                    {"papers": archive / PAPERS_FILE,
-                     "citations": archive / CITATIONS_FILE},
-                    args.seed, model=model, attributes=list(attrs))
+                          count_tol=args.count_tol)
+    _write_manifest(out, argv, inputs, args.seed, model=model,
+                    attributes=list(attrs))
     print(f"model {model} on {net.n} papers / {net.m} citations")
     return 0
 
 
 def _read_model_meta(path: Path) -> dict:
-    """The model.json keys a model is recomputed from, schema-checked."""
+    """model.json, schema-checked: the archive digests its artifact must
+    match, and the model and attributes its group table is labelled with
+    (``exact`` and ``count_tol`` record how the table was computed)."""
     try:
         with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -289,14 +314,74 @@ def _read_model_meta(path: Path) -> dict:
     return meta
 
 
+def _read_groups(path: Path, net: CitationNetwork) -> list[np.ndarray]:
+    """The arrays of a stored group table, checked to form a table over
+    the archive's papers whose (citer, target) pairs are its edges."""
+    try:
+        # np.load leaks its own handle when a zip turns out to be broken
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with npz:
+                arrays = [npz[name] for name in GROUP_ARRAYS]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise CliError(f"{path} is not a readable group table: {exc}") from exc
+    citing, indptr, indices, target_ptr, targets = arrays
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise CliError(f"{path}: {what}")
+
+    check(all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays),
+          f"{', '.join(GROUP_ARRAYS)} must be 1-D signed integer arrays")
+    check(len(indptr) == len(target_ptr) == len(citing) + 1,
+          "indptr and target_ptr need one entry per group plus one")
+    # comparisons rather than differences, which could overflow
+    for name, ptr, data, what in (("indptr", indptr, indices, "members"),
+                                  ("target_ptr", target_ptr, targets, "targets")):
+        check(ptr[0] == 0 and ptr[-1] == data.size and (ptr[1:] >= ptr[:-1]).all(),
+              f"{name} must start at 0, never decrease and end at the number "
+              f"of {what}")
+        check((ptr[1:] > ptr[:-1]).all(), f"a group has no {what}")
+    rising = indices[1:] > indices[:-1]
+    rising[indptr[1:-1] - 1] = True  # a new group may start lower
+    check(indices.size == 0 or (indices.min() >= 0 and indices.max() < net.n
+                                and rising.all()),
+          f"members must be paper indices below {net.n}, strictly increasing "
+          "within each group")
+    check((citing[1:] >= citing[:-1]).all(), "citing must be ascending")
+    citers = np.repeat(citing, np.diff(target_ptr))
+    order = np.lexsort((targets, citers))
+    check(np.array_equal(np.column_stack((citers, targets))[order], net.edges),
+          "its (citer, target) pairs are not the archive's citations")
+    return arrays
+
+
+def _read_c_bar(path: Path) -> dict[str, float]:
+    stored = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter="\t")
+        next(reader, None)
+        for row in reader:
+            if len(row) != 2:
+                raise CliError(f"{path} line {reader.line_num}: expected 2 "
+                               f"columns, got {len(row)}")
+            try:
+                stored[row[0]] = float(row[1])
+            except ValueError as exc:
+                raise CliError(f"{path} line {reader.line_num}: {exc}") from exc
+    return stored
+
+
 def _load_model_artifact(archive: Path, artifact: Path,
                          net: CitationNetwork) -> ExpectedCitations:
-    """Recompute the expectations named by a model artifact and verify
-    them against the stored c_bar."""
-    meta_path = artifact / MODEL_META_FILE
-    if not meta_path.is_file():
-        raise CliError(f"model artifact {artifact} is missing {MODEL_META_FILE}")
-    meta = _read_model_meta(meta_path)
+    """Load the group table of a model artifact, verified against the
+    archive and against the stored c_bar, which it then carries."""
+    for name in (MODEL_META_FILE, GROUPS_FILE, CBAR_FILE):
+        if not (artifact / name).is_file():
+            raise CliError(f"model artifact {artifact} is missing {name}")
+    meta = _read_model_meta(artifact / MODEL_META_FILE)
     for name, digest in (("papers", meta["archive"]["papers_sha256"]),
                          ("citations", meta["archive"]["citations_sha256"])):
         actual = _sha256(archive / f"{name}.tsv")
@@ -305,27 +390,18 @@ def _load_model_artifact(archive: Path, artifact: Path,
                 f"model artifact {artifact} was built from a different archive "
                 f"({name}.tsv digest mismatch)"
             )
-    ec = compute_model(net, meta["model"], meta["attributes"],
-                       count_tol=meta.get("count_tol", DEFAULT_COUNT_TOL),
-                       exact=meta.get("exact", False))
-    stored = {}
-    with open(artifact / CBAR_FILE, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        next(reader, None)
-        for pid, value in reader:
-            stored[pid] = float(value)
-    recomputed = {p.id: float(ec.c_bar[i]) for i, p in enumerate(net.papers)}
-    if set(stored) != set(recomputed) or not all(
-        abs(stored[pid] - recomputed[pid]) <= 1e-9 for pid in stored
-    ):
-        raise CliError(f"model artifact {artifact} is inconsistent with the archive")
-    return ec
+    ec = group_table(meta["model"], tuple(meta["attributes"]), net.n,
+                     *_read_groups(artifact / GROUPS_FILE, net))
+    stored = _read_c_bar(artifact / CBAR_FILE)
+    c_bar = np.array([stored.get(p.id, np.nan) for p in net.papers])
+    if len(stored) != net.n or not (np.abs(c_bar - ec.c_bar) <= 1e-9).all():
+        raise CliError(f"model artifact {artifact} is inconsistent with the archive "
+                       f"({CBAR_FILE} is not the column sums of {GROUPS_FILE})")
+    return replace(ec, c_bar=c_bar)
 
 
 def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
-    archive, artifact = Path(args.archive), Path(args.model_artifact)
-    net = _load_archive(archive)
-    ec = _load_model_artifact(archive, artifact, net)
+    net, ec, inputs = _load_inputs(Path(args.archive), Path(args.model_artifact))
     from_filter = PaperFilter.parse(args.from_)
     to_filter = PaperFilter.parse(args.to)
     for name, f in (("--from", from_filter), ("--to", to_filter)):
@@ -342,11 +418,7 @@ def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
     out = _out_dir(args, args.out)
     write_report_csv(reports, out / "imbalance.csv")
     write_report_json(reports, out / "imbalance.json")
-    _write_manifest(out, argv,
-                    {"papers": archive / PAPERS_FILE,
-                     "citations": archive / CITATIONS_FILE,
-                     "c_bar": artifact / CBAR_FILE},
-                    seed, model=ec.model,
+    _write_manifest(out, argv, inputs, seed, model=ec.model,
                     from_filter=from_filter.description,
                     to_filter=to_filter.description,
                     stratify=args.stratify, bootstrap=args.bootstrap)
@@ -373,15 +445,8 @@ def _parse_d_grid(text: str) -> list[float]:
 
 
 def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
-    archive = Path(args.archive)
-    net = _load_archive(archive)
-    inputs = {"papers": archive / PAPERS_FILE,
-              "citations": archive / CITATIONS_FILE}
-    ec = None
-    if args.model_artifact is not None:
-        artifact = Path(args.model_artifact)
-        ec = _load_model_artifact(archive, artifact, net)
-        inputs["c_bar"] = artifact / CBAR_FILE
+    artifact = None if args.model_artifact is None else Path(args.model_artifact)
+    net, ec, inputs = _load_inputs(Path(args.archive), artifact)
 
     grid = _parse_d_grid(args.d_grid)
     # the observed ranking, then the model's; rankings.csv holds the last
@@ -418,17 +483,12 @@ def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
-    archive, artifact = Path(args.archive), Path(args.model_artifact)
-    net = _load_archive(archive)
-    ec = _load_model_artifact(archive, artifact, net)
+    net, ec, inputs = _load_inputs(Path(args.archive), Path(args.model_artifact))
     report = structural_report(net, ec)
     out = _out_dir(args, args.out)
     _write_structural(report, out)
-    _write_manifest(out, argv,
-                    {"papers": archive / PAPERS_FILE,
-                     "citations": archive / CITATIONS_FILE,
-                     "c_bar": artifact / CBAR_FILE},
-                    args.seed, model=ec.model, ks_in_degree=report.ks_in_degree)
+    _write_manifest(out, argv, inputs, args.seed, model=ec.model,
+                    ks_in_degree=report.ks_in_degree)
     print(f"structural report for {ec.model}: KS(in-citations) = "
           f"{report.ks_in_degree:.4f}")
     return 0
@@ -467,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact-rational running counts for pd")
     p.add_argument("--count-tol", type=float, default=DEFAULT_COUNT_TOL,
                    help="pd count-equality tolerance in float mode")
-    p.add_argument("--dump-groups", action="store_true",
-                   help="also write the diagnostic group dump")
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("imbalance", help="observed vs expected citations per "

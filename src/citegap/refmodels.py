@@ -73,7 +73,8 @@ class ExpectedCitations:
     at each member of group g.  The observed targets of group g are
     ``targets[target_ptr[g]:target_ptr[g + 1]]``.  Citations from one
     citer with identical member sets share a group.  Build it through
-    :func:`compute_model` or one of the model functions.
+    :func:`compute_model` or one of the model functions, or from stored
+    arrays through :func:`group_table`.
     """
 
     model: str
@@ -100,7 +101,7 @@ class ExpectedCitations:
     @cached_property
     def groups(self) -> tuple[ContributionGroup, ...]:
         """The table as one :class:`ContributionGroup` per row, for tests
-        and the diagnostic group dump; reductions use the arrays."""
+        and diagnostics; reductions use the arrays."""
         views = []
         for g, (lo, hi) in enumerate(zip(self.W.indptr[:-1], self.W.indptr[1:])):
             members = self.W.indices[lo:hi]
@@ -129,25 +130,38 @@ class ExpectedCitations:
 Row = tuple[int, np.ndarray, Sequence[int]]
 
 
+def group_table(model: str, attributes: tuple[str, ...], n_papers: int,
+                citing: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                target_ptr: np.ndarray, targets: np.ndarray,
+                c_bar: np.ndarray | None = None) -> ExpectedCitations:
+    """Derive ``weight`` and ``W`` from the stored arrays of a group table
+    (``indptr``/``indices`` are the member CSR of ``W``).  ``c_bar``
+    defaults to the column sums of ``W``, added in row order."""
+    sizes = np.diff(indptr)
+    weight = np.diff(target_ptr) / sizes
+    W = sparse.csr_matrix((np.repeat(weight, sizes), indices, indptr),
+                          shape=(len(citing), n_papers))
+    if c_bar is None:
+        # the column sums of W, from ``indices``: bincount would copy W's
+        # own (often int32) indices to int64 first
+        c_bar = np.bincount(indices, W.data, minlength=n_papers)
+    return ExpectedCitations(model, attributes, citing, weight, W, target_ptr,
+                             targets, np.asarray(c_bar, np.float64))
+
+
 def _table(model: str, attributes: tuple[str, ...], net: CitationNetwork,
            rows: Sequence[Row], c_bar: np.ndarray | None = None) -> ExpectedCitations:
-    """Pack rows, ordered by citer, into the group table.  ``c_bar``
-    defaults to the column sums of ``W``, added in row order."""
+    """Pack rows, ordered by citer, into the arrays of :func:`group_table`."""
     empty = [np.zeros(0, dtype=np.int64)]
     sizes = np.array([row[1].size for row in rows], dtype=np.int64)
     n_targets = np.array([len(row[2]) for row in rows], dtype=np.int64)
-    weight = n_targets / sizes
-    W = sparse.csr_matrix((np.repeat(weight, sizes),
-                           np.concatenate(empty + [row[1] for row in rows]),
-                           np.concatenate(([0], np.cumsum(sizes)))),
-                          shape=(len(rows), net.n))
-    if c_bar is None:
-        c_bar = np.bincount(W.indices, W.data, minlength=net.n)
-    return ExpectedCitations(
-        model, attributes, np.array([row[0] for row in rows], dtype=np.int64), weight,
-        W, np.concatenate(([0], np.cumsum(n_targets))),
+    return group_table(
+        model, attributes, net.n, np.array([row[0] for row in rows], dtype=np.int64),
+        np.concatenate(([0], np.cumsum(sizes))),
+        np.concatenate(empty + [row[1] for row in rows]),
+        np.concatenate(([0], np.cumsum(n_targets))),
         np.fromiter(chain.from_iterable(row[2] for row in rows), np.int64,
-                    n_targets.sum()), np.asarray(c_bar, np.float64),
+                    n_targets.sum()), c_bar,
     )
 
 

@@ -378,7 +378,7 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
         assert main(argv + ["ingest", str(base / "corpus" / "papers.tsv"),
                             str(base / "corpus" / "citations.tsv"), "archive"]) == 0
         assert main(argv + ["model", str(base / "archive"), "pd",
-                            "--model", "pd", "--dump-groups"]) == 0
+                            "--model", "pd"]) == 0
         assert main(argv + ["--seed", "4", "imbalance", str(base / "archive"),
                             str(base / "pd"), "imbalance",
                             "--bootstrap", "100", "--stratify", "rank"]) == 0

@@ -5,6 +5,7 @@ import logging
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from citegap.cli import main
@@ -142,12 +143,15 @@ class TestModel:
                 "report_pairs_country.csv", "report_pairs_topic.csv",
                 "report_survival.csv", "model.json"} <= names
 
-    def test_dump_groups(self, archive, tmp_path):
+    def test_groups_table(self, archive, tmp_path):
         out = tmp_path / "hd"
-        run("model", archive, out, "--model", "hd", "--dump-groups")
-        lines = (out / "groups.tsv").read_text().strip().splitlines()
-        assert lines[0].startswith("citing_id\tmember_count\tweight")
-        assert len(lines) == 3  # two groups (P3's and P4's merged pair)
+        run("model", archive, out, "--model", "hd")
+        with np.load(out / "groups.npz", allow_pickle=False) as groups:
+            assert sorted(groups.files) == ["citing", "indices", "indptr",
+                                            "target_ptr", "targets"]
+            # two groups (P3's and P4's merged pair)
+            assert groups["citing"].tolist() == [2, 3]
+            assert groups["target_ptr"].tolist() == [0, 1, 3]
 
     def test_rerun_identical(self, archive, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -233,7 +237,8 @@ class TestImbalance:
         (lambda text: re.sub(r"P1\t\S+", "P1\tnan", text), "inconsistent"),
         (lambda text: re.sub(r"P1\t\S+", "P1\tinf", text), "inconsistent"),
         (lambda text: "", "inconsistent"),
-        (lambda text: re.sub(r"P1\t\S+", "P1", text), "error:"),
+        (lambda text: re.sub(r"P1\t\S+", "P1", text),
+         "c_bar.tsv line 2: expected 2 columns, got 1"),
     ], ids=["9-prefix", "nan", "inf", "empty-file", "one-column"])
     def test_tampered_artifact_rejected(self, archive, tmp_path, capsys,
                                         tamper, message):
@@ -246,6 +251,42 @@ class TestImbalance:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda path: path.unlink(), "is missing groups.npz"),
+        (lambda path: path.write_bytes(path.read_bytes()[:path.stat().st_size // 2]),
+         "not a readable group table"),
+        (lambda path: rewrite_groups(path, "citing", slice(None), None, object),
+         "not a readable group table"),
+        (lambda path: rewrite_groups(path, "indices", -1, 4), "below 4"),
+        (lambda path: rewrite_groups(path, "indices", 1, 0), "strictly increasing"),
+        (lambda path: rewrite_groups(path, "indptr", -1, 4), "end at the number"),
+        (lambda path: rewrite_groups(path, "indptr", 1, 0), "a group has no members"),
+        (lambda path: rewrite_groups(path, "targets", 0, 1), "archive's citations"),
+        (lambda path: rewrite_groups(path, "indices", 1, 3), "inconsistent"),
+    ], ids=["missing", "truncated", "object-array", "member-out-of-range",
+            "member-repeated", "indptr-short", "empty-group", "target-not-an-edge",
+            "member-moved"])
+    def test_tampered_groups_rejected(self, archive, tmp_path, capsys,
+                                      tamper, message):
+        model_dir = tmp_path / "rd"
+        run("model", archive, model_dir, "--model", "rd")
+        tamper(model_dir / "groups.npz")
+        capsys.readouterr()
+        assert run("imbalance", archive, model_dir, tmp_path / "imb") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "groups.npz" in err and message in err
+        assert "Traceback" not in err
+
+
+def rewrite_groups(path, name, index, value, dtype=None):
+    """Rewrite groups.npz with ``arrays[name][index] = value``, optionally
+    cast to ``dtype`` first."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays[name] = arrays[name].astype(dtype or arrays[name].dtype)
+    arrays[name][index] = value
+    np.savez(path, **arrays)
 
 
 class TestRank:

@@ -20,8 +20,10 @@ from citegap import (
     random_draws,
     structural_report,
 )
+from citegap import cli
 from citegap.imbalance import ALL_PAPERS, PaperFilter
 from citegap.refmodels import (
+    DEFAULT_COUNT_TOL,
     ExpectedCitations,
     compute_model,
     date_order,
@@ -183,6 +185,19 @@ class TestPreferentialDraws:
         exact = preferential_draws(toy_pd, ATTRS, exact=True)
         floats = preferential_draws(toy_pd, ATTRS)
         np.testing.assert_allclose(exact.c_bar, floats.c_bar, atol=1e-12)
+
+    def test_exact_mode_keeps_groups_at_scale(self):
+        # one coarse attribute: large member sets whose running counts tie
+        # often, where float drift would split or merge groups first
+        net = generate_network(SynthConfig(n_papers=2000, seed=3, n_ranks=3,
+                                           pa_strength=1.0))
+        floats = preferential_draws(net, ("rank",))
+        exact = preferential_draws(net, ("rank",), exact=True)
+        for name in ("citing", "target_ptr", "targets"):
+            np.testing.assert_array_equal(getattr(floats, name), getattr(exact, name))
+        np.testing.assert_array_equal(floats.W.indptr, exact.W.indptr)
+        np.testing.assert_array_equal(floats.W.indices, exact.W.indices)
+        assert np.abs(floats.c_bar - exact.c_bar).max() <= 1e-11
 
     def test_toy4_pd_equals_hd(self, toy4):
         # member counts stay tied throughout, so no group ever shrinks
@@ -468,10 +483,25 @@ def loop_expected_by_gender(net, ec, from_filter, to_filter):
 @pytest.mark.parametrize("model", sorted(TABLE_MODELS))
 @pytest.mark.parametrize("corpus", ["synth", "year-ties"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_table_reductions_match_group_loops(seed, corpus, model):
+def test_table_reductions_match_group_loops(seed, corpus, model, tmp_path):
     net = (synth_network if corpus == "synth" else year_tie_network)(seed)
     ec = TABLE_MODELS[model](net)
     assert_group_invariants(net, ec)
+
+    # the table a model artifact stores loads back bit-identical
+    archive, artifact = tmp_path / "archive", tmp_path / "model"
+    archive.mkdir()
+    artifact.mkdir()
+    cli._write_archive(net, archive)
+    cli._write_model_artifact(net, ec, archive, artifact, exact=model == "PD-exact",
+                              count_tol=DEFAULT_COUNT_TOL)
+    reloaded_net, loaded, _ = cli._load_inputs(archive, artifact)
+    np.testing.assert_array_equal(reloaded_net.edges, net.edges)
+    for name in ("citing", "weight", "target_ptr", "targets", "c_bar"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(ec, name))
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(loaded.W, name), getattr(ec.W, name))
+
     assert list(ec.citing) == sorted(ec.citing)
     if model in ("RD", "HD-rank", "HD"):
         # c_bar sums the table in group order, exactly as the loop does
