@@ -448,8 +448,10 @@ def filter_citations(
     ``filter_counts`` holds ``duplicates``, ``out_of_window``,
     ``self_citations`` (in-window edges only, so each dropped edge counts
     once), ``isolated_papers`` and ``later_dated_kept`` (kept citations to
-    later-dated papers).  Idempotent: re-filtering a network's own
-    papers/edges is a no-op.
+    later-dated papers).  The returned network's ``dates``,
+    ``window_floors`` and ``author_codes`` are taken from the ones the
+    rules were evaluated on, not rebuilt.  Idempotent: re-filtering a
+    network's own papers/edges is a no-op.
     """
     index: dict[str, int] = {}
     for pos, p in enumerate(papers):
@@ -483,8 +485,17 @@ def filter_citations(
         "later_dated_kept": int(np.count_nonzero(
             raw.dates[kept[:, 1]] > raw.dates[kept[:, 0]])),
     }
-    return CitationNetwork(tuple(papers[k] for k in survivors.tolist()),
-                           np.searchsorted(survivors, kept), counts)
+    net = CitationNetwork(tuple(papers[k] for k in survivors.tolist()),
+                          np.searchsorted(survivors, kept), counts)
+    # the survivors' rule arrays are rows of the ones just built; author
+    # codes keep the raw vocabulary, which preserves their equalities
+    firsts, lasts = raw.author_codes
+    vars(net).update(
+        dates=raw.dates[survivors],
+        window_floors=raw.window_floors[survivors],
+        author_codes=(firsts[survivors], lasts[survivors]),
+    )
+    return net
 
 
 def read_papers(path: str | Path) -> list[Paper]:

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .corpus import (
     KNOWN_CATEGORIES,
@@ -292,19 +290,38 @@ def stratified_imbalance(
     return reports
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a run of c ties after s smaller values spans ranks s+1 .. s+c
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Spearman rank correlation (average ranks on ties), or None when a
-    constant input leaves it undefined."""
+    """Spearman rank correlation, or None when it is undefined.
+
+    Tied values get the average of the ranks they span; the result is
+    the Pearson correlation of the two rank vectors, computed on centred
+    ranks (it agrees with scipy's ``spearmanr`` to rounding).  None
+    when either input is constant or holds a NaN.  Raises ``ValueError``
+    on inputs of unequal length or shorter than two.
+    """
     if len(x) != len(y):
         raise ValueError("inputs must have equal length")
     if len(x) < 2:
         raise ValueError("need at least two observations")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = stats.spearmanr(x, y).correlation
-    if np.isnan(rho):
+    xs = np.asarray(x, dtype=np.float64)
+    ys = np.asarray(y, dtype=np.float64)
+    if np.isnan(xs).any() or np.isnan(ys).any():
         return None
-    return float(rho)
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denominator = np.sqrt((rx @ rx) * (ry @ ry))
+    if denominator == 0.0:
+        return None
+    return float(np.clip((rx @ ry) / denominator, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

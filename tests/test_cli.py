@@ -3,11 +3,14 @@ import hashlib
 import json
 import logging
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import citegap
 from citegap.cli import main
 
 TOY4_PAPERS = """id\tpub_date\tgender\trank\tcountry\ttopic\tsubfield\tfirst_author\tlast_author
@@ -409,3 +412,20 @@ class TestDeterminism:
         second = pipeline()
         assert first == second
         assert len(first) > 10
+
+
+def test_import_leaves_scipy_stats_out():
+    # every command is its own process, and importing scipy.stats alone
+    # takes longer than most commands' work; a fresh interpreter is
+    # needed because this test session imports scipy.stats itself
+    code = (
+        "import sys\n"
+        "import citegap\n"
+        "assert 'scipy.stats' not in sys.modules, 'import citegap'\n"
+        "import citegap.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'import citegap.cli'\n"
+    )
+    src = str(Path(citegap.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -11,7 +11,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from citegap import eligible_set_hd, eligible_set_rd, filter_citations
+from citegap import CitationNetwork, eligible_set_hd, eligible_set_rd, filter_citations
 from citegap.corpus import citation_window_floor, parse_pub_date
 from citegap.synth import _eligible_bruteforce, _hd_members_bruteforce
 from conftest import make_paper
@@ -87,6 +87,21 @@ def test_filter_matches_per_edge_oracle(seed):
     for i, j in edges:
         buckets[i].append(j)
     assert [t.tolist() for t in net.out_targets] == buckets
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rule_arrays_match_a_fresh_network(seed):
+    # the filter hands its survivors the arrays it evaluated the rules on
+    net = filter_citations(*random_corpus(seed))
+    assert {"dates", "window_floors", "author_codes"} <= vars(net).keys()
+    fresh = CitationNetwork(net.papers, net.edges)
+    np.testing.assert_array_equal(net.dates, fresh.dates)
+    np.testing.assert_array_equal(net.window_floors, fresh.window_floors)
+    # codes may differ; citable reads only which of them are equal
+    seeded, built = (np.concatenate(codes) for codes in (net.author_codes,
+                                                          fresh.author_codes))
+    np.testing.assert_array_equal(np.equal.outer(seeded, seeded),
+                                  np.equal.outer(built, built))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

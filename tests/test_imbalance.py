@@ -1,9 +1,11 @@
 import csv
 import json
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from citegap import (
     ConferenceRank,
@@ -313,6 +315,35 @@ class TestSpearman:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             spearman([1], [2])
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_scipy_on_tied_integers(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        x = rng.integers(0, int(rng.integers(2, 10)), n).tolist()
+        y = (np.asarray(x) * rng.integers(-1, 2) + rng.integers(0, 4, n)).tolist()
+        rho, reference = spearman(x, y), scipy_spearman(x, y)
+        if np.isnan(reference):
+            assert rho is None
+        else:
+            assert rho == pytest.approx(reference, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("x, y", [
+        ([3, 3], [1, 2]),
+        ([1, 2, 3], [7, 7, 7]),
+        ([0.5] * 5, [0.5] * 5),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_undefined_exactly_where_scipy_is_nan(self, x, y):
+        assert np.isnan(scipy_spearman(x, y))
+        assert spearman(x, y) is None
+
+
+def scipy_spearman(x, y):
+    # scipy warns on a constant input and returns nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return stats.spearmanr(x, y).correlation
 
 
 class TestExports:

@@ -1,7 +1,10 @@
+import math
+import warnings
 from datetime import date
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from citegap import (
     ConferenceRank,
@@ -28,6 +31,7 @@ from citegap.refmodels import (
     compute_model,
     date_order,
     expected_out,
+    ks_distance,
     survival_points,
 )
 from conftest import make_paper
@@ -311,6 +315,61 @@ class TestStructuralReport:
     def test_identity_model_has_zero_ks(self, toy4):
         report = structural_report(toy4, observed_as_expectations(toy4))
         assert report.ks_in_degree == 0.0
+
+
+def ks_samples(seed):
+    """Two samples for the KS differential test: sizes 1..400, often
+    equal, drawn log-uniformly so tiny sizes occur; integer values with
+    heavy ties, continuous floats, or one of each."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = (int(k) for k in np.exp(rng.uniform(0, np.log(401), 2)))
+    if seed % 10 == 1:
+        n1 = (1, 400)[seed % 20 // 10]
+    if seed % 4 == 0:
+        n2 = n1
+    ints = lambda n: rng.integers(0, int(rng.integers(1, 12)), n)
+    floats = lambda n: rng.gamma(2.0, 1.5, n)
+    kind = seed % 3
+    a = ints(n1) if kind in (0, 2) else floats(n1)
+    b = ints(n2) if kind == 0 else floats(n2)
+    return a, b
+
+
+def scipy_ks(a, b):
+    # scipy warns when its exact p-value fails; the statistic is still h/lcm
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return stats.ks_2samp(a, b).statistic
+
+
+class TestKsDistance:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_matches_scipy_exactly(self, seed):
+        a, b = ks_samples(seed)
+        assert ks_distance(a, b) == scipy_ks(a, b)
+
+    def test_sweep_covers_sizes_and_ties(self):
+        sizes = [tuple(len(s) for s in ks_samples(seed)) for seed in range(300)]
+        assert {1, 400} <= {n for pair in sizes for n in pair}
+        assert sum(n1 == n2 for n1, n2 in sizes) >= 75
+        assert sum(n1 != n2 for n1, n2 in sizes) >= 150
+
+    def test_large_equal_sizes_within_one_ulp(self):
+        # above 10000 scipy subtracts two float CDFs instead of rounding
+        # h / lcm: here it gives 0.35700000000000004 for h / lcm = 0.357
+        rng = np.random.default_rng(1)
+        n = 12_000
+        a = rng.integers(0, 40, n).astype(float)
+        b = rng.gamma(2.0, 6.0, n)
+        d = ks_distance(a, b)
+        reference = scipy_ks(a, b)
+        assert d == round(reference * n) / n
+        assert abs(d - reference) <= math.ulp(d)
+
+    @pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([], [])])
+    def test_empty_sample_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            ks_distance(np.array(a), np.array(b))
 
 
 class TestObservedAsExpectations:
