@@ -4,12 +4,12 @@ Archives and model artifacts are plain directories of the documented
 text formats plus a manifest, so every intermediate stays inspectable.
 The one binary file is a model artifact's group table, ``groups.npz``
 (numpy's uncompressed array archive, read with ``numpy.load``): ``model``
-computes the table once and ``imbalance``, ``rank`` and ``report`` load
-it instead of recomputing it.  Every command is a pure function of its
-inputs, flags, and seed; reruns produce identical outputs (manifests
-stamp SOURCE_DATE_EPOCH when set, wall-clock time otherwise).
+computes the table once, with its structural report, and ``imbalance``
+and ``rank`` load it instead of recomputing it.  Every command is a pure
+function of its inputs, flags, and seed; reruns produce identical outputs
+(manifests stamp SOURCE_DATE_EPOCH when set, wall-clock time otherwise).
 
-Subcommands: ingest, model, imbalance, rank, synth, report.
+Subcommands: ingest, model, imbalance, rank, synth.
 """
 from __future__ import annotations
 
@@ -245,6 +245,8 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
         "count_tol": count_tol,
         "n_papers": ec.n_papers,
         "n_citations": ec.n_citations,
+        "groups": len(ec.citing),
+        "member_entries": ec.indices.size,
         "ks_in_degree": report.ks_in_degree,
         "archive": {
             "papers_sha256": _sha256(archive / PAPERS_FILE),
@@ -261,7 +263,7 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
 def _write_groups(ec: ExpectedCitations, path: Path) -> None:
     """Store the table's arrays uncompressed, each zip entry with the same
     fixed date, so the bytes depend on the arrays alone."""
-    arrays = (ec.citing, ec.W.indptr, ec.W.indices, ec.target_ptr, ec.targets)
+    arrays = (ec.citing, ec.indptr, ec.indices, ec.target_ptr, ec.targets)
     with zipfile.ZipFile(path, "w") as zf:
         for name, array in zip(GROUP_ARRAYS, arrays):
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
@@ -282,13 +284,16 @@ def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     _write_manifest(out, argv, inputs, args.seed, model=model,
                     attributes=list(attrs))
     print(f"model {model} on {net.n} papers / {net.m} citations")
+    print(f"groups: {len(ec.citing)}")
+    print(f"member entries: {ec.indices.size}")
     return 0
 
 
 def _read_model_meta(path: Path) -> dict:
     """model.json, schema-checked: the archive digests its artifact must
-    match, and the model and attributes its group table is labelled with
-    (``exact`` and ``count_tol`` record how the table was computed)."""
+    match, the model and attributes its group table is labelled with, and
+    the table's size (``exact`` and ``count_tol`` record how the table
+    was computed)."""
     try:
         with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -305,12 +310,15 @@ def _read_model_meta(path: Path) -> dict:
         and isinstance(fields.get("model"), str)
         and isinstance(attributes, list)
         and all(isinstance(a, str) for a in attributes)
+        and all(isinstance(fields.get(name), int) and not isinstance(fields[name], bool)
+                for name in ("groups", "member_entries"))
         and isinstance(fields.get("exact", False), bool)
         and isinstance(count_tol, (int, float)) and not isinstance(count_tol, bool)
     ):
         raise CliError(f"{path} needs string archive.papers_sha256, archive."
                        "citations_sha256 and model, a list of string attributes, "
-                       "and optionally a boolean exact and a numeric count_tol")
+                       "integer groups and member_entries, and optionally a "
+                       "boolean exact and a numeric count_tol")
     return meta
 
 
@@ -392,6 +400,11 @@ def _load_model_artifact(archive: Path, artifact: Path,
             )
     ec = group_table(meta["model"], tuple(meta["attributes"]), net.n,
                      *_read_groups(artifact / GROUPS_FILE, net))
+    for name, count in (("groups", len(ec.citing)),
+                        ("member_entries", ec.indices.size)):
+        if meta[name] != count:
+            raise CliError(f"model artifact {artifact}: {MODEL_META_FILE} records "
+                           f"{meta[name]} {name}, {GROUPS_FILE} holds {count}")
     stored = _read_c_bar(artifact / CBAR_FILE)
     c_bar = np.array([stored.get(p.id, np.nan) for p in net.papers])
     if len(stored) != net.n or not (np.abs(c_bar - ec.c_bar) <= 1e-9).all():
@@ -482,18 +495,6 @@ def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
-    net, ec, inputs = _load_inputs(Path(args.archive), Path(args.model_artifact))
-    report = structural_report(net, ec)
-    out = _out_dir(args, args.out)
-    _write_structural(report, out)
-    _write_manifest(out, argv, inputs, args.seed, model=ec.model,
-                    ks_in_degree=report.ks_in_degree)
-    print(f"structural report for {ec.model}: KS(in-citations) = "
-          f"{report.ks_in_degree:.4f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citegap",
@@ -516,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("model", help="compute a reference model on an archive")
+    p = sub.add_parser("model", help="compute a reference model on an archive, "
+                                     "with its structural report")
     p.add_argument("archive")
     p.add_argument("out")
     p.add_argument("--model", required=True, choices=["rd", "hd", "pd"])
@@ -559,12 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("out")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("report", help="structural comparison for a model artifact")
-    p.add_argument("archive")
-    p.add_argument("model_artifact")
-    p.add_argument("out")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -218,6 +218,18 @@ def citation_window_floor(d: date) -> date:
         return d.replace(year=d.year - CITATION_WINDOW_YEARS, day=28)
 
 
+def citation_window_floors(dates: np.ndarray) -> np.ndarray:
+    """:func:`citation_window_floor` of each ``datetime64[D]`` date: the
+    same day of the month ten years back, clamped to that month's last
+    day (so Feb 29 maps to Feb 28)."""
+    months = dates.astype("datetime64[M]")
+    day = dates - months.astype("datetime64[D]")
+    floor_month = months - 12 * CITATION_WINDOW_YEARS
+    first = floor_month.astype("datetime64[D]")
+    last = (floor_month + 1).astype("datetime64[D]") - np.timedelta64(1, "D")
+    return np.minimum(first + day, last)
+
+
 def category_key(paper: Paper, attributes: Iterable[str]) -> tuple:
     """Projection of a paper onto an attribute subset, in canonical order."""
     return tuple(getattr(paper, a) for a in canonical_attributes(attributes))
@@ -372,10 +384,7 @@ class CitationNetwork:
 
     @cached_property
     def window_floors(self) -> np.ndarray:
-        return np.array(
-            [citation_window_floor(p.pub_date) for p in self.papers],
-            dtype="datetime64[D]",
-        )
+        return citation_window_floors(self.dates)
 
     @cached_property
     def gender_codes(self) -> np.ndarray:

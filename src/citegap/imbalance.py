@@ -24,7 +24,7 @@ from .corpus import (
     GenderCategory,
     Paper,
 )
-from .refmodels import ExpectedCitations, onehot
+from .refmodels import ExpectedCitations
 
 _FILTER_FIELDS = ("gender", "rank", "country", "topic", "subfield")
 
@@ -138,11 +138,11 @@ def _counted_groups(
     counted = np.concatenate(([0], np.cumsum(to_mask[ec.targets] & known[ec.targets])))
     m_to = counted[ec.target_ptr[1:]] - counted[ec.target_ptr[:-1]]
     keep = from_mask[ec.citing] & (m_to > 0)
-    # row g of W holds weight[g] on each member, so the mass it puts on a
-    # category over weight[g] is the member count, exact after rounding
-    mass = (ec.W @ onehot(net.gender_codes, len(GenderCategory))).toarray()[keep]
-    counts = np.rint(mass / ec.weight[keep, None])
-    return ec.citing[keep], m_to[keep], counts, np.diff(ec.W.indptr)[keep]
+    size = len(GenderCategory)
+    counts = np.concatenate([np.zeros((0, size), np.int64)] + [
+        sums for _, _, sums in ec.category_sums(net.gender_codes, size)
+    ])
+    return ec.citing[keep], m_to[keep], counts[keep], ec.sizes[keep]
 
 
 def bootstrap_ci(

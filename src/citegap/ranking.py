@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import CitationNetwork, W_CATEGORIES
 from .refmodels import ExpectedCitations
@@ -102,11 +101,10 @@ def pagerank_observed(
     teleport = net.in_degree / net.m
     k = net.out_degree
     citing, cited = net.edges[:, 0], net.edges[:, 1]
-    transition = sparse.csr_matrix(
-        (1.0 / k[citing], (cited, citing)), shape=(net.n, net.n)
-    )
+    share = 1.0 / k[citing]
+    flow = lambda p: np.bincount(cited, share * p[citing], minlength=net.n)
     p, used, converged = _power_iteration(
-        transition.dot, teleport, k == 0, alpha, eps, t_max
+        flow, teleport, k == 0, alpha, eps, t_max
     )
     return RankingResult("pagerank", "observed", p, normalized_scores(p, net),
                          alpha, used, converged)
@@ -124,7 +122,7 @@ def pagerank_reference(
     Citer rows move mass with probability (citation probability)/k_i;
     teleport and dangling rows are proportional to expected in-citations.
     Each step spreads every group's share p[citer]/k_citer over its
-    members through ``W.T``, so the dense transition matrix is never
+    members (``W.T @ y``), so the dense transition matrix is never
     materialized.
     """
     ec.check_network(net)
@@ -133,8 +131,8 @@ def pagerank_reference(
     teleport = ec.c_bar / net.m
     k = net.out_degree
 
-    transpose, k_citing = ec.W.T, k[ec.citing]
-    flow = lambda p: transpose @ (p[ec.citing] / k_citing)
+    k_citing = k[ec.citing]
+    flow = lambda p: ec.spread(p[ec.citing] / k_citing)
 
     p, used, converged = _power_iteration(
         flow, teleport, k == 0, alpha, eps, t_max

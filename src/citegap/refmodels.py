@@ -16,11 +16,15 @@ Probabilities are piecewise uniform, so a model's output is a table of
 groups instead of a dense N x N matrix: one group per citer (RD) or per
 merged citation bundle (HD/PD).  Group g puts the uniform mass
 ``weight[g]`` on each of its members and represents the observed
-citations of ``citing[g]`` listed in its targets.  The members are the
-rows of one sparse G x N matrix ``W`` holding ``weight[g]`` at (g, j)
-for every member j, so each downstream sum (expected out-citations,
-pairwise counts, gender expectations, the PageRank operator) is one
-product over ``W``.
+citations of ``citing[g]`` listed in its targets.  The members are stored
+in compressed-row form (``indptr``/``indices``), the rows of a G x N
+matrix ``W`` holding ``weight[g]`` at (g, j) for every member j, and each
+downstream sum (expected out-citations, pairwise counts, gender
+expectations, the PageRank operator) is one reduction over those arrays
+in plain numpy: ``W.T @ y`` with :meth:`ExpectedCitations.spread`, ``W``
+times a category indicator with :meth:`ExpectedCitations.category_sums`.
+The package needs numpy only; the tests check these reductions against
+``scipy.sparse`` as an independent oracle.
 """
 from __future__ import annotations
 
@@ -28,10 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import (
     ATTRIBUTE_ORDER,
@@ -43,6 +46,13 @@ from .corpus import (
 
 #: default tolerance when comparing running expected counts in PD
 DEFAULT_COUNT_TOL = 1e-9
+
+#: the most member entries, and the most group rows x categories, that one
+#: block of a reduction over a group table holds; bounds the temporaries
+#: of every reduction whatever the table's size
+BLOCK_ENTRIES = 1 << 16
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class ModelError(ValueError):
@@ -69,45 +79,68 @@ class ExpectedCitations:
     """A reference model's output on one network: its group table.
 
     ``citing`` (G,) is ascending and ``weight`` (G,) is each group's mass
-    per member.  Row g of the G x N CSR matrix ``W`` holds ``weight[g]``
-    at each member of group g.  The observed targets of group g are
-    ``targets[target_ptr[g]:target_ptr[g + 1]]``.  Citations from one
-    citer with identical member sets share a group.  Build it through
-    :func:`compute_model` or one of the model functions, or from stored
-    arrays through :func:`group_table`.
+    per member.  The members of group g are
+    ``indices[indptr[g]:indptr[g + 1]]``, ascending, and its observed
+    targets are ``targets[target_ptr[g]:target_ptr[g + 1]]``.  Citations
+    from one citer with identical member sets share a group.  Build it
+    through :func:`compute_model` or one of the model functions, or from
+    stored arrays through :func:`group_table`.
     """
 
     model: str
     attributes: tuple[str, ...]
     citing: np.ndarray
     weight: np.ndarray
-    W: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
     target_ptr: np.ndarray
     targets: np.ndarray
     c_bar: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("citing", "weight", "target_ptr", "targets", "c_bar"):
+        for name in ("citing", "weight", "indptr", "indices", "target_ptr",
+                     "targets", "c_bar"):
             getattr(self, name).setflags(write=False)
 
     @property
     def n_papers(self) -> int:
-        return self.W.shape[1]
+        return self.c_bar.size
 
     @property
     def n_citations(self) -> int:
         return self.targets.size
 
     @cached_property
+    def sizes(self) -> np.ndarray:
+        """Member count of each group."""
+        return np.diff(self.indptr)
+
+    def spread(self, y: np.ndarray) -> np.ndarray:
+        """``W.T @ y``: per paper, the sum of ``weight[g] * y[g]`` over the
+        groups g it is a member of."""
+        return _spread(self.indptr, self.indices, self.weight * y, self.n_papers)
+
+    def category_sums(self, codes: np.ndarray, size: int, *, weighted: bool = False
+                      ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """``W @ onehot(codes)`` in blocks of consecutive groups: yields
+        ``(a, b, sums)`` where ``sums[g - a, c]`` is the number of members
+        of group g with code c (int64), or with ``weighted`` their mass,
+        ``weight[g]`` added once per member in member order (float64)."""
+        for a, b in _blocks(self.indptr, size):
+            lo, hi = self.indptr[a], self.indptr[b]
+            key = np.repeat(np.arange(b - a) * size, self.sizes[a:b])
+            key += codes[self.indices[lo:hi]]
+            mass = np.repeat(self.weight[a:b], self.sizes[a:b]) if weighted else None
+            yield a, b, np.bincount(key, mass, minlength=(b - a) * size).reshape(b - a, size)
+
+    @cached_property
     def groups(self) -> tuple[ContributionGroup, ...]:
         """The table as one :class:`ContributionGroup` per row, for tests
         and diagnostics; reductions use the arrays."""
         views = []
-        for g, (lo, hi) in enumerate(zip(self.W.indptr[:-1], self.W.indptr[1:])):
-            members = self.W.indices[lo:hi]
-            members.setflags(write=False)
+        for g, (lo, hi) in enumerate(zip(self.indptr[:-1], self.indptr[1:])):
             targets = self.targets[self.target_ptr[g]:self.target_ptr[g + 1]]
-            views.append(ContributionGroup(int(self.citing[g]), members,
+            views.append(ContributionGroup(int(self.citing[g]), self.indices[lo:hi],
                                            tuple(targets.tolist()),
                                            float(self.weight[g])))
         return tuple(views)
@@ -126,6 +159,33 @@ class ExpectedCitations:
             )
 
 
+def _blocks(indptr: np.ndarray, width: int = 1) -> Iterator[tuple[int, int]]:
+    """Consecutive group ranges [a, b) covering a table, each of at least
+    one group and otherwise of at most ``BLOCK_ENTRIES`` member entries
+    and ``BLOCK_ENTRIES // width`` groups."""
+    n_groups, total = len(indptr) - 1, int(indptr[-1])
+    rows = max(1, BLOCK_ENTRIES // max(width, 1))
+    a = 0
+    while a < n_groups:
+        last = min(int(indptr[a]) + BLOCK_ENTRIES, total)
+        b = int(np.searchsorted(indptr, last, side="right")) - 1
+        b = max(a + 1, min(b, a + rows))
+        yield a, b
+        a = b
+
+
+def _spread(indptr: np.ndarray, indices: np.ndarray, mass: np.ndarray,
+            n_papers: int) -> np.ndarray:
+    """Per paper, the sum of ``mass[g]`` over the groups g it is a member
+    of, added in table order (as ``np.bincount(indices, np.repeat(mass,
+    sizes))`` adds, without its table-sized temporaries)."""
+    out = np.zeros(n_papers)
+    sizes = np.diff(indptr)
+    for a, b in _blocks(indptr):
+        np.add.at(out, indices[indptr[a]:indptr[b]], np.repeat(mass[a:b], sizes[a:b]))
+    return out
+
+
 #: one group before packing: citer, sorted member ids, observed targets
 Row = tuple[int, np.ndarray, Sequence[int]]
 
@@ -134,18 +194,18 @@ def group_table(model: str, attributes: tuple[str, ...], n_papers: int,
                 citing: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
                 target_ptr: np.ndarray, targets: np.ndarray,
                 c_bar: np.ndarray | None = None) -> ExpectedCitations:
-    """Derive ``weight`` and ``W`` from the stored arrays of a group table
-    (``indptr``/``indices`` are the member CSR of ``W``).  ``c_bar``
-    defaults to the column sums of ``W``, added in row order."""
-    sizes = np.diff(indptr)
-    weight = np.diff(target_ptr) / sizes
-    W = sparse.csr_matrix((np.repeat(weight, sizes), indices, indptr),
-                          shape=(len(citing), n_papers))
+    """Derive ``weight`` from the stored arrays of a group table.  The
+    member arrays ``indptr``/``indices`` are kept as int32 when every
+    value fits, which halves the table.  ``c_bar`` defaults to the column
+    sums of ``W``, added in group order."""
+    weight = np.diff(target_ptr) / np.diff(indptr)
     if c_bar is None:
-        # the column sums of W, from ``indices``: bincount would copy W's
-        # own (often int32) indices to int64 first
-        c_bar = np.bincount(indices, W.data, minlength=n_papers)
-    return ExpectedCitations(model, attributes, citing, weight, W, target_ptr,
+        c_bar = _spread(indptr, indices, weight, n_papers)
+    fits = max(len(citing), n_papers, indices.size) <= _INT32_MAX
+    index_dtype = np.int32 if fits else np.int64
+    return ExpectedCitations(model, attributes, citing, weight,
+                             indptr.astype(index_dtype, copy=False),
+                             indices.astype(index_dtype, copy=False), target_ptr,
                              targets, np.asarray(c_bar, np.float64))
 
 
@@ -366,19 +426,13 @@ def observed_as_expectations(net: CitationNetwork) -> ExpectedCitations:
 def citation_probability(ec: ExpectedCitations, i: int, j: int) -> float:
     """Probability mass the model puts on a citation from i to j."""
     lo, hi = np.searchsorted(ec.citing, [i, i + 1])
-    return float(ec.W[lo:hi, j].sum())
+    return float(sum(ec.weight[g] for g in range(lo, hi)
+                     if j in ec.indices[ec.indptr[g]:ec.indptr[g + 1]]))
 
 
 def expected_out(ec: ExpectedCitations) -> np.ndarray:
     """Per-paper total probability mass placed on outgoing citations."""
-    return np.bincount(ec.citing, ec.weight * np.diff(ec.W.indptr),
-                       minlength=ec.n_papers)
-
-
-def onehot(codes: np.ndarray, size: int) -> sparse.csr_matrix:
-    """``len(codes) x size`` indicator matrix with a 1 at (i, codes[i])."""
-    n = len(codes)
-    return sparse.csr_matrix((np.ones(n), (np.arange(n), codes)), shape=(n, size))
+    return np.bincount(ec.citing, ec.weight * ec.sizes, minlength=ec.n_papers)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +516,11 @@ def structural_report(net: CitationNetwork, ec: ExpectedCitations) -> Structural
         size = len(labels)
         observed = np.zeros((size, size))
         np.add.at(observed, (codes[net.edges[:, 0]], codes[net.edges[:, 1]]), 1.0)
-        expected = (
-            onehot(codes[ec.citing], size).T @ (ec.W @ onehot(codes, size))
-        ).toarray()
+        expected = np.zeros((size, size))
+        for a, b, mass in ec.category_sums(codes, size, weighted=True):
+            # row-major cells, so each cell adds its groups in group order
+            cells = (codes[ec.citing[a:b], None] * size + np.arange(size)).ravel()
+            np.add.at(expected.reshape(-1), cells, mass.ravel())
         pairwise[attribute] = PairwiseCounts(attribute, labels, observed, expected)
 
     c_obs = net.in_degree.astype(float)

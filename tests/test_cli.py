@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -222,8 +223,10 @@ class TestImbalance:
         lambda meta: {**meta, "model": 3},
         lambda meta: {**meta, "exact": "yes"},
         lambda meta: {**meta, "count_tol": "1e-9"},
+        lambda meta: {**meta, "member_entries": float(meta["member_entries"])},
     ], ids=["no-archive", "null-attributes", "top-level-array", "no-digest",
-            "model-not-string", "exact-not-bool", "count-tol-not-number"])
+            "model-not-string", "exact-not-bool", "count-tol-not-number",
+            "member-entries-not-int"])
     def test_malformed_model_json_rejected(self, archive, tmp_path, capsys, broken):
         model_dir = tmp_path / "rd"
         run("model", archive, model_dir, "--model", "rd")
@@ -267,9 +270,11 @@ class TestImbalance:
         (lambda path: rewrite_groups(path, "indptr", 1, 0), "a group has no members"),
         (lambda path: rewrite_groups(path, "targets", 0, 1), "archive's citations"),
         (lambda path: rewrite_groups(path, "indices", 1, 3), "inconsistent"),
+        (lambda path: rewrite_meta(path.with_name("model.json"), groups=3),
+         "records 3 groups"),
     ], ids=["missing", "truncated", "object-array", "member-out-of-range",
             "member-repeated", "indptr-short", "empty-group", "target-not-an-edge",
-            "member-moved"])
+            "member-moved", "group-count-mismatch"])
     def test_tampered_groups_rejected(self, archive, tmp_path, capsys,
                                       tamper, message):
         model_dir = tmp_path / "rd"
@@ -290,6 +295,10 @@ def rewrite_groups(path, name, index, value, dtype=None):
     arrays[name] = arrays[name].astype(dtype or arrays[name].dtype)
     arrays[name][index] = value
     np.savez(path, **arrays)
+
+
+def rewrite_meta(path, **fields):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
 class TestRank:
@@ -364,12 +373,17 @@ class TestSynth:
 
 class TestReport:
     def test_report_files(self, archive, tmp_path, capsys):
+        # the model artifact carries the structural report and the table's size
         model_dir = tmp_path / "hd"
-        run("model", archive, model_dir, "--model", "hd")
-        out = tmp_path / "rep"
-        assert run("report", archive, model_dir, out) == 0
-        assert (out / "report_survival.csv").is_file()
-        assert "KS(in-citations)" in capsys.readouterr().out
+        assert run("model", archive, model_dir, "--model", "hd") == 0
+        assert (model_dir / "report_survival.csv").is_file()
+        meta = json.loads((model_dir / "model.json").read_text())
+        assert meta["ks_in_degree"] >= 0.0
+        assert (meta["groups"], meta["member_entries"]) == (2, 4)
+        out = capsys.readouterr().out
+        assert "groups: 2" in out and "member entries: 4" in out
+        with pytest.raises(SystemExit):
+            run("report", archive, model_dir, tmp_path / "rep")
 
 
 class TestOutputDir:
@@ -414,18 +428,30 @@ class TestDeterminism:
         assert len(first) > 10
 
 
-def test_import_leaves_scipy_stats_out():
-    # every command is its own process, and importing scipy.stats alone
-    # takes longer than most commands' work; a fresh interpreter is
-    # needed because this test session imports scipy.stats itself
+def test_pipeline_runs_with_scipy_blocked(tmp_path):
+    # the package needs numpy only: with every scipy import failing, no
+    # scipy module loads with the CLI and the whole pipeline still runs;
+    # a fresh interpreter is needed because this test session imports scipy
+    (tmp_path / "synth.cfg").write_text(SYNTH_CONFIG)
     code = (
         "import sys\n"
-        "import citegap\n"
-        "assert 'scipy.stats' not in sys.modules, 'import citegap'\n"
-        "import citegap.cli\n"
-        "assert 'scipy.stats' not in sys.modules, 'import citegap.cli'\n"
+        "sys.modules['scipy'] = None\n"
+        "from citegap.cli import main\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy') and sys.modules[m]]\n"
+        "assert not loaded, loaded\n"
+        "steps = [['synth', 'synth.cfg', 'corpus'],\n"
+        "         ['ingest', 'corpus/papers.tsv', 'corpus/citations.tsv', 'archive']]\n"
+        "for model in ('rd', 'hd', 'pd'):\n"
+        "    steps += [['model', 'archive', model, '--model', model],\n"
+        "              ['imbalance', 'archive', model, f'imb-{model}', '--bootstrap', '20'],\n"
+        "              ['rank', 'archive', f'rank-{model}', '--model-artifact', model,\n"
+        "               '--metric', 'pagerank']]\n"
+        "for argv in steps:\n"
+        "    assert main(argv) == 0, argv\n"
     )
     src = str(Path(citegap.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-c", code], cwd=src,
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "rank-pd" / "share_curve.csv").is_file()

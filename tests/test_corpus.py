@@ -21,6 +21,7 @@ from citegap import (
 )
 from citegap.corpus import (
     citation_window_floor,
+    citation_window_floors,
     last_name,
     parse_citations,
     parse_papers,
@@ -221,6 +222,14 @@ class TestCitationWindow:
 
     def test_leap_day_floor(self):
         assert citation_window_floor(date(2012, 2, 29)) == date(2002, 2, 28)
+
+    def test_vectorized_floors_match_every_day(self):
+        # every day of 1990-2030, ten Feb 29s among them
+        days = np.arange("1990-01-01", "2031-01-01", dtype="datetime64[D]")
+        assert days.size == 14975
+        oracle = [citation_window_floor(d) for d in days.astype(object)]
+        np.testing.assert_array_equal(citation_window_floors(days),
+                                      np.array(oracle, dtype="datetime64[D]"))
 
 
 class TestFilterCitations:

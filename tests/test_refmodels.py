@@ -4,7 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 
 from citegap import (
     ConferenceRank,
@@ -23,8 +23,16 @@ from citegap import (
     random_draws,
     structural_report,
 )
-from citegap import cli
-from citegap.imbalance import ALL_PAPERS, PaperFilter
+from citegap import cli, refmodels
+from citegap.imbalance import ALL_PAPERS, PaperFilter, _counted_groups
+from citegap.ranking import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPS,
+    DEFAULT_T_MAX,
+    _power_iteration,
+    pagerank_observed,
+    pagerank_reference,
+)
 from citegap.refmodels import (
     DEFAULT_COUNT_TOL,
     ExpectedCitations,
@@ -199,8 +207,8 @@ class TestPreferentialDraws:
         exact = preferential_draws(net, ("rank",), exact=True)
         for name in ("citing", "target_ptr", "targets"):
             np.testing.assert_array_equal(getattr(floats, name), getattr(exact, name))
-        np.testing.assert_array_equal(floats.W.indptr, exact.W.indptr)
-        np.testing.assert_array_equal(floats.W.indices, exact.W.indices)
+        np.testing.assert_array_equal(floats.indptr, exact.indptr)
+        np.testing.assert_array_equal(floats.indices, exact.indices)
         assert np.abs(floats.c_bar - exact.c_bar).max() <= 1e-11
 
     def test_toy4_pd_equals_hd(self, toy4):
@@ -556,10 +564,11 @@ def test_table_reductions_match_group_loops(seed, corpus, model, tmp_path):
                               count_tol=DEFAULT_COUNT_TOL)
     reloaded_net, loaded, _ = cli._load_inputs(archive, artifact)
     np.testing.assert_array_equal(reloaded_net.edges, net.edges)
-    for name in ("citing", "weight", "target_ptr", "targets", "c_bar"):
+    for name in ("citing", "weight", "indptr", "indices", "target_ptr", "targets",
+                 "c_bar"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(ec, name))
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(loaded.W, name), getattr(ec.W, name))
+    # member arrays are int32 whenever they fit, in memory and on disk
+    assert ec.indptr.dtype == ec.indices.dtype == loaded.indices.dtype == np.int32
 
     assert list(ec.citing) == sorted(ec.citing)
     if model in ("RD", "HD-rank", "HD"):
@@ -589,3 +598,71 @@ def test_table_reductions_match_group_loops(seed, corpus, model, tmp_path):
     for i, j in net.edges[::7]:
         direct = sum(g.weight for g in ec.groups_by_citing[int(i)] if j in g.members)
         assert citation_probability(ec, int(i), int(j)) == pytest.approx(direct, rel=1e-12)
+    assert_reductions_match_scipy(net, ec)
+
+
+def onehot(codes, size):
+    n = len(codes)
+    return sparse.csr_matrix((np.ones(n), (np.arange(n), codes)), shape=(n, size))
+
+
+def assert_reductions_match_scipy(net, ec):
+    """Every reduction over the table equals the same product over a
+    ``scipy.sparse`` matrix W, bit for bit: same additions, same order."""
+    W = sparse.csr_matrix((np.repeat(ec.weight, ec.sizes), ec.indices, ec.indptr),
+                          shape=(len(ec.citing), net.n))
+    ones = np.ones(len(ec.citing))
+    np.testing.assert_array_equal(ec.spread(ones), W.T @ ones)
+    if ec.model in ("RD", "HD"):
+        np.testing.assert_array_equal(ec.c_bar, W.T @ ones)
+    y = np.random.default_rng(len(ec.citing)).random(len(ec.citing))
+    np.testing.assert_array_equal(ec.spread(y), W.T @ y)
+
+    # member counts per gender: the mass W puts on a category over weight
+    everything = np.ones(net.n, dtype=bool)
+    citing, m_to, counts, sizes = _counted_groups(net, ec, everything, everything)
+    mass = (W @ onehot(net.gender_codes, len(GenderCategory))).toarray()
+    known = net.gender_codes != list(GenderCategory).index(GenderCategory.UNKNOWN)
+    keep = np.add.reduceat(known[ec.targets], ec.target_ptr[:-1]) > 0
+    np.testing.assert_array_equal(counts, np.rint(mass / ec.weight[:, None])[keep])
+    np.testing.assert_array_equal(sizes, W.getnnz(axis=1)[keep])
+    np.testing.assert_array_equal(citing, ec.citing[keep])
+
+    report = structural_report(net, ec)
+    for attribute, pairs in report.pairwise.items():
+        codes, labels = net.attribute_codes(attribute)
+        size = len(labels)
+        expected = onehot(codes[ec.citing], size).T @ (W @ onehot(codes, size))
+        np.testing.assert_array_equal(pairs.expected, expected.toarray())
+
+    # both PageRank flows, iterated to the end
+    k = net.out_degree
+    citing, cited = net.edges[:, 0], net.edges[:, 1]
+    transition = sparse.csr_matrix((1.0 / k[citing], (cited, citing)),
+                                   shape=(net.n, net.n))
+    for result, flow, teleport in [
+        (pagerank_observed(net), transition.dot, net.in_degree / net.m),
+        (pagerank_reference(ec, net), lambda p: W.T @ (p[ec.citing] / k[ec.citing]),
+         ec.c_bar / net.m),
+    ]:
+        p, used, _ = _power_iteration(flow, teleport, k == 0, DEFAULT_ALPHA,
+                                      DEFAULT_EPS, DEFAULT_T_MAX)
+        np.testing.assert_array_equal(result.raw_score, p)
+        assert result.iterations_used == used
+
+
+@pytest.mark.parametrize("model", ["RD", "HD-rank", "PD"])
+def test_reductions_span_several_blocks(model, monkeypatch):
+    # RD and HD-rank blocks mix groups larger than a block with runs of
+    # smaller ones; PD blocks hold many one- or two-member groups
+    monkeypatch.setattr(refmodels, "BLOCK_ENTRIES", 64)
+    net = synth_network(1)
+    ec = TABLE_MODELS[model](net)
+    blocks = list(refmodels._blocks(ec.indptr, 5))
+    assert len(blocks) > 1
+    assert [a for a, _ in blocks[1:]] == [b for _, b in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(ec.citing)
+    for a, b in blocks:
+        assert b - a == 1 or (b - a <= 64 // 5 and ec.indptr[b] - ec.indptr[a] <= 64)
+    assert_group_invariants(net, ec)
+    assert_reductions_match_scipy(net, ec)
