@@ -39,6 +39,7 @@ from .corpus import (
     write_papers,
 )
 from .imbalance import (
+    ALL_PAPERS,
     PaperFilter,
     imbalance_report,
     stratified_imbalance,
@@ -152,11 +153,11 @@ def _load_inputs(archive: Path, artifact: Path | None = None
 
 
 def _network_summary(net: CitationNetwork) -> dict[str, object]:
-    by_gender = {g.value: 0 for g in GenderCategory}
-    by_rank = {r.value: 0 for r in ConferenceRank}
-    for p in net.papers:
-        by_gender[p.gender.value] += 1
-        by_rank[p.rank.value] += 1
+    genders = np.bincount(net.gender_codes, minlength=len(GenderCategory))
+    by_gender = {g.value: int(c) for g, c in zip(GenderCategory, genders)}
+    codes, labels = net.attribute_codes("rank")
+    by_rank = dict.fromkeys((r.value for r in ConferenceRank), 0)
+    by_rank.update(zip(labels, np.bincount(codes, minlength=len(labels)).tolist()))
     return {
         "papers": net.n,
         "citations": net.m,
@@ -235,8 +236,8 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
     with open(out / CBAR_FILE, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(["paper_id", "c_bar"])
-        for i, p in enumerate(net.papers):
-            writer.writerow([p.id, repr(float(ec.c_bar[i]))])
+        for pid, c in zip(net.ids.tolist(), ec.c_bar.tolist()):
+            writer.writerow([pid, repr(c)])
     report = structural_report(net, ec)
     meta = {
         "model": ec.model,
@@ -406,7 +407,7 @@ def _load_model_artifact(archive: Path, artifact: Path,
             raise CliError(f"model artifact {artifact}: {MODEL_META_FILE} records "
                            f"{meta[name]} {name}, {GROUPS_FILE} holds {count}")
     stored = _read_c_bar(artifact / CBAR_FILE)
-    c_bar = np.array([stored.get(p.id, np.nan) for p in net.papers])
+    c_bar = np.array([stored.get(pid, np.nan) for pid in net.ids.tolist()])
     if len(stored) != net.n or not (np.abs(c_bar - ec.c_bar) <= 1e-9).all():
         raise CliError(f"model artifact {artifact} is inconsistent with the archive "
                        f"({CBAR_FILE} is not the column sums of {GROUPS_FILE})")
@@ -414,11 +415,14 @@ def _load_model_artifact(archive: Path, artifact: Path,
 
 
 def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
-    net, ec, inputs = _load_inputs(Path(args.archive), Path(args.model_artifact))
     from_filter = PaperFilter.parse(args.from_)
     to_filter = PaperFilter.parse(args.to)
+    if args.stratify != "none" and (from_filter, to_filter) != (ALL_PAPERS, ALL_PAPERS):
+        raise CliError("--stratify cannot be combined with --from or --to: each "
+                       "stratum is the cited selection, over all citing papers")
+    net, ec, inputs = _load_inputs(Path(args.archive), Path(args.model_artifact))
     for name, f in (("--from", from_filter), ("--to", to_filter)):
-        if not any(f(p) for p in net.papers):
+        if not f.mask(net).any():
             log.warning("%s %r selects no papers; reports will be undefined",
                         name, f.description)
     seed = args.seed if args.seed is not None else 0
@@ -474,8 +478,13 @@ def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     out = _out_dir(args, args.out)
     write_ranking_csv(result, net, out / "rankings.csv")
     write_share_csv(points, out / "share_curve.csv")
+    # per ranking, keyed "observed" and "model": how its scores were reached
+    roles = dict(zip(("observed", "model"), results))
     _write_manifest(out, argv, inputs, args.seed, metric=args.metric,
-                    source=result.source, d_grid=grid)
+                    source=result.source, d_grid=grid,
+                    iterations={k: r.iterations_used for k, r in roles.items()},
+                    final_residual={k: r.final_residual for k, r in roles.items()},
+                    converged={k: r.converged for k, r in roles.items()})
     print(f"{args.metric} ranking for source {result.source}: "
           f"converged={result.converged} iterations={result.iterations_used}")
     return 0

@@ -47,6 +47,10 @@ RECORD_COLUMNS = ("title", "year", "last_names")
 #: attributes usable for homophilic grouping, in canonical order
 ATTRIBUTE_ORDER = ("rank", "country", "topic")
 
+#: paper attributes a selection can test, each encoded by
+#: :meth:`CitationNetwork.attribute_codes`
+SELECTABLE_FIELDS = ("gender", "rank", "country", "topic", "subfield")
+
 #: citations reaching more than this many calendar years into the past are dropped
 CITATION_WINDOW_YEARS = 10
 
@@ -103,7 +107,8 @@ RANK_ORDER = (
     ConferenceRank.UNRANKED,
 )
 
-_GENDER_INDEX = {g: i for i, g in enumerate(GenderCategory)}
+#: the code of each category in :attr:`CitationNetwork.gender_codes`
+GENDER_CODE = {g: i for i, g in enumerate(GenderCategory)}
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,6 @@ class Paper:
     subfield: str
     first_author: str
     last_author: str
-
-    @property
-    def year(self) -> int:
-        return self.pub_date.year
 
 
 @dataclass(frozen=True)
@@ -379,6 +380,11 @@ class CitationNetwork:
         return {p.id: i for i, p in enumerate(self.papers)}
 
     @cached_property
+    def ids(self) -> np.ndarray:
+        """Per paper, its id (a numpy string array)."""
+        return np.array([p.id for p in self.papers], dtype=str)
+
+    @cached_property
     def dates(self) -> np.ndarray:
         return np.array([p.pub_date for p in self.papers], dtype="datetime64[D]")
 
@@ -388,10 +394,8 @@ class CitationNetwork:
 
     @cached_property
     def gender_codes(self) -> np.ndarray:
-        """Per paper, index into list(GenderCategory)."""
-        return np.array(
-            [_GENDER_INDEX[p.gender] for p in self.papers], dtype=np.int64
-        )
+        """Per paper, :data:`GENDER_CODE` of its category."""
+        return np.array([GENDER_CODE[p.gender] for p in self.papers], dtype=np.int64)
 
     @cached_property
     def author_codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -425,24 +429,39 @@ class CitationNetwork:
         shared = ((fj == fi) | (fj == li)) & ((lj == fi) | (lj == li))
         return self.in_window(citing, cited) & ~shared
 
-    def attribute_codes(self, attribute: str) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Per-paper integer codes for one attribute plus the label order.
+    @cached_property
+    def _attribute_codes(self) -> dict[str, tuple[np.ndarray, tuple[str, ...]]]:
+        return {}
 
-        Ranks keep their prestige order; other attributes sort lexically.
+    def attribute_codes(self, field: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Per-paper integer codes for one of :data:`SELECTABLE_FIELDS`, and
+        the label of each code; computed once per network.
+
+        Gender codes are :attr:`gender_codes`, labelled with every
+        category; ranks present are labelled in prestige order, the values
+        of other fields in sorted order.
         """
-        if attribute == "rank":
-            present = {p.rank for p in self.papers}
-            labels = tuple(r.value for r in RANK_ORDER if r in present)
-            index = {lab: i for i, lab in enumerate(labels)}
-            codes = np.array([index[p.rank.value] for p in self.papers], dtype=np.int64)
-            return codes, labels
-        if attribute not in ATTRIBUTE_ORDER:
-            raise ValueError(f"unknown attribute {attribute!r}")
-        values = [getattr(p, attribute) for p in self.papers]
-        labels = tuple(sorted(set(values)))
-        index = {lab: i for i, lab in enumerate(labels)}
-        codes = np.array([index[v] for v in values], dtype=np.int64)
-        return codes, labels
+        cached = self._attribute_codes.get(field)
+        if cached is not None:
+            return cached
+        if field not in SELECTABLE_FIELDS:
+            raise ValueError(f"unknown attribute {field!r}")
+        if field == "gender":
+            result = self.gender_codes, tuple(g.value for g in GenderCategory)
+        else:
+            if field == "rank":
+                values = [p.rank.value for p in self.papers]
+                present = set(values)
+                labels = tuple(r.value for r in RANK_ORDER if r.value in present)
+            else:
+                values = [getattr(p, field) for p in self.papers]
+                labels = tuple(sorted(set(values)))
+            index = {label: i for i, label in enumerate(labels)}
+            codes = np.array([index[v] for v in values], dtype=np.int64)
+            codes.setflags(write=False)
+            result = codes, labels
+        self._attribute_codes[field] = result
+        return result
 
 
 def filter_citations(
@@ -546,5 +565,5 @@ def write_citations(net: CitationNetwork, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(CITATION_COLUMNS)
-        for i, j in net.edges:
-            writer.writerow([net.papers[i].id, net.papers[j].id])
+        ids = net.ids
+        writer.writerows(zip(ids[net.edges[:, 0]].tolist(), ids[net.edges[:, 1]].tolist()))

@@ -6,40 +6,46 @@ and attaches percentile bootstrap confidence intervals obtained by
 resampling citing papers with replacement.  Citations whose target has
 an unknown gender category are tallied separately and excluded from
 both the observed counts and the expectations.
+
+A selection (:class:`PaperFilter`) is a boolean mask over the network's
+attribute codes (:meth:`CitationNetwork.attribute_codes`); strata are
+the labels of the rank or subfield codes.  The per-group gender member
+counts are one pass over the model's group table, shared by every
+selection and stratum.
 """
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import (
+    GENDER_CODE,
     KNOWN_CATEGORIES,
-    RANK_ORDER,
+    SELECTABLE_FIELDS,
     CitationNetwork,
     GenderCategory,
-    Paper,
 )
 from .refmodels import ExpectedCitations
 
-_FILTER_FIELDS = ("gender", "rank", "country", "topic", "subfield")
+#: stratifier -> the paper attribute whose values are its strata
+STRATIFIERS = {"conference_rank": "rank", "subfield": "subfield"}
 
-STRATIFIERS = ("conference_rank", "subfield")
-
-#: gender code of GenderCategory.UNKNOWN
-_UNKNOWN = list(GenderCategory).index(GenderCategory.UNKNOWN)
+_UNKNOWN = GENDER_CODE[GenderCategory.UNKNOWN]
 
 
 @dataclass(frozen=True)
 class PaperFilter:
-    """Predicate over papers, parseable from ``field=value`` descriptors.
+    """Selection of papers, parseable from ``field=value`` descriptors.
 
     ``"all"`` selects everything; ``"gender=WW,rank=A*"`` is a
     conjunction.  Valid fields: gender, rank, country, topic, subfield.
+    A value no paper carries selects nothing.
     """
 
     description: str
@@ -54,40 +60,32 @@ class PaperFilter:
         for part in text.split(","):
             name, sep, value = part.partition("=")
             name, value = name.strip(), value.strip()
-            if not sep or name not in _FILTER_FIELDS:
+            if not sep or name not in SELECTABLE_FIELDS:
                 raise ValueError(f"bad filter clause {part!r}")
             criteria.append((name, value))
         return cls(text, tuple(criteria))
 
-    def __call__(self, paper: Paper) -> bool:
-        # gender/rank are str-enums, so they compare against raw tokens
-        return all(getattr(paper, name) == value for name, value in self.criteria)
+    def mask(self, net: CitationNetwork) -> np.ndarray:
+        """Per paper, whether it meets every criterion."""
+        keep = np.ones(net.n, dtype=bool)
+        for name, value in self.criteria:
+            codes, labels = net.attribute_codes(name)
+            keep &= codes == (labels.index(value) if value in labels else -1)
+        return keep
 
 
 ALL_PAPERS = PaperFilter("all", ())
 
-Predicate = Callable[[Paper], bool]
-
-
-def _filter_mask(net: CitationNetwork, predicate: Predicate) -> np.ndarray:
-    return np.fromiter((bool(predicate(p)) for p in net.papers), bool, net.n)
-
-
-def _describe(predicate: Predicate) -> str:
-    return predicate.description if isinstance(predicate, PaperFilter) else repr(predicate)
-
 
 def observed_by_gender(
     net: CitationNetwork,
-    from_filter: Predicate = ALL_PAPERS,
-    to_filter: Predicate = ALL_PAPERS,
+    from_filter: PaperFilter = ALL_PAPERS,
+    to_filter: PaperFilter = ALL_PAPERS,
 ) -> dict[GenderCategory, int]:
     """Citations from the from-set into the to-set, counted by the
     target's gender category.  The UNKNOWN entry is the separate tally of
     citations whose target category is unknown."""
-    fm = _filter_mask(net, from_filter)
-    tm = _filter_mask(net, to_filter)
-    keep = fm[net.edges[:, 0]] & tm[net.edges[:, 1]]
+    keep = from_filter.mask(net)[net.edges[:, 0]] & to_filter.mask(net)[net.edges[:, 1]]
     counts = np.bincount(
         net.gender_codes[net.edges[keep, 1]], minlength=len(GenderCategory)
     )
@@ -97,8 +95,8 @@ def observed_by_gender(
 def expected_by_gender(
     net: CitationNetwork,
     ec: ExpectedCitations,
-    from_filter: Predicate = ALL_PAPERS,
-    to_filter: Predicate = ALL_PAPERS,
+    from_filter: PaperFilter = ALL_PAPERS,
+    to_filter: PaperFilter = ALL_PAPERS,
 ) -> dict[GenderCategory, float]:
     """Reference-model expectation of the counts in
     :func:`observed_by_gender`.
@@ -110,9 +108,8 @@ def expected_by_gender(
     the same citations.
     """
     ec.check_network(net)
-    _, m_to, counts, sizes = _counted_groups(
-        net, ec, _filter_mask(net, from_filter), _filter_mask(net, to_filter)
-    )
+    _, m_to, counts, sizes = _counted_groups(net, ec, from_filter.mask(net),
+                                             to_filter.mask(net))
     totals = (m_to[:, None] * counts / sizes[:, None]).sum(axis=0)
     return {g: float(totals[k]) for k, g in enumerate(GenderCategory)}
 
@@ -123,6 +120,19 @@ def over_under(n_obs: float, n_expected: float) -> float | None:
     if n_expected == 0:
         return None
     return (n_obs - n_expected) / n_expected
+
+
+@lru_cache(maxsize=1)
+def _gender_counts(net: CitationNetwork, ec: ExpectedCitations) -> np.ndarray:
+    """Per group, its member count in each gender category: one pass over
+    the table, kept for the last (network, model) pair, whose every
+    selection and stratum reads it (both objects are immutable)."""
+    size = len(GenderCategory)
+    counts = np.concatenate([np.zeros((0, size), np.int64)] + [
+        sums for _, _, sums in ec.category_sums(net.gender_codes, size)
+    ])
+    counts.setflags(write=False)
+    return counts
 
 
 def _counted_groups(
@@ -138,18 +148,14 @@ def _counted_groups(
     counted = np.concatenate(([0], np.cumsum(to_mask[ec.targets] & known[ec.targets])))
     m_to = counted[ec.target_ptr[1:]] - counted[ec.target_ptr[:-1]]
     keep = from_mask[ec.citing] & (m_to > 0)
-    size = len(GenderCategory)
-    counts = np.concatenate([np.zeros((0, size), np.int64)] + [
-        sums for _, _, sums in ec.category_sums(net.gender_codes, size)
-    ])
-    return ec.citing[keep], m_to[keep], counts[keep], ec.sizes[keep]
+    return ec.citing[keep], m_to[keep], _gender_counts(net, ec)[keep], ec.sizes[keep]
 
 
 def bootstrap_ci(
     net: CitationNetwork,
     ec: ExpectedCitations,
-    from_filter: Predicate = ALL_PAPERS,
-    to_filter: Predicate = ALL_PAPERS,
+    from_filter: PaperFilter = ALL_PAPERS,
+    to_filter: PaperFilter = ALL_PAPERS,
     resamples: int = 500,
     seed: int = 0,
 ) -> dict[GenderCategory, tuple[float, float] | None]:
@@ -164,8 +170,8 @@ def bootstrap_ci(
     if resamples < 2:
         raise ValueError("resamples must be at least 2")
     ec.check_network(net)
-    fm = _filter_mask(net, from_filter)
-    tm = _filter_mask(net, to_filter)
+    fm = from_filter.mask(net)
+    tm = to_filter.mask(net)
     gcodes = net.gender_codes
     known = gcodes != _UNKNOWN
 
@@ -222,8 +228,8 @@ class ImbalanceReport:
 def imbalance_report(
     net: CitationNetwork,
     ec: ExpectedCitations,
-    from_filter: Predicate = ALL_PAPERS,
-    to_filter: Predicate = ALL_PAPERS,
+    from_filter: PaperFilter = ALL_PAPERS,
+    to_filter: PaperFilter = ALL_PAPERS,
     resamples: int = 500,
     seed: int = 0,
     stratum: str | None = None,
@@ -251,8 +257,8 @@ def imbalance_report(
                 ci_low=None if ci is None else ci[0],
                 ci_high=None if ci is None else ci[1],
                 model=ec.model,
-                from_filter=_describe(from_filter),
-                to_filter=_describe(to_filter),
+                from_filter=from_filter.description,
+                to_filter=to_filter.description,
                 stratum=stratum,
             )
         )
@@ -269,19 +275,15 @@ def stratified_imbalance(
     """Per-stratum reports with to = papers in the stratum, from = all.
 
     ``stratifier`` is ``conference_rank`` or ``subfield``; strata are the
-    values present in the network (ranks in prestige order, subfields
-    sorted).
+    labels of that attribute's codes (ranks present in prestige order,
+    subfields sorted).
     """
-    if stratifier == "conference_rank":
-        present = {p.rank for p in net.papers}
-        strata = [("rank", r.value) for r in RANK_ORDER if r in present]
-    elif stratifier == "subfield":
-        strata = [("subfield", v) for v in sorted({p.subfield for p in net.papers})]
-    else:
-        raise ValueError(f"unknown stratifier {stratifier!r} (use {STRATIFIERS})")
+    field = STRATIFIERS.get(stratifier)
+    if field is None:
+        raise ValueError(f"unknown stratifier {stratifier!r} (use {tuple(STRATIFIERS)})")
     reports: list[ImbalanceReport] = []
-    for name, value in strata:
-        to_filter = PaperFilter.parse(f"{name}={value}")
+    for value in net.attribute_codes(field)[1]:
+        to_filter = PaperFilter(f"{field}={value}", ((field, value),))
         reports.extend(
             imbalance_report(
                 net, ec, ALL_PAPERS, to_filter, resamples, seed, stratum=value

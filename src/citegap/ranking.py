@@ -3,9 +3,11 @@
 Scores are computed for the observed network and for reference models
 (using expected in-citations and the model's transition operator), then
 normalized by the mean score of papers sharing publication year and
-subfield.  The group-share curve reports, for a grid of d values, the
-fraction of papers with a woman as first and/or last author among the
-top d% of papers.
+subfield (the year of the network's ``dates``, its subfield codes).
+Each PageRank result records its iterations, final residual and whether
+it converged.  The group-share curve reports, for a grid of d values,
+the fraction of papers with a woman as first and/or last author among
+the top d% of papers (from the gender codes), ties broken by paper id.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CitationNetwork, W_CATEGORIES
+from .corpus import GENDER_CODE, W_CATEGORIES, CitationNetwork
 from .refmodels import ExpectedCitations
 
 log = logging.getLogger(__name__)
@@ -39,6 +41,9 @@ class RankingResult:
     alpha: float | None
     iterations_used: int
     converged: bool
+    #: mean absolute change of the last PageRank step; None when no step
+    #: ran (citation counts, or a zero step limit)
+    final_residual: float | None
 
 
 def normalized_scores(raw: np.ndarray, net: CitationNetwork) -> np.ndarray:
@@ -46,16 +51,23 @@ def normalized_scores(raw: np.ndarray, net: CitationNetwork) -> np.ndarray:
     year and subfield.  All-zero strata normalize to 0 with a warning."""
     raw = np.asarray(raw, dtype=np.float64)
     out = np.zeros(net.n)
-    strata: dict[tuple[int, str], list[int]] = {}
-    for i, p in enumerate(net.papers):
-        strata.setdefault((p.year, p.subfield), []).append(i)
-    for (year, subfield), indices in strata.items():
-        idx = np.asarray(indices)
+    years = net.dates.astype("datetime64[Y]").astype(np.int64) + 1970
+    subfields, labels = net.attribute_codes("subfield")
+    keys = np.stack((years, subfields), axis=1)
+    strata, first, inverse, counts = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    # each stratum's papers in ascending index order, so its mean sums them
+    # in that order; strata in the order of their first papers
+    members = np.split(np.argsort(inverse.reshape(-1), kind="stable"),
+                       np.cumsum(counts)[:-1])
+    for s in np.argsort(first):
+        idx = members[s]
         mean = raw[idx].mean()
         if mean == 0:
+            year, subfield = strata[s]
             log.warning(
                 "stratum (%s, %s) has zero mean score; normalized scores set to 0",
-                year, subfield,
+                year, labels[subfield],
             )
             continue
         out[idx] = raw[idx] / mean
@@ -69,17 +81,20 @@ def _power_iteration(
     alpha: float,
     eps: float,
     t_max: int,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool, float | None]:
     """Iterate p <- alpha*(flow(p) + dangling_mass*teleport) + (1-alpha)*teleport
-    from p(0) = teleport until the mean absolute update drops below eps."""
+    from p(0) = teleport until the mean absolute update (the residual)
+    drops below eps; returns p, the steps taken, whether it converged, and
+    the last residual (None if no step ran)."""
     p = teleport.copy()
+    residual = None
     for t in range(1, t_max + 1):
         new = alpha * (flow(p) + p[dangling].sum() * teleport) + (1 - alpha) * teleport
-        residual = np.abs(new - p).mean()
+        residual = float(np.abs(new - p).mean())
         p = new
         if residual < eps:
-            return p, t, True
-    return p, t_max, False
+            return p, t, True, residual
+    return p, t_max, False, residual
 
 
 def pagerank_observed(
@@ -103,11 +118,11 @@ def pagerank_observed(
     citing, cited = net.edges[:, 0], net.edges[:, 1]
     share = 1.0 / k[citing]
     flow = lambda p: np.bincount(cited, share * p[citing], minlength=net.n)
-    p, used, converged = _power_iteration(
+    p, used, converged, residual = _power_iteration(
         flow, teleport, k == 0, alpha, eps, t_max
     )
     return RankingResult("pagerank", "observed", p, normalized_scores(p, net),
-                         alpha, used, converged)
+                         alpha, used, converged, residual)
 
 
 def pagerank_reference(
@@ -134,11 +149,11 @@ def pagerank_reference(
     k_citing = k[ec.citing]
     flow = lambda p: ec.spread(p[ec.citing] / k_citing)
 
-    p, used, converged = _power_iteration(
+    p, used, converged, residual = _power_iteration(
         flow, teleport, k == 0, alpha, eps, t_max
     )
     return RankingResult("pagerank", ec.model, p, normalized_scores(p, net),
-                         alpha, used, converged)
+                         alpha, used, converged, residual)
 
 
 def citation_scores(
@@ -153,13 +168,12 @@ def citation_scores(
         raw = ec.c_bar.copy()
         source = ec.model
     return RankingResult("citations", source, raw, normalized_scores(raw, net),
-                         None, 0, True)
+                         None, 0, True, None)
 
 
 def ranking_order(scores: np.ndarray, net: CitationNetwork) -> np.ndarray:
     """Paper indices by descending score; ties broken by paper id."""
-    ids = np.array([p.id for p in net.papers])
-    return np.lexsort((ids, -np.asarray(scores)))
+    return np.lexsort((net.ids, -np.asarray(scores)))
 
 
 def _top_shares(scores: np.ndarray, net: CitationNetwork, d_grid: Sequence[float]
@@ -168,7 +182,7 @@ def _top_shares(scores: np.ndarray, net: CitationNetwork, d_grid: Sequence[float
     the ceil(d*N/100) papers with the highest scores, for each d."""
     if any(not 0 < d <= 100 for d in d_grid):
         raise ValueError("d values must be in (0, 100]")
-    woman = np.fromiter((p.gender in W_CATEGORIES for p in net.papers), bool, net.n)
+    woman = np.isin(net.gender_codes, [GENDER_CODE[g] for g in W_CATEGORIES])
     hits = np.cumsum(woman[ranking_order(scores, net)])
     takes = [math.ceil(d * net.n / 100) for d in d_grid]
     return [int(hits[take - 1]) / take for take in takes]
@@ -228,11 +242,10 @@ def write_ranking_csv(result: RankingResult, net: CitationNetwork, path: str | P
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["paper_id", "raw", "normalized", "rank"])
-        for i, p in enumerate(net.papers):
-            writer.writerow(
-                [p.id, repr(float(result.raw_score[i])),
-                 repr(float(result.normalized_score[i])), int(position[i])]
-            )
+        for pid, raw, normalized, rank in zip(
+                net.ids.tolist(), result.raw_score.tolist(),
+                result.normalized_score.tolist(), position.tolist()):
+            writer.writerow([pid, repr(raw), repr(normalized), rank])
 
 
 def write_share_csv(points: Iterable[SharePoint], path: str | Path) -> None:

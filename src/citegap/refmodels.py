@@ -38,10 +38,9 @@ import numpy as np
 
 from .corpus import (
     ATTRIBUTE_ORDER,
+    GENDER_CODE,
     CitationNetwork,
-    GenderCategory,
     canonical_attributes,
-    category_key,
 )
 
 #: default tolerance when comparing running expected counts in PD
@@ -232,17 +231,16 @@ def _eligible(net: CitationNetwork, i: int) -> np.ndarray:
 
 
 def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
-    """Integer code per paper for its category key under ``attributes``.
+    """Integer code per paper for its category key under ``attributes``:
+    two papers share a code exactly when they agree on every attribute.
 
     An empty attribute set gives every paper the same code, so HD
     degenerates toward RD grouping.
     """
-    codes = np.empty(net.n, dtype=np.int64)
-    seen: dict[tuple, int] = {}
-    for i, p in enumerate(net.papers):
-        key = category_key(p, attributes)
-        codes[i] = seen.setdefault(key, len(seen))
-    return codes
+    if not attributes:
+        return np.zeros(net.n, dtype=np.int64)
+    stacked = np.stack([net.attribute_codes(a)[0] for a in attributes], axis=1)
+    return np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def eligible_set_rd(net: CitationNetwork, i: int) -> np.ndarray:
@@ -309,7 +307,7 @@ def random_draws(net: CitationNetwork) -> ExpectedCitations:
         members = np.flatnonzero(_eligible(net, i))
         if members.size == 0:
             raise ModelError(
-                f"paper {net.papers[i].id!r} makes {targets.size} citation(s) "
+                f"paper {str(net.ids[i])!r} makes {targets.size} citation(s) "
                 "but its eligible set is empty"
             )
         rows.append((i, members, targets))
@@ -334,9 +332,9 @@ def homophilic_draws(
     return _table("HD", attrs, net, rows)
 
 
-def date_order(net: CitationNetwork) -> list[int]:
+def date_order(net: CitationNetwork) -> np.ndarray:
     """Paper indices by ascending publication date, ties broken by id."""
-    return sorted(range(net.n), key=lambda i: (net.papers[i].pub_date, net.papers[i].id))
+    return np.lexsort((net.ids, net.dates))
 
 
 def preferential_draws(
@@ -375,7 +373,7 @@ def preferential_draws(
         def narrow(base: np.ndarray, t: int) -> np.ndarray:
             return base[np.abs(running[base] - running[t]) <= count_tol]
 
-    for x in date_order(net):
+    for x in date_order(net).tolist():
         targets = net.out_targets[x]
         if targets.size == 0:
             continue
@@ -525,8 +523,8 @@ def structural_report(net: CitationNetwork, ec: ExpectedCitations) -> Structural
 
     c_obs = net.in_degree.astype(float)
     by_gender: dict[str, tuple[SurvivalCurve, SurvivalCurve]] = {}
-    for category in GenderCategory:
-        sel = net.gender_codes == list(GenderCategory).index(category)
+    for category, code in GENDER_CODE.items():
+        sel = net.gender_codes == code
         if not sel.any():
             continue
         by_gender[category.value] = (

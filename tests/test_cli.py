@@ -215,6 +215,23 @@ class TestImbalance:
         assert {r["stratum"] for r in rows} == {"A*"}
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("selection", [("--from", "gender=WW"), ("--to", "rank=A*"),
+                                           ("--from", "country=XX")])
+    def test_stratify_rejects_from_and_to(self, archive, tmp_path, capsys, selection):
+        # a stratum is the cited selection over all citers, so a --from or
+        # --to would be dropped without a word
+        model_dir = tmp_path / "rd"
+        run("model", archive, model_dir, "--model", "rd")
+        capsys.readouterr()
+        out = tmp_path / "imb"
+        assert run("imbalance", archive, model_dir, out, "--stratify", "rank",
+                   *selection) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --stratify cannot be combined with --from or --to")
+        assert not out.exists()
+        assert run("imbalance", archive, model_dir, out, "--stratify", "rank",
+                   "--from", "all", "--to", "all", "--bootstrap", "0") == 0
+
     @pytest.mark.parametrize("broken", [
         lambda meta: {k: v for k, v in meta.items() if k != "archive"},
         lambda meta: {**meta, "attributes": None},
@@ -319,6 +336,11 @@ class TestRank:
         assert float(rows["A"]["raw"]) == pytest.approx(1.0)
         assert float(rows["B"]["raw"]) == pytest.approx(0.0)
         assert rows["A"]["rank"] == "1"
+        # the manifest states how the ranking's power iteration ended
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["iterations"]) == {"observed"}
+        assert manifest["converged"] == {"observed": True}
+        assert 0 <= manifest["final_residual"]["observed"] < 1e-6
 
     def test_citations_metric_without_model(self, archive, tmp_path):
         out = tmp_path / "rank"
@@ -338,6 +360,18 @@ class TestRank:
         shares = {p["source"]: float(p["ww_share"]) for p in points}
         # at d=100 every source ranks the whole corpus
         assert shares["observed"] == shares["RD"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["iterations"] == {"observed": 0, "model": 0}
+        assert manifest["final_residual"] == {"observed": None, "model": None}
+        assert manifest["converged"] == {"observed": True, "model": True}
+        # with eps 0 neither PageRank converges: both stop at --t-max
+        run("rank", archive, out, "--model-artifact", model_dir, "--metric", "pagerank",
+            "--eps", "0", "--t-max", "2")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["iterations"] == {"observed": 2, "model": 2}
+        assert manifest["converged"] == {"observed": False, "model": False}
+        assert all(isinstance(r, float) and r >= 0
+                   for r in manifest["final_residual"].values())
 
     def test_bad_d_grid_rejected(self, archive, tmp_path, capsys):
         assert run("rank", archive, tmp_path / "r", "--d-grid", "0,5") == 2

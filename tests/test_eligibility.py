@@ -1,23 +1,52 @@
-"""Differential sweep: the vectorized corpus filter and model eligibility
-against plain per-edge / per-paper loops on tiny random corpora.
+"""Differential sweep: the vectorized corpus filter, model eligibility and
+the per-paper attribute columns against plain per-edge / per-paper loops
+on tiny random corpora.
 
 Each corpus has year-only dates (many ties), a Feb 29 citer whose window
 floor falls on Feb 28, citations to later-dated papers, papers sharing
-author pairs from a small name pool, self-loops and duplicate raw edges.
+author pairs from a small name pool, self-loops and duplicate raw edges,
+UNKNOWN genders and Unranked papers.
 """
+import logging
 from collections import Counter
 from datetime import date
+from enum import Enum
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from citegap import CitationNetwork, eligible_set_hd, eligible_set_rd, filter_citations
-from citegap.corpus import citation_window_floor, parse_pub_date
+from citegap import (
+    CitationNetwork,
+    ConferenceRank,
+    GenderCategory,
+    PaperFilter,
+    eligible_set_hd,
+    eligible_set_rd,
+    filter_citations,
+    normalized_scores,
+    observed_as_expectations,
+    stratified_imbalance,
+)
+from citegap.cli import _network_summary
+from citegap.corpus import (
+    RANK_ORDER,
+    SELECTABLE_FIELDS,
+    category_key,
+    citation_window_floor,
+    parse_pub_date,
+)
+from citegap.refmodels import _key_codes, date_order
 from citegap.synth import _eligible_bruteforce, _hd_members_bruteforce
 from conftest import make_paper
 
 SEEDS = range(25)
 ATTRS = ("rank", "country", "topic")
+GENDERS = tuple(GenderCategory)
+#: A sorts before A* but follows it in prestige; C never occurs, so a
+#: selection of it is empty
+RANKS = (ConferenceRank.A_STAR, ConferenceRank.A, ConferenceRank.B,
+         ConferenceRank.UNRANKED)
 
 #: full dates around the Feb 29 citer's ten-year floor (2002-02-28)
 EDGE_DATES = (date(2002, 2, 27), date(2002, 2, 28), date(2002, 3, 1),
@@ -26,6 +55,9 @@ EDGE_DATES = (date(2002, 2, 27), date(2002, 2, 28), date(2002, 3, 1),
 
 def random_corpus(seed):
     rng = np.random.default_rng(seed)
+    # attributes come from their own stream, so dates, authors and edges
+    # are the same as without them
+    attrs = np.random.default_rng([seed, 1])
     n = int(rng.integers(6, 16))
     dates = [date(2012, 2, 29)] + [
         EDGE_DATES[rng.integers(len(EDGE_DATES))] if rng.random() < 0.3
@@ -33,7 +65,9 @@ def random_corpus(seed):
         for _ in range(n - 1)
     ]
     papers = [
-        make_paper(f"X{k}", d, topic=f"T{rng.integers(2)}",
+        make_paper(f"X{k}", d, gender=GENDERS[attrs.integers(len(GENDERS))],
+                   rank=RANKS[attrs.integers(len(RANKS))], country=f"C{attrs.integers(2)}",
+                   topic=f"T{rng.integers(2)}", subfield=f"S{attrs.integers(3)}",
                    first=f"a{rng.integers(4)}", last=f"a{rng.integers(4)}")
         for k, d in enumerate(dates)
     ]
@@ -120,9 +154,142 @@ def test_sweep_reaches_every_case():
     # the corpora exercise each rule and both sides of the Feb 29 floor
     totals = Counter()
     leap_cited = set()
+    kept = set()
     for seed in SEEDS:
         papers, raw = random_corpus(seed)
-        totals.update(filter_citations(papers, raw).filter_counts)
+        net = filter_citations(papers, raw)
+        totals.update(net.filter_counts)
         leap_cited |= {papers[int(v[1:])].pub_date for u, v in raw if u == "X0"}
+        kept |= {p.gender for p in net.papers} | {p.rank for p in net.papers}
     assert len(totals) == 5 and all(totals.values()), totals
     assert {date(2002, 2, 27), date(2002, 2, 28)} <= leap_cited
+    # the columns meet every gender category and an Unranked paper
+    assert {*GenderCategory, ConferenceRank.UNRANKED} <= kept
+
+
+# ---------------------------------------------------------------------------
+# the attribute columns every layer reads, against per-paper oracles
+
+
+def token(paper, field):
+    """A paper's value of one selectable field, as written in the tables."""
+    value = getattr(paper, field)
+    return value.value if isinstance(value, Enum) else value
+
+
+def selection_oracle(net, criteria):
+    return [all(token(p, f) == v for f, v in criteria) for p in net.papers]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_filter_masks_match_per_paper_selection(seed):
+    net = filter_citations(*random_corpus(seed))
+    assert net.ids.tolist() == [p.id for p in net.papers]
+    # every value present, every enum member, and a value no paper has
+    clauses = [(f, v) for f in SELECTABLE_FIELDS
+               for v in sorted({token(p, f) for p in net.papers}
+                               | {m.value for m in {"gender": GenderCategory,
+                                                    "rank": ConferenceRank}.get(f, ())}
+                               | {"ZZ"})]
+    rng = np.random.default_rng(seed)
+    conjunctions = [[c] for c in clauses] + [
+        [clauses[k] for k in rng.choice(len(clauses), size, replace=False)]
+        for size in (2, 3) for _ in range(20)
+    ]
+    for criteria in conjunctions:
+        f = PaperFilter.parse(",".join(f"{name}={value}" for name, value in criteria))
+        assert f.mask(net).tolist() == selection_oracle(net, criteria), criteria
+    assert PaperFilter.parse("all").mask(net).all()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_key_codes_partition_like_category_keys(seed):
+    net = filter_citations(*random_corpus(seed))
+    for size in range(len(ATTRS) + 1):
+        for attrs in combinations(ATTRS, size):
+            codes = _key_codes(net, attrs)
+            keys = [category_key(p, attrs) for p in net.papers]
+            np.testing.assert_array_equal(np.equal.outer(codes, codes),
+                                          [[a == b for b in keys] for a in keys])
+
+
+def loop_normalized_scores(raw, net):
+    """The per-paper (year, subfield) dict loop, with its zero-mean strata."""
+    out = np.zeros(net.n)
+    strata = {}
+    for i, p in enumerate(net.papers):
+        strata.setdefault((p.pub_date.year, p.subfield), []).append(i)
+    zero = []
+    for key, indices in strata.items():
+        idx = np.asarray(indices)
+        mean = raw[idx].mean()
+        if mean == 0:
+            zero.append(key)
+            continue
+        out[idx] = raw[idx] / mean
+    return out, zero
+
+
+def wide_network(n_papers=600):
+    """Two years by two subfields, each stratum far above the 128 values
+    under which numpy's pairwise sum runs sequentially."""
+    papers = [make_paper(f"W{k}", date(2000 + k % 2, 1, 1), subfield=f"S{k // 2 % 2}")
+              for k in range(n_papers)]
+    return filter_citations(papers, [(p.id, q.id) for p, q in zip(papers[2:], papers)])
+
+
+@pytest.mark.parametrize("seed", [*SEEDS, "wide"])
+def test_normalized_scores_match_dict_loop(seed, caplog):
+    net = wide_network() if seed == "wide" else filter_citations(*random_corpus(seed))
+    rng = np.random.default_rng(7 if seed == "wide" else seed)
+    # some papers score 0, so small strata may have a zero mean
+    raw = rng.random(net.n) * (rng.random(net.n) < 0.6)
+    expected, zero = loop_normalized_scores(raw, net)
+    with caplog.at_level(logging.WARNING, logger="citegap.ranking"):
+        np.testing.assert_array_equal(normalized_scores(raw, net), expected)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"stratum ({year}, {subfield}) has zero mean score; normalized scores set to 0"
+        for year, subfield in zero
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_strata_match_per_paper_values(seed):
+    net = filter_citations(*random_corpus(seed))
+    ec = observed_as_expectations(net)
+    for stratifier, field, labels in [
+        ("conference_rank", "rank",
+         [r.value for r in RANK_ORDER if r in {p.rank for p in net.papers}]),
+        ("subfield", "subfield", sorted({p.subfield for p in net.papers})),
+    ]:
+        assert list(net.attribute_codes(field)[1]) == labels
+        reports = stratified_imbalance(net, ec, stratifier, resamples=0)
+        assert [r.stratum for r in reports[::4]] == labels
+        for r in reports:
+            assert r.to_filter == f"{field}={r.stratum}"
+            assert r.n_obs == sum(token(net.papers[j], field) == r.stratum
+                                  and net.papers[j].gender is r.gender
+                                  for _, j in net.edges)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_network_summary_matches_per_paper_counts(seed):
+    net = filter_citations(*random_corpus(seed))
+    genders = Counter(p.gender for p in net.papers)
+    ranks = Counter(p.rank for p in net.papers)
+    summary = _network_summary(net)
+    assert summary == {
+        "papers": net.n,
+        "citations": net.m,
+        "by_gender": {g.value: genders[g] for g in GenderCategory},
+        "by_rank": {r.value: ranks[r] for r in ConferenceRank},
+    }
+    # ingest prints the gender counts in this order
+    assert list(summary["by_gender"]) == [g.value for g in GenderCategory]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_date_order_matches_sorted(seed):
+    net = filter_citations(*random_corpus(seed))
+    assert date_order(net).tolist() == sorted(
+        range(net.n), key=lambda i: (net.papers[i].pub_date, net.papers[i].id))

@@ -24,6 +24,7 @@ from citegap import (
     stratified_imbalance,
 )
 from citegap.imbalance import ALL_PAPERS, write_report_csv, write_report_json
+from citegap.refmodels import ExpectedCitations
 from conftest import make_paper
 
 MM, MW, WM, WW = (
@@ -85,9 +86,7 @@ class TestExpectedByGender:
         expected = expected_by_gender(toy4, ec, ALL_PAPERS, to)
         total_known = sum(expected[g] for g in (MM, MW, WM, WW))
         total_known += expected[GenderCategory.UNKNOWN]
-        n_into_to = sum(
-            1 for i, j in toy4.edges if to(toy4.papers[j])
-        )
+        n_into_to = sum(1 for i, j in toy4.edges if toy4.papers[j].gender is MM)
         assert total_known == pytest.approx(n_into_to, abs=1e-9)
 
     def test_unknown_gender_members_excluded_from_buckets(self):
@@ -233,16 +232,18 @@ class TestStratified:
         assert ou[("A*", WW)] < 0
 
     def test_subfield_strata_partition_targets(self, toy4):
+        # a stratum value may hold the comma that separates filter clauses
         papers = [
             make_paper("A", date(2010, 1, 1), MM, subfield="S1"),
-            make_paper("B", date(2010, 1, 1), WW, subfield="S2"),
+            make_paper("B", date(2010, 1, 1), WW, subfield="S2, theory"),
             make_paper("C", date(2011, 1, 1), MM, subfield="S1"),
         ]
         net = filter_citations(papers, [("C", "A"), ("C", "B")])
         reports = stratified_imbalance(net, random_draws(net), "subfield", resamples=0)
         total = sum(r.n_obs for r in reports)
         assert total == net.m
-        assert {r.stratum for r in reports} == {"S1", "S2"}
+        assert {r.stratum for r in reports} == {"S1", "S2, theory"}
+        assert {r.to_filter for r in reports} == {"subfield=S1", "subfield=S2, theory"}
 
     def test_stratum_without_citations_is_undefined(self):
         papers = [
@@ -259,6 +260,27 @@ class TestStratified:
     def test_unknown_stratifier_rejected(self, toy4):
         with pytest.raises(ValueError):
             stratified_imbalance(toy4, random_draws(toy4), "venue")
+
+    def test_one_table_pass_for_every_stratum(self, monkeypatch):
+        # every stratum and bootstrap of one (network, model) pair reads the
+        # same per-group gender counts; another model needs its own pass
+        net = _biased_rank_network()
+        passes = []
+        category_sums = ExpectedCitations.category_sums
+
+        def counted(self, *args, **kwargs):
+            passes.append(self.model)
+            return category_sums(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExpectedCitations, "category_sums", counted)
+        reports = stratified_imbalance(net, random_draws(net), "conference_rank",
+                                       resamples=20)
+        assert [r.stratum for r in reports[::4]] == ["A*", "B"]
+        assert all(r.ci_low is not None for r in reports if r.gender in (MM, WW))
+        assert passes == ["RD"]
+        stratified_imbalance(net, homophilic_draws(net, ("rank",)), "conference_rank",
+                             resamples=20)
+        assert passes == ["RD", "HD"]
 
 
 class TestHomophilyAttenuation:
@@ -389,7 +411,7 @@ class TestPaperFilter:
 
     def test_parse_conjunction(self, toy4):
         f = PaperFilter.parse("gender=WW,rank=A*")
-        assert [p.id for p in toy4.papers if f(p)] == ["P2", "P4"]
+        assert toy4.ids[f.mask(toy4)].tolist() == ["P2", "P4"]
 
     def test_bad_clause_rejected(self):
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ class TestNormalizedScores:
         scored = normalized_scores(net.in_degree.astype(float), net)
         strata = {}
         for i, p in enumerate(net.papers):
-            strata.setdefault((p.year, p.subfield), []).append(i)
+            strata.setdefault((p.pub_date.year, p.subfield), []).append(i)
         for indices in strata.values():
             if net.in_degree[indices].sum() > 0:
                 assert scored[indices].mean() == pytest.approx(1.0)

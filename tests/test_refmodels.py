@@ -531,9 +531,16 @@ def loop_pairwise(net, ec, attribute):
     return expected
 
 
+def selected(net, paper_filter):
+    """Per paper, whether its attributes meet every criterion of the filter
+    (gender and rank are str enums, so they equal their raw tokens)."""
+    return np.array([all(getattr(p, name) == value for name, value in paper_filter.criteria)
+                     for p in net.papers], dtype=bool)
+
+
 def loop_expected_by_gender(net, ec, from_filter, to_filter):
-    fm = np.array([from_filter(p) for p in net.papers], dtype=bool)
-    tm = np.array([to_filter(p) for p in net.papers], dtype=bool)
+    fm = selected(net, from_filter)
+    tm = selected(net, to_filter)
     gcodes = net.gender_codes
     known = gcodes != list(GenderCategory).index(GenderCategory.UNKNOWN)
     totals = np.zeros(len(GenderCategory))
@@ -645,10 +652,11 @@ def assert_reductions_match_scipy(net, ec):
         (pagerank_reference(ec, net), lambda p: W.T @ (p[ec.citing] / k[ec.citing]),
          ec.c_bar / net.m),
     ]:
-        p, used, _ = _power_iteration(flow, teleport, k == 0, DEFAULT_ALPHA,
-                                      DEFAULT_EPS, DEFAULT_T_MAX)
+        p, used, _, residual = _power_iteration(flow, teleport, k == 0, DEFAULT_ALPHA,
+                                                DEFAULT_EPS, DEFAULT_T_MAX)
         np.testing.assert_array_equal(result.raw_score, p)
         assert result.iterations_used == used
+        assert result.final_residual == residual
 
 
 @pytest.mark.parametrize("model", ["RD", "HD-rank", "PD"])
