@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -38,6 +39,11 @@ STRATIFIERS = {"conference_rank": "rank", "subfield": "subfield"}
 
 _UNKNOWN = GENDER_CODE[GenderCategory.UNKNOWN]
 
+#: a comma that begins the next ``field=`` clause of a filter
+_CLAUSE_BREAK = re.compile(r",(?=\s*(?:%s)\s*=)" % "|".join(SELECTABLE_FIELDS))
+#: fields whose values are fixed labels, none of which holds a comma
+_LABEL_FIELDS = ("gender", "rank")
+
 
 @dataclass(frozen=True)
 class PaperFilter:
@@ -45,7 +51,9 @@ class PaperFilter:
 
     ``"all"`` selects everything; ``"gender=WW,rank=A*"`` is a
     conjunction.  Valid fields: gender, rank, country, topic, subfield.
-    A value no paper carries selects nothing.
+    A comma separates clauses where the next ``field=`` begins; any other
+    comma belongs to a country, topic or subfield value
+    (``"subfield=ML, theory"``).  A value no paper carries selects nothing.
     """
 
     description: str
@@ -57,11 +65,13 @@ class PaperFilter:
         if text in ("", "all"):
             return ALL_PAPERS
         criteria = []
-        for part in text.split(","):
+        for part in _CLAUSE_BREAK.split(text):
             name, sep, value = part.partition("=")
             name, value = name.strip(), value.strip()
             if not sep or name not in SELECTABLE_FIELDS:
                 raise ValueError(f"bad filter clause {part!r}")
+            if name in _LABEL_FIELDS and "," in value:
+                raise ValueError(f"bad filter clause {value.partition(',')[2]!r}")
             criteria.append((name, value))
         return cls(text, tuple(criteria))
 

@@ -25,14 +25,21 @@ in plain numpy: ``W.T @ y`` with :meth:`ExpectedCitations.spread`, ``W``
 times a category indicator with :meth:`ExpectedCitations.category_sums`.
 The package needs numpy only; the tests check these reductions against
 ``scipy.sparse`` as an independent oracle.
+
+Eligible sets are slices of one index per model call: the papers sorted
+by (category, date, index).  A citer's candidates in a category are the
+papers from its ten-year window floor up to its own date, one slice found
+by binary search, so each (citer, category) pair costs
+O(log N + |slice|) instead of a pass over all N papers;
+:meth:`CitationNetwork.citable` screens the slice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -158,15 +165,18 @@ class ExpectedCitations:
             )
 
 
-def _blocks(indptr: np.ndarray, width: int = 1) -> Iterator[tuple[int, int]]:
+def _blocks(indptr: np.ndarray, width: int = 1, entries: int | None = None
+            ) -> Iterator[tuple[int, int]]:
     """Consecutive group ranges [a, b) covering a table, each of at least
-    one group and otherwise of at most ``BLOCK_ENTRIES`` member entries
-    and ``BLOCK_ENTRIES // width`` groups."""
+    one group and otherwise of at most ``entries`` (by default
+    ``BLOCK_ENTRIES``) member entries and ``BLOCK_ENTRIES // width``
+    groups."""
     n_groups, total = len(indptr) - 1, int(indptr[-1])
     rows = max(1, BLOCK_ENTRIES // max(width, 1))
+    entries = entries or BLOCK_ENTRIES
     a = 0
     while a < n_groups:
-        last = min(int(indptr[a]) + BLOCK_ENTRIES, total)
+        last = min(int(indptr[a]) + entries, total)
         b = int(np.searchsorted(indptr, last, side="right")) - 1
         b = max(a + 1, min(b, a + rows))
         yield a, b
@@ -189,19 +199,23 @@ def _spread(indptr: np.ndarray, indices: np.ndarray, mass: np.ndarray,
 Row = tuple[int, np.ndarray, Sequence[int]]
 
 
+def _index_dtype(n_groups: int, n_papers: int, n_entries: int) -> type:
+    """Dtype of a table's member arrays ``indptr``/``indices``: int32 when
+    every value fits, which halves the table, else int64."""
+    return np.int32 if max(n_groups, n_papers, n_entries) <= _INT32_MAX else np.int64
+
+
 def group_table(model: str, attributes: tuple[str, ...], n_papers: int,
                 citing: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
                 target_ptr: np.ndarray, targets: np.ndarray,
                 c_bar: np.ndarray | None = None) -> ExpectedCitations:
     """Derive ``weight`` from the stored arrays of a group table.  The
-    member arrays ``indptr``/``indices`` are kept as int32 when every
-    value fits, which halves the table.  ``c_bar`` defaults to the column
-    sums of ``W``, added in group order."""
+    member arrays are kept in :func:`_index_dtype`.  ``c_bar`` defaults to
+    the column sums of ``W``, added in group order."""
     weight = np.diff(target_ptr) / np.diff(indptr)
     if c_bar is None:
         c_bar = _spread(indptr, indices, weight, n_papers)
-    fits = max(len(citing), n_papers, indices.size) <= _INT32_MAX
-    index_dtype = np.int32 if fits else np.int64
+    index_dtype = _index_dtype(len(citing), n_papers, indices.size)
     return ExpectedCitations(model, attributes, citing, weight,
                              indptr.astype(index_dtype, copy=False),
                              indices.astype(index_dtype, copy=False), target_ptr,
@@ -210,24 +224,20 @@ def group_table(model: str, attributes: tuple[str, ...], n_papers: int,
 
 def _table(model: str, attributes: tuple[str, ...], net: CitationNetwork,
            rows: Sequence[Row], c_bar: np.ndarray | None = None) -> ExpectedCitations:
-    """Pack rows, ordered by citer, into the arrays of :func:`group_table`."""
-    empty = [np.zeros(0, dtype=np.int64)]
+    """Pack rows, ordered by citer, into the arrays of :func:`group_table`,
+    concatenating the members straight into their stored dtype."""
     sizes = np.array([row[1].size for row in rows], dtype=np.int64)
     n_targets = np.array([len(row[2]) for row in rows], dtype=np.int64)
+    index_dtype = _index_dtype(len(rows), net.n, int(sizes.sum()))
     return group_table(
         model, attributes, net.n, np.array([row[0] for row in rows], dtype=np.int64),
-        np.concatenate(([0], np.cumsum(sizes))),
-        np.concatenate(empty + [row[1] for row in rows]),
+        np.concatenate(([0], np.cumsum(sizes)), dtype=index_dtype),
+        np.concatenate([np.zeros(0, index_dtype)] + [row[1] for row in rows],
+                       dtype=index_dtype),
         np.concatenate(([0], np.cumsum(n_targets))),
         np.fromiter(chain.from_iterable(row[2] for row in rows), np.int64,
                     n_targets.sum()), c_bar,
     )
-
-
-def _eligible(net: CitationNetwork, i: int) -> np.ndarray:
-    """Boolean mask over the papers paper i could cite: the corpus rule
-    (:meth:`CitationNetwork.citable`) minus later-dated papers."""
-    return net.citable(i) & (net.dates <= net.dates[i])
 
 
 def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
@@ -243,9 +253,78 @@ def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
     return np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
 
 
+def _bases(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray,
+           cats: np.ndarray) -> Iterator[np.ndarray]:
+    """For each (citer, category) pair, in order, the ascending papers of
+    that category the citer may cite and that are not dated after it.
+
+    The papers are sorted once by (category, date, index), so a pair's
+    candidates are the slice from the citer's window floor to its date:
+    two ``searchsorted`` calls find every slice at once, with floors
+    before the earliest date clamped to it.  :meth:`CitationNetwork.citable`
+    then screens the candidates, which are built in blocks of consecutive
+    pairs holding at most ``BLOCK_ENTRIES // 8`` of them (or a single
+    pair).
+    """
+    if len(citers) == 0:
+        return
+    origin = net.dates.min()
+    day = (net.dates - origin).astype(np.int64)
+    floor = np.maximum((net.window_floors[citers] - origin).astype(np.int64), 0)
+    span = int(day.max()) + 1
+    order = np.lexsort((day, codes))
+    keys = (codes * span + day)[order]
+    lo = np.searchsorted(keys, cats * span + floor)
+    hi = np.searchsorted(keys, cats * span + day[citers], side="right")
+    ptr = np.concatenate(([0], np.cumsum(hi - lo)))
+    # screening holds about eight candidate-sized temporaries at once
+    for a, b in _blocks(ptr, entries=max(1, BLOCK_ENTRIES // 8)):
+        sizes = np.diff(ptr[a:b + 1])
+        cand = order[np.arange(ptr[a], ptr[b]) + np.repeat(lo[a:b] - ptr[a:b], sizes)]
+        keep = net.citable(np.repeat(citers[a:b], sizes), cand)
+        # sort each pair's survivors by index: offset pair k by k * N
+        offset = np.repeat(np.arange(b - a) * net.n, sizes)[keep]
+        key = np.sort(offset + cand[keep])
+        yield from _pieces(key - offset,
+                           np.searchsorted(key, np.arange(1, b - a) * net.n).tolist())
+
+
+def _pieces(a: Sequence, stops: list[int]) -> list:
+    """``a`` cut before each of the ascending positions ``stops``."""
+    bounds = [0, *stops, len(a)]
+    return [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _citation_bases(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray
+                    ) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
+    """For each citer, in the order given (which must list every paper
+    that cites), its targets and each one's base: the :func:`_bases` entry
+    of the target's category, plus the target when it is dated after the
+    citer.  Every edge is citable, so that is the one case in which a
+    target lies outside its slice."""
+    n_codes = int(codes.max(initial=0)) + 1
+    position = np.zeros(net.n, dtype=np.int64)
+    position[citers] = np.arange(len(citers))
+    pairs = np.unique(position[net.edges[:, 0]] * n_codes + codes[net.edges[:, 1]])
+    pos, cats = np.divmod(pairs, n_codes)
+    bases = _bases(net, codes, citers[pos], cats)
+    ends = np.cumsum(np.bincount(pos, minlength=len(citers)))[:-1].tolist()
+    later = (net.dates[net.edges[:, 1]] > net.dates[net.edges[:, 0]]).tolist()
+    first = (np.cumsum(net.out_degree) - net.out_degree).tolist()
+    for i, own in zip(citers.tolist(), _pieces(cats.tolist(), ends)):
+        base = {c: next(bases) for c in own}
+        targets = net.out_targets[i]
+        yield i, targets, [
+            _with_member(base[c], t) if late else base[c]
+            for c, t, late in zip(codes[targets].tolist(), targets.tolist(),
+                                  later[first[i]:first[i] + targets.size])
+        ]
+
+
 def eligible_set_rd(net: CitationNetwork, i: int) -> np.ndarray:
     """Sorted indices of papers that paper i could cite under RD."""
-    return np.flatnonzero(_eligible(net, i))
+    return next(_bases(net, np.zeros(net.n, dtype=np.int64), np.array([i]),
+                       np.zeros(1, dtype=np.int64)))
 
 
 def eligible_set_hd(
@@ -256,10 +335,9 @@ def eligible_set_hd(
 ) -> np.ndarray:
     """Sorted indices of the RD-eligible papers sharing the observed
     target's category, always including the target itself."""
-    attrs = canonical_attributes(attributes)
-    codes = _key_codes(net, attrs)
-    members = np.flatnonzero(_eligible(net, i) & (codes == codes[i_prime]))
-    return _with_member(members, i_prime)
+    codes = _key_codes(net, canonical_attributes(attributes))
+    base = next(_bases(net, codes, np.array([i]), codes[[i_prime]]))
+    return _with_member(base, i_prime)
 
 
 def _with_member(members: np.ndarray, j: int) -> np.ndarray:
@@ -270,28 +348,13 @@ def _with_member(members: np.ndarray, j: int) -> np.ndarray:
     return np.insert(members, pos, j)
 
 
-def _bundles(
-    targets: np.ndarray,
-    mask: np.ndarray,
-    codes: np.ndarray,
-    narrow: Callable[[np.ndarray, int], np.ndarray] | None = None,
-) -> list[tuple[np.ndarray, list[int]]]:
-    """One citer's citations as (members, targets) bundles.
-
-    A citation's members are the papers of its target's category inside
-    ``mask``, optionally narrowed, always including the target.
-    Citations with identical member sets merge into one bundle.
-    """
-    base_cache: dict[int, np.ndarray] = {}
+def _bundles(targets: np.ndarray, members: Sequence[np.ndarray]
+             ) -> list[tuple[np.ndarray, list[int]]]:
+    """One citer's citations as (members, targets) bundles: citations
+    with identical member sets merge into one bundle."""
     merged: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for t in targets:
-        t = int(t)
-        code = codes[t]
-        base = base_cache.get(code)
-        if base is None:
-            base = base_cache[code] = np.flatnonzero(mask & (codes == code))
-        members = _with_member(base if narrow is None else narrow(base, t), t)
-        merged.setdefault(members.tobytes(), (members, []))[1].append(t)
+    for t, m in zip(targets.tolist(), members):
+        merged.setdefault(m.tobytes(), (m, []))[1].append(t)
     return list(merged.values())
 
 
@@ -299,12 +362,11 @@ def random_draws(net: CitationNetwork) -> ExpectedCitations:
     """Expected citations when every citation is redrawn uniformly from
     the citer's eligible set.  One group per citing paper; raises
     :class:`ModelError` for a citer with an empty eligible set."""
+    citers = np.flatnonzero(net.out_degree)
+    zeros = np.zeros(net.n, dtype=np.int64)
     rows: list[Row] = []
-    for i in range(net.n):
+    for i, members in zip(citers.tolist(), _bases(net, zeros, citers, zeros[citers])):
         targets = net.out_targets[i]
-        if targets.size == 0:
-            continue
-        members = np.flatnonzero(_eligible(net, i))
         if members.size == 0:
             raise ModelError(
                 f"paper {str(net.ids[i])!r} makes {targets.size} citation(s) "
@@ -326,9 +388,8 @@ def homophilic_draws(
     attrs = canonical_attributes(attributes)
     codes = _key_codes(net, attrs)
     rows: list[Row] = []
-    for i in np.flatnonzero(net.out_degree):
-        bundles = _bundles(net.out_targets[i], _eligible(net, i), codes)
-        rows.extend((i, members, tlist) for members, tlist in bundles)
+    for i, targets, bases in _citation_bases(net, codes, np.flatnonzero(net.out_degree)):
+        rows.extend((i, m, tlist) for m, tlist in _bundles(targets, bases))
     return _table("HD", attrs, net, rows)
 
 
@@ -358,38 +419,23 @@ def preferential_draws(
     """
     attrs = canonical_attributes(attributes)
     codes = _key_codes(net, attrs)
+    order = date_order(net)
+    running = np.full(net.n, Fraction(0), dtype=object) if exact else np.zeros(net.n)
     rows: list[Row] = []
-    running: list[Fraction] | np.ndarray
-    if exact:
-        running = [Fraction(0)] * net.n
+    for x, targets, bases in _citation_bases(net, codes, order[net.out_degree[order] > 0]):
+        # one comparison narrows every citation against the frozen state;
+        # a target always survives, as its count equals itself
+        sizes = [b.size for b in bases]
+        values = running[np.concatenate(bases)]
+        count = np.repeat(running[targets], sizes)
+        keep = values == count if exact else np.abs(values - count) <= count_tol
+        narrowed = [b[k] for b, k in zip(bases, _pieces(keep, list(accumulate(sizes[:-1]))))]
+        for m, tlist in _bundles(targets, narrowed):
+            running[m] += Fraction(len(tlist), m.size) if exact else len(tlist) / m.size
+            rows.append((x, m, tlist))
 
-        def narrow(base: np.ndarray, t: int) -> np.ndarray:
-            count = running[t]
-            return np.asarray([m for m in base.tolist() if running[m] == count],
-                              dtype=np.int64)
-    else:
-        running = np.zeros(net.n)
-
-        def narrow(base: np.ndarray, t: int) -> np.ndarray:
-            return base[np.abs(running[base] - running[t]) <= count_tol]
-
-    for x in date_order(net).tolist():
-        targets = net.out_targets[x]
-        if targets.size == 0:
-            continue
-        # freeze: every bundle reads the state before this paper
-        for members, tlist in _bundles(targets, _eligible(net, x), codes, narrow):
-            if exact:
-                frac = Fraction(len(tlist), members.size)
-                for m in members.tolist():
-                    running[m] += frac
-            else:
-                running[members] += len(tlist) / members.size
-            rows.append((x, members, tlist))
-
-    c_bar = np.array([float(v) for v in running]) if exact else running
     rows.sort(key=lambda row: row[0])
-    return _table("PD", attrs, net, rows, c_bar)
+    return _table("PD", attrs, net, rows, running.astype(np.float64))
 
 
 def compute_model(

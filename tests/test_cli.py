@@ -205,6 +205,21 @@ class TestImbalance:
         assert int(rows["MM"]["n_obs"]) == 1
         assert int(rows["WW"]["n_obs"]) == 1
 
+    def test_to_filter_value_with_comma(self, tmp_path):
+        papers = tmp_path / "papers.tsv"
+        citations = tmp_path / "citations.tsv"
+        papers.write_text(TOY4_PAPERS.replace("T1\tS1", "T1\tML, theory"))
+        citations.write_text(TOY4_CITATIONS)
+        run("ingest", papers, citations, tmp_path / "archive")
+        run("model", tmp_path / "archive", tmp_path / "rd", "--model", "rd")
+        out = tmp_path / "imb"
+        assert run("imbalance", tmp_path / "archive", tmp_path / "rd", out,
+                   "--to", "subfield=ML, theory", "--bootstrap", "10") == 0
+        rows = {r["gender"]: r for r in read_csv(out / "imbalance.csv")}
+        # P1 (MM) and P2 (WW) carry that subfield; all three citations hit them
+        assert int(rows["MM"]["n_obs"]) == 2
+        assert int(rows["WW"]["n_obs"]) == 1
+
     def test_stratify_rank_emits_blocks(self, archive, tmp_path):
         model_dir = tmp_path / "rd"
         run("model", archive, model_dir, "--model", "rd")

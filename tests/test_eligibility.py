@@ -1,6 +1,7 @@
 """Differential sweep: the vectorized corpus filter, model eligibility and
 the per-paper attribute columns against plain per-edge / per-paper loops
-on tiny random corpora.
+on tiny random corpora, and the rd/hd/pd group tables built from the
+sorted eligibility index against the per-citer mask path it replaced.
 
 Each corpus has year-only dates (many ties), a Feb 29 citer whose window
 floor falls on Feb 28, citations to later-dated papers, papers sharing
@@ -8,9 +9,11 @@ author pairs from a small name pool, self-loops and duplicate raw edges,
 UNKNOWN genders and Unranked papers.
 """
 import logging
+import re
 from collections import Counter
 from datetime import date
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +23,9 @@ from citegap import (
     CitationNetwork,
     ConferenceRank,
     GenderCategory,
+    ModelError,
     PaperFilter,
+    compute_model,
     eligible_set_hd,
     eligible_set_rd,
     filter_citations,
@@ -36,7 +41,8 @@ from citegap.corpus import (
     citation_window_floor,
     parse_pub_date,
 )
-from citegap.refmodels import _key_codes, date_order
+from citegap import refmodels
+from citegap.refmodels import _key_codes, _table, date_order
 from citegap.synth import _eligible_bruteforce, _hd_members_bruteforce
 from conftest import make_paper
 
@@ -150,21 +156,149 @@ def test_eligible_sets_match_bruteforce(seed):
                 _hd_members_bruteforce(net, eligible, t, ATTRS))
 
 
+def sweep_cases(net):
+    """How often one network meets each eligibility edge case, counted
+    with per-paper loops over dates and author names."""
+    cases = Counter()
+    papers = net.papers
+    earliest = min(p.pub_date for p in papers)
+    for i, citer in enumerate(papers):
+        if not net.out_targets[i].size:
+            continue
+        floor = citation_window_floor(citer.pub_date)
+        authors = (citer.first_author, citer.last_author)
+        cases["floor_before_earliest"] += floor < earliest
+        if (citer.pub_date.month, citer.pub_date.day) == (2, 29):
+            cases["feb29_floor_paper"] += any(p.pub_date == floor for p in papers)
+        cases["author_excluded"] += any(
+            j != i and floor <= p.pub_date <= citer.pub_date
+            and p.first_author in authors and p.last_author in authors
+            for j, p in enumerate(papers))
+        for t in net.out_targets[i].tolist():
+            target = papers[t]
+            cases["later_dated_target"] += target.pub_date > citer.pub_date
+            key = category_key(target, ATTRS)
+            cases["empty_slice"] += not any(
+                floor <= p.pub_date <= citer.pub_date and category_key(p, ATTRS) == key
+                for p in papers)
+    return cases
+
+
 def test_sweep_reaches_every_case():
     # the corpora exercise each rule and both sides of the Feb 29 floor
     totals = Counter()
     leap_cited = set()
     kept = set()
+    cases = Counter()
     for seed in SEEDS:
         papers, raw = random_corpus(seed)
         net = filter_citations(papers, raw)
         totals.update(net.filter_counts)
         leap_cited |= {papers[int(v[1:])].pub_date for u, v in raw if u == "X0"}
         kept |= {p.gender for p in net.papers} | {p.rank for p in net.papers}
+        cases.update(sweep_cases(net))
     assert len(totals) == 5 and all(totals.values()), totals
     assert {date(2002, 2, 27), date(2002, 2, 28)} <= leap_cited
     # the columns meet every gender category and an Unranked paper
     assert {*GenderCategory, ConferenceRank.UNRANKED} <= kept
+    # the eligibility index meets each of its edge cases
+    assert set(cases) == {"floor_before_earliest", "feb29_floor_paper", "author_excluded",
+                          "later_dated_target", "empty_slice"}
+    assert all(cases.values()), cases
+
+
+# ---------------------------------------------------------------------------
+# the group tables, against the per-citer O(N) mask path
+
+
+def mask_eligible(net, i):
+    """Boolean mask over the papers paper i could cite, later-dated ones
+    excluded: one pass over all N papers."""
+    return net.citable(i) & (net.dates <= net.dates[i])
+
+
+def mask_bundles(targets, mask, codes, narrow=None):
+    """One citer's (members, targets) bundles from N-wide category masks."""
+    merged = {}
+    for t in targets.tolist():
+        base = np.flatnonzero(mask & (codes == codes[t]))
+        members = base if narrow is None else narrow(base, t)
+        if t not in members:
+            members = np.sort(np.append(members, t))
+        merged.setdefault(members.tobytes(), (members, []))[1].append(t)
+    return list(merged.values())
+
+
+def mask_model(net, model, attrs=(), *, exact=False, count_tol=1e-9):
+    """RD/HD/PD group tables as the mask path built them."""
+    citers = np.flatnonzero(net.out_degree)
+    if model == "RD":
+        rows = []
+        for i in citers:
+            members = np.flatnonzero(mask_eligible(net, i))
+            if members.size == 0:
+                raise ModelError(f"paper {str(net.ids[i])!r} makes "
+                                 f"{net.out_targets[i].size} citation(s) "
+                                 "but its eligible set is empty")
+            rows.append((i, members, net.out_targets[i]))
+        return _table("RD", (), net, rows)
+    codes = _key_codes(net, attrs)
+    if model == "HD":
+        rows = [(i, members, tlist) for i in citers
+                for members, tlist in mask_bundles(net.out_targets[i],
+                                                   mask_eligible(net, i), codes)]
+        return _table("HD", attrs, net, rows)
+    running = [Fraction(0)] * net.n if exact else np.zeros(net.n)
+
+    def narrow(base, t):
+        if exact:
+            return np.asarray([m for m in base.tolist() if running[m] == running[t]],
+                              dtype=np.int64)
+        return base[np.abs(running[base] - running[t]) <= count_tol]
+
+    rows = []
+    for x in date_order(net).tolist():
+        if not net.out_degree[x]:
+            continue
+        bundles = mask_bundles(net.out_targets[x], mask_eligible(net, x), codes, narrow)
+        for members, tlist in bundles:
+            for m in members.tolist():
+                running[m] += Fraction(len(tlist), members.size) if exact \
+                    else len(tlist) / members.size
+            rows.append((x, members, tlist))
+    rows.sort(key=lambda row: row[0])
+    return _table("PD", attrs, net, rows, np.array([float(v) for v in running]))
+
+
+def assert_same_table(ec, ref):
+    for name in ("citing", "indptr", "indices", "target_ptr", "targets", "c_bar"):
+        got, want = getattr(ec, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+SUBSETS = [attrs for size in range(len(ATTRS) + 1) for attrs in combinations(ATTRS, size)]
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_models_match_mask_path(seed, block, monkeypatch):
+    # block=3 cuts the candidates into blocks of a few entries, so pairs
+    # and citers straddle block edges
+    if block is not None:
+        monkeypatch.setattr(refmodels, "BLOCK_ENTRIES", block)
+    net = filter_citations(*random_corpus(seed))
+    try:
+        ref = mask_model(net, "RD")
+    except ModelError as err:
+        with pytest.raises(ModelError, match=f"^{re.escape(str(err))}$"):
+            compute_model(net, "RD")
+    else:
+        assert_same_table(compute_model(net, "RD"), ref)
+    for attrs in SUBSETS:
+        assert_same_table(compute_model(net, "HD", attrs), mask_model(net, "HD", attrs))
+        for exact in (False, True):
+            assert_same_table(compute_model(net, "PD", attrs, exact=exact),
+                              mask_model(net, "PD", attrs, exact=exact))
 
 
 # ---------------------------------------------------------------------------

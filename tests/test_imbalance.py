@@ -416,3 +416,22 @@ class TestPaperFilter:
     def test_bad_clause_rejected(self):
         with pytest.raises(ValueError):
             PaperFilter.parse("venue=ICML")
+
+    def test_comma_inside_value_selects_its_papers(self):
+        papers = [make_paper(f"P{k}", date(2010, 1, 1), subfield=s)
+                  for k, s in enumerate(["ML, theory", "ML", "ML, theory"])]
+        net = filter_citations(papers, [("P1", "P0"), ("P2", "P1")])
+        f = PaperFilter.parse("subfield=ML, theory")
+        assert f.criteria == (("subfield", "ML, theory"),)
+        assert net.ids[f.mask(net)].tolist() == ["P0", "P2"]
+
+    @pytest.mark.parametrize("text", ["rank=A,country=US", "rank=A, country = US"])
+    def test_comma_before_a_field_separates_clauses(self, text):
+        assert PaperFilter.parse(text).criteria == (("rank", "A"), ("country", "US"))
+
+    @pytest.mark.parametrize("text", ["rank=A,bogus", "gender=WW,rank", "rank=A,"])
+    def test_stray_text_after_a_comma_rejected(self, text):
+        # gender and rank labels hold no comma, so what follows one must
+        # be a clause
+        with pytest.raises(ValueError, match="bad filter clause"):
+            PaperFilter.parse(text)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from datetime import date
 
@@ -7,6 +8,7 @@ import pytest
 from scipy import sparse, stats
 
 from citegap import (
+    CitationNetwork,
     ConferenceRank,
     GenderCategory,
     ModelError,
@@ -674,3 +676,23 @@ def test_reductions_span_several_blocks(model, monkeypatch):
         assert b - a == 1 or (b - a <= 64 // 5 and ec.indptr[b] - ec.indptr[a] <= 64)
     assert_group_invariants(net, ec)
     assert_reductions_match_scipy(net, ec)
+
+
+def test_table_packs_members_once_in_the_stored_dtype():
+    # 2,000 citers with 1,000 int64 members each: the int32 member array
+    # is 8 MB, and packing may hold little beyond it (an int64
+    # intermediate alone would be 16 MB)
+    n = 2000
+    net = CitationNetwork(tuple(make_paper(f"P{k}", date(2000, 1, 1)) for k in range(n)),
+                          np.zeros((0, 2)))
+    rows = [(i, np.arange(0, n, 2), [i]) for i in range(n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ec = refmodels._table("RD", (), net, rows)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert ec.indices.dtype == np.int32 and ec.indices.nbytes == 8_000_000
+    assert peak <= 1.25 * ec.indices.nbytes
