@@ -5,9 +5,12 @@ text formats plus a manifest, so every intermediate stays inspectable.
 The one binary file is a model artifact's group table, ``groups.npz``
 (numpy's uncompressed array archive, read with ``numpy.load``): ``model``
 computes the table once, with its structural report, and ``imbalance``
-and ``rank`` load it instead of recomputing it.  Every command is a pure
-function of its inputs, flags, and seed; reruns produce identical outputs
-(manifests stamp SOURCE_DATE_EPOCH when set, wall-clock time otherwise).
+and ``rank`` load it instead of recomputing it.  Its intervals are
+positions in the model's eligibility index, which the loader rebuilds
+from the archive and the attributes in ``model.json``.  Every command is
+a pure function of its inputs, flags, and seed; reruns produce identical
+outputs (manifests stamp SOURCE_DATE_EPOCH when set, wall-clock time
+otherwise).
 
 Subcommands: ingest, model, imbalance, rank, synth.
 """
@@ -63,6 +66,7 @@ from .refmodels import (
     ModelError,
     StructuralReport,
     compute_model,
+    eligibility_index,
     group_table,
     structural_report,
 )
@@ -80,7 +84,15 @@ CBAR_FILE = "c_bar.tsv"
 MODEL_META_FILE = "model.json"
 GROUPS_FILE = "groups.npz"
 #: the arrays stored in GROUPS_FILE, one ``<name>.npy`` entry each
-GROUP_ARRAYS = ("citing", "indptr", "indices", "target_ptr", "targets")
+GROUP_ARRAYS = ("citing", "lo", "hi", "excluded_ptr", "excluded", "indptr", "indices",
+                "target_ptr", "targets")
+#: the arrays of the interval parts, left out of a table that has none
+INTERVAL_ARRAYS = ("lo", "hi", "excluded_ptr", "excluded")
+#: model.json ``format`` of the interval-coded GROUPS_FILE; artifacts
+#: without the key hold explicit member lists only
+GROUPS_FORMAT = 2
+#: the table sizes model.json records, each checked against GROUPS_FILE
+TABLE_COUNTS = ("groups", "member_entries", "intervals", "exclusions", "stored_entries")
 
 
 class CliError(Exception):
@@ -240,14 +252,14 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
             writer.writerow([pid, repr(c)])
     report = structural_report(net, ec)
     meta = {
+        "format": GROUPS_FORMAT,
         "model": ec.model,
         "attributes": list(ec.attributes),
         "exact": exact,
         "count_tol": count_tol,
         "n_papers": ec.n_papers,
         "n_citations": ec.n_citations,
-        "groups": len(ec.citing),
-        "member_entries": ec.indices.size,
+        **_table_counts(ec),
         "ks_in_degree": report.ks_in_degree,
         "archive": {
             "papers_sha256": _sha256(archive / PAPERS_FILE),
@@ -261,14 +273,23 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
     _write_groups(ec, out / GROUPS_FILE)
 
 
+def _table_counts(ec: ExpectedCitations) -> dict[str, int]:
+    """The TABLE_COUNTS of a group table."""
+    return {"groups": len(ec.citing), "member_entries": ec.member_entries,
+            "intervals": ec.intervals, "exclusions": ec.excluded.size,
+            "stored_entries": ec.stored_entries}
+
+
 def _write_groups(ec: ExpectedCitations, path: Path) -> None:
     """Store the table's arrays uncompressed, each zip entry with the same
-    fixed date, so the bytes depend on the arrays alone."""
-    arrays = (ec.citing, ec.indptr, ec.indices, ec.target_ptr, ec.targets)
+    fixed date, so the bytes depend on the arrays alone; without intervals
+    the INTERVAL_ARRAYS, all zeros, are left out."""
     with zipfile.ZipFile(path, "w") as zf:
-        for name, array in zip(GROUP_ARRAYS, arrays):
+        for name in GROUP_ARRAYS:
+            if name in INTERVAL_ARRAYS and not ec.intervals:
+                continue
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+                np.lib.format.write_array(fh, getattr(ec, name), allow_pickle=False)
 
 
 def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
@@ -285,22 +306,26 @@ def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     _write_manifest(out, argv, inputs, args.seed, model=model,
                     attributes=list(attrs))
     print(f"model {model} on {net.n} papers / {net.m} citations")
-    print(f"groups: {len(ec.citing)}")
-    print(f"member entries: {ec.indices.size}")
+    for name, count in _table_counts(ec).items():
+        print(f"{name.replace('_', ' ')}: {count}")
     return 0
 
 
 def _read_model_meta(path: Path) -> dict:
     """model.json, schema-checked: the archive digests its artifact must
     match, the model and attributes its group table is labelled with, and
-    the table's size (``exact`` and ``count_tol`` record how the table
-    was computed)."""
+    the table's format and sizes (``exact`` and ``count_tol`` record how
+    the table was computed)."""
     try:
         with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
     except ValueError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     fields = meta if isinstance(meta, dict) else {}
+    if fields.get("format") != GROUPS_FORMAT:
+        found = f"format {fields['format']!r}" if "format" in fields else "no format"
+        raise CliError(f"{path} has {found}, not format {GROUPS_FORMAT}: the artifact "
+                       "was written by another citegap version; rerun model")
     archive = fields.get("archive")
     attributes = fields.get("attributes")
     count_tol = fields.get("count_tol", DEFAULT_COUNT_TOL)
@@ -312,20 +337,32 @@ def _read_model_meta(path: Path) -> dict:
         and isinstance(attributes, list)
         and all(isinstance(a, str) for a in attributes)
         and all(isinstance(fields.get(name), int) and not isinstance(fields[name], bool)
-                for name in ("groups", "member_entries"))
+                for name in TABLE_COUNTS)
         and isinstance(fields.get("exact", False), bool)
         and isinstance(count_tol, (int, float)) and not isinstance(count_tol, bool)
     ):
         raise CliError(f"{path} needs string archive.papers_sha256, archive."
                        "citations_sha256 and model, a list of string attributes, "
-                       "integer groups and member_entries, and optionally a "
+                       f"integer {', '.join(TABLE_COUNTS)}, and optionally a "
                        "boolean exact and a numeric count_tol")
     return meta
 
 
-def _read_groups(path: Path, net: CitationNetwork) -> list[np.ndarray]:
+def _rising(values: np.ndarray, ptr: np.ndarray) -> bool:
+    """Whether ``values`` strictly increase within each group of ``ptr``."""
+    rising = values[1:] > values[:-1]
+    # a new group may start lower
+    starts = ptr[1:-1]
+    rising[starts[(starts > 0) & (starts < values.size)] - 1] = True
+    return bool(rising.all())
+
+
+def _read_groups(path: Path, net: CitationNetwork, order: np.ndarray,
+                 categories: np.ndarray) -> list[np.ndarray]:
     """The arrays of a stored group table, checked to form a table over
-    the archive's papers whose (citer, target) pairs are its edges."""
+    the archive's papers and the eligibility index ``order`` (whose
+    category codes are ``categories``), and whose (citer, target) pairs
+    are the archive's edges."""
     try:
         # np.load leaks its own handle when a zip turns out to be broken
         with open(path, "rb") as fh:
@@ -333,10 +370,18 @@ def _read_groups(path: Path, net: CitationNetwork) -> list[np.ndarray]:
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 raise ValueError("not an .npz archive")
             with npz:
-                arrays = [npz[name] for name in GROUP_ARRAYS]
+                intervals = not set(INTERVAL_ARRAYS).isdisjoint(npz.files)
+                stored = {name: npz[name] for name in GROUP_ARRAYS
+                          if intervals or name not in INTERVAL_ARRAYS}
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise CliError(f"{path} is not a readable group table: {exc}") from exc
-    citing, indptr, indices, target_ptr, targets = arrays
+    if not intervals:
+        groups = len(stored["citing"])
+        stored.update(lo=np.zeros(groups, np.int64), hi=np.zeros(groups, np.int64),
+                      excluded_ptr=np.zeros(groups + 1, np.int64),
+                      excluded=np.zeros(0, np.int64))
+    arrays = [stored[name] for name in GROUP_ARRAYS]
+    citing, lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr, targets = arrays
 
     def check(ok: bool, what: str) -> None:
         if not ok:
@@ -344,25 +389,45 @@ def _read_groups(path: Path, net: CitationNetwork) -> list[np.ndarray]:
 
     check(all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays),
           f"{', '.join(GROUP_ARRAYS)} must be 1-D signed integer arrays")
-    check(len(indptr) == len(target_ptr) == len(citing) + 1,
-          "indptr and target_ptr need one entry per group plus one")
+    groups = len(citing)
+    check(len(lo) == len(hi) == groups
+          and len(excluded_ptr) == len(indptr) == len(target_ptr) == groups + 1,
+          "lo and hi need one entry per group, excluded_ptr, indptr and target_ptr "
+          "one more")
     # comparisons rather than differences, which could overflow
-    for name, ptr, data, what in (("indptr", indptr, indices, "members"),
+    for name, ptr, data, what in (("excluded_ptr", excluded_ptr, excluded, "exclusions"),
+                                  ("indptr", indptr, indices, "members"),
                                   ("target_ptr", target_ptr, targets, "targets")):
         check(ptr[0] == 0 and ptr[-1] == data.size and (ptr[1:] >= ptr[:-1]).all(),
               f"{name} must start at 0, never decrease and end at the number "
               f"of {what}")
-        check((ptr[1:] > ptr[:-1]).all(), f"a group has no {what}")
-    rising = indices[1:] > indices[:-1]
-    rising[indptr[1:-1] - 1] = True  # a new group may start lower
-    check(indices.size == 0 or (indices.min() >= 0 and indices.max() < net.n
-                                and rising.all()),
-          f"members must be paper indices below {net.n}, strictly increasing "
+    check((target_ptr[1:] > target_ptr[:-1]).all(), "a group has no targets")
+    n = net.n
+    check(((lo >= 0) & (lo <= hi) & (hi <= n)).all(),
+          f"intervals must satisfy 0 <= lo <= hi <= {n}")
+    n_excluded = np.diff(excluded_ptr)
+    check((hi - lo - n_excluded + np.diff(indptr) > 0).all(), "a group has no members")
+    spans = hi > lo
+    check((categories[lo[spans]] == categories[hi[spans] - 1]).all(),
+          "an interval spans more than one category of the eligibility index")
+    owner = np.repeat(np.arange(groups), n_excluded)
+    check(((excluded >= lo[owner]) & (excluded < hi[owner])).all(),
+          "every exclusion must lie inside its group's interval")
+    check(_rising(excluded, excluded_ptr),
+          "exclusions must be strictly increasing within each group")
+    check(indices.size == 0 or (indices.min() >= 0 and indices.max() < n
+                                and _rising(indices, indptr)),
+          f"members must be paper indices below {n}, strictly increasing "
           "within each group")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    owner = np.repeat(np.arange(groups), np.diff(indptr))
+    check(not ((position[indices] >= lo[owner]) & (position[indices] < hi[owner])).any(),
+          "explicit members must lie outside their group's interval")
     check((citing[1:] >= citing[:-1]).all(), "citing must be ascending")
     citers = np.repeat(citing, np.diff(target_ptr))
-    order = np.lexsort((targets, citers))
-    check(np.array_equal(np.column_stack((citers, targets))[order], net.edges),
+    sort = np.lexsort((targets, citers))
+    check(np.array_equal(np.column_stack((citers, targets))[sort], net.edges),
           "its (citer, target) pairs are not the archive's citations")
     return arrays
 
@@ -399,10 +464,10 @@ def _load_model_artifact(archive: Path, artifact: Path,
                 f"model artifact {artifact} was built from a different archive "
                 f"({name}.tsv digest mismatch)"
             )
-    ec = group_table(meta["model"], tuple(meta["attributes"]), net.n,
-                     *_read_groups(artifact / GROUPS_FILE, net))
-    for name, count in (("groups", len(ec.citing)),
-                        ("member_entries", ec.indices.size)):
+    order, categories = eligibility_index(net, meta["attributes"])
+    ec = group_table(meta["model"], tuple(meta["attributes"]), order,
+                     *_read_groups(artifact / GROUPS_FILE, net, order, categories))
+    for name, count in _table_counts(ec).items():
         if meta[name] != count:
             raise CliError(f"model artifact {artifact}: {MODEL_META_FILE} records "
                            f"{meta[name]} {name}, {GROUPS_FILE} holds {count}")
@@ -435,10 +500,16 @@ def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
     out = _out_dir(args, args.out)
     write_report_csv(reports, out / "imbalance.csv")
     write_report_json(reports, out / "imbalance.json")
+    # per category (and stratum, when stratified), the defined resamples
+    defined: dict[str, object] = {}
+    for r in reports:
+        block = defined if r.stratum is None else defined.setdefault(r.stratum, {})
+        block[r.gender.value] = r.resamples_defined
     _write_manifest(out, argv, inputs, seed, model=ec.model,
                     from_filter=from_filter.description,
                     to_filter=to_filter.description,
-                    stratify=args.stratify, bootstrap=args.bootstrap)
+                    stratify=args.stratify, bootstrap=args.bootstrap,
+                    resamples_defined=defined)
     for r in reports:
         label = f"{r.gender.value}" + (f" [{r.stratum}]" if r.stratum else "")
         if r.over_under is None:

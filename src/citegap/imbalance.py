@@ -161,6 +161,16 @@ def _counted_groups(
     return ec.citing[keep], m_to[keep], _gender_counts(net, ec)[keep], ec.sizes[keep]
 
 
+class BootstrapCIs(dict):
+    """:func:`bootstrap_ci`'s CI (or None) per known category, with
+    ``defined``: per category, how many resamples gave it a value."""
+
+    def __init__(self, cis: dict[GenderCategory, tuple[float, float] | None],
+                 defined: dict[GenderCategory, int]) -> None:
+        super().__init__(cis)
+        self.defined = defined
+
+
 def bootstrap_ci(
     net: CitationNetwork,
     ec: ExpectedCitations,
@@ -168,7 +178,7 @@ def bootstrap_ci(
     to_filter: PaperFilter = ALL_PAPERS,
     resamples: int = 500,
     seed: int = 0,
-) -> dict[GenderCategory, tuple[float, float] | None]:
+) -> BootstrapCIs:
     """95% percentile bootstrap CI of over/under-citation per category.
 
     Each resample draws N papers with replacement; a paper drawn m times
@@ -176,6 +186,7 @@ def bootstrap_ci(
     Group member sets stay those of the full-network model.  Resamples
     with zero expected mass for a category are undefined and dropped;
     the CI itself is None when fewer than two defined resamples remain.
+    The result's ``defined`` counts, per category, the defined resamples.
     """
     if resamples < 2:
         raise ValueError("resamples must be at least 2")
@@ -211,13 +222,16 @@ def bootstrap_ci(
         else:
             low, high = np.percentile(column, [2.5, 97.5])
             out[g] = (float(low), float(high))
-    return out
+    defined = (~np.isnan(values)).sum(axis=0).tolist()
+    return BootstrapCIs(out, dict(zip(KNOWN_CATEGORIES, defined)))
 
 
 @dataclass(frozen=True)
 class ImbalanceReport:
     """Observed/expected citations and over/under-citation for one
-    gender category under one model and from/to selection."""
+    gender category under one model and from/to selection;
+    ``resamples_defined`` of the bootstrap resamples gave a value (0
+    without a bootstrap)."""
 
     gender: GenderCategory
     n_obs: int
@@ -229,6 +243,7 @@ class ImbalanceReport:
     from_filter: str
     to_filter: str
     stratum: str | None = None
+    resamples_defined: int = 0
 
     @property
     def status(self) -> str:
@@ -253,8 +268,10 @@ def imbalance_report(
     cis: dict[GenderCategory, tuple[float, float] | None]
     if resamples:
         cis = bootstrap_ci(net, ec, from_filter, to_filter, resamples, seed)
+        defined = cis.defined
     else:
         cis = {g: None for g in KNOWN_CATEGORIES}
+        defined = dict.fromkeys(KNOWN_CATEGORIES, 0)
     reports = []
     for g in KNOWN_CATEGORIES:
         ci = cis[g]
@@ -270,6 +287,7 @@ def imbalance_report(
                 from_filter=from_filter.description,
                 to_filter=to_filter.description,
                 stratum=stratum,
+                resamples_defined=defined[g],
             )
         )
     return reports
@@ -370,6 +388,7 @@ def report_rows(reports: Iterable[ImbalanceReport]) -> list[dict[str, object]]:
                 "ci_high": r.ci_high,
                 "status": r.status,
                 "stratum": r.stratum,
+                "resamples_defined": r.resamples_defined,
             }
         )
     return rows

@@ -16,22 +16,32 @@ Probabilities are piecewise uniform, so a model's output is a table of
 groups instead of a dense N x N matrix: one group per citer (RD) or per
 merged citation bundle (HD/PD).  Group g puts the uniform mass
 ``weight[g]`` on each of its members and represents the observed
-citations of ``citing[g]`` listed in its targets.  The members are stored
-in compressed-row form (``indptr``/``indices``), the rows of a G x N
-matrix ``W`` holding ``weight[g]`` at (g, j) for every member j, and each
-downstream sum (expected out-citations, pairwise counts, gender
-expectations, the PageRank operator) is one reduction over those arrays
-in plain numpy: ``W.T @ y`` with :meth:`ExpectedCitations.spread`, ``W``
-times a category indicator with :meth:`ExpectedCitations.category_sums`.
-The package needs numpy only; the tests check these reductions against
-``scipy.sparse`` as an independent oracle.
+citations of ``citing[g]`` listed in its targets.
 
-Eligible sets are slices of one index per model call: the papers sorted
-by (category, date, index).  A citer's candidates in a category are the
-papers from its ten-year window floor up to its own date, one slice found
-by binary search, so each (citer, category) pair costs
-O(log N + |slice|) instead of a pass over all N papers;
-:meth:`CitationNetwork.citable` screens the slice.
+Eligible sets come from one index per model, the *eligibility index*:
+the papers sorted by (category code under the model's attributes, date,
+index), one code for RD.  A citer's candidates in a category are the
+papers from its ten-year window floor up to its own date, one slice
+``[lo, hi)`` of the index found by binary search.  Inside a slice the
+only papers the citer may not cite are those whose first and last
+authors are both among its own; they are found by binary search too, in
+the papers sorted by author pair, and :meth:`CitationNetwork.citable`
+confirms each.  So an RD or HD group is stored as an interval of the
+index, minus a short list of excluded positions, plus an explicit part:
+the target of an HD citation to a later-dated paper, the one case in
+which a target lies outside its slice.  A PD group, narrowed by running
+counts, and an observed-edge group are explicit member lists only.  Every
+table is O(N + M + exclusions), however large the eligible sets are.
+
+Each downstream sum is one of two reductions over the table, in plain
+numpy, with ``W`` the G x N matrix holding ``weight[g]`` at (g, j) for
+every member j: ``W.T @ y`` (expected in-citations, the PageRank
+operator) with :meth:`ExpectedCitations.spread`, and ``W`` times a
+category indicator (gender expectations, pairwise counts) with
+:meth:`ExpectedCitations.category_sums`.  Each reduces the interval part
+without the exclusions and adds the explicit part.  The package needs
+numpy only; the tests check the tables against the explicit member lists
+RD and HD once stored, and the reductions against ``scipy.sparse``.
 """
 from __future__ import annotations
 
@@ -53,12 +63,18 @@ from .corpus import (
 #: default tolerance when comparing running expected counts in PD
 DEFAULT_COUNT_TOL = 1e-9
 
-#: the most member entries, and the most group rows x categories, that one
-#: block of a reduction over a group table holds; bounds the temporaries
-#: of every reduction whatever the table's size
+#: the most explicit member entries and exclusions, and the most group
+#: rows x categories, that one block of a reduction over a group table
+#: holds; bounds the temporaries of every blocked reduction whatever the
+#: table's size
 BLOCK_ENTRIES = 1 << 16
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: the fixed point of the exact sums of ``spread``: limbs of 30 bits, so a
+#: prefix sum of up to 2^32 of them fits in int64, and five of them, 150
+#: bits below the largest mass
+_LIMB_BITS, _LIMBS = 30, 5
 
 
 class ModelError(ValueError):
@@ -84,33 +100,49 @@ class ContributionGroup:
 class ExpectedCitations:
     """A reference model's output on one network: its group table.
 
-    ``citing`` (G,) is ascending and ``weight`` (G,) is each group's mass
-    per member.  The members of group g are
-    ``indices[indptr[g]:indptr[g + 1]]``, ascending, and its observed
-    targets are ``targets[target_ptr[g]:target_ptr[g + 1]]``.  Citations
-    from one citer with identical member sets share a group.  Build it
-    through :func:`compute_model` or one of the model functions, or from
-    stored arrays through :func:`group_table`.
+    ``order`` (N,) is the model's eligibility index
+    (:func:`eligibility_index`).  ``citing`` (G,) is ascending and
+    ``weight`` (G,) is each group's mass per member.  The members of
+    group g are
+
+    * its interval part: the papers ``order[lo[g]:hi[g]]`` (none when
+      ``lo[g] == hi[g]``), except those at the ascending positions
+      ``excluded[excluded_ptr[g]:excluded_ptr[g + 1]]``;
+    * its explicit part: ``indices[indptr[g]:indptr[g + 1]]``, ascending
+      and outside the interval.
+
+    Its observed targets are ``targets[target_ptr[g]:target_ptr[g + 1]]``.
+    Citations from one citer with identical member sets share a group.
+    Build it through :func:`compute_model` or one of the model functions,
+    or from stored arrays through :func:`group_table`.  ``c_bar``
+    defaults to the column sums of ``W``.
     """
 
     model: str
     attributes: tuple[str, ...]
+    order: np.ndarray
     citing: np.ndarray
     weight: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    excluded_ptr: np.ndarray
+    excluded: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     target_ptr: np.ndarray
     targets: np.ndarray
-    c_bar: np.ndarray
+    c_bar: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("citing", "weight", "indptr", "indices", "target_ptr",
-                     "targets", "c_bar"):
+        if self.c_bar is None:
+            object.__setattr__(self, "c_bar", self.spread(np.ones(len(self.citing))))
+        for name in ("order", "citing", "weight", "lo", "hi", "excluded_ptr", "excluded",
+                     "indptr", "indices", "target_ptr", "targets", "c_bar"):
             getattr(self, name).setflags(write=False)
 
     @property
     def n_papers(self) -> int:
-        return self.c_bar.size
+        return self.order.size
 
     @property
     def n_citations(self) -> int:
@@ -119,37 +151,169 @@ class ExpectedCitations:
     @cached_property
     def sizes(self) -> np.ndarray:
         """Member count of each group."""
-        return np.diff(self.indptr)
+        return _sizes(self.lo, self.hi, self.excluded_ptr, self.indptr)
+
+    @cached_property
+    def intervals(self) -> int:
+        """Number of groups with an interval part."""
+        return int(np.count_nonzero(self.hi > self.lo))
+
+    @property
+    def member_entries(self) -> int:
+        """Sum of the group sizes: the entries of the explicit member lists
+        the table stands for."""
+        return int(self.sizes.sum())
+
+    @property
+    def stored_entries(self) -> int:
+        """Integers the table stores for its members: two bounds per
+        interval, the exclusions and the explicit members."""
+        return 2 * self.intervals + self.excluded.size + self.indices.size
 
     def spread(self, y: np.ndarray) -> np.ndarray:
         """``W.T @ y``: per paper, the sum of ``weight[g] * y[g]`` over the
-        groups g it is a member of."""
-        return _spread(self.indptr, self.indices, self.weight * y, self.n_papers)
+        groups g it is a member of.  A table without intervals adds in
+        table order; one with intervals sums exactly (:meth:`_exact_spread`),
+        so for ``y >= 0`` a paper no group holds gets exactly 0, none gets
+        a negative sum, and papers held by the same groups get equal sums."""
+        mass = self.weight * y
+        if self.intervals:
+            return self._exact_spread(mass)
+        return _spread(self.indptr, self.indices, mass, self.n_papers)
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The members as runs of consecutive positions in ``order``: each
+        interval cut at its exclusions, and each explicit member a run of
+        one.  Returns the group of each run in order of its start and in
+        order of its end, and per position how many runs start at or
+        before it and how many end at or before it."""
+        groups, n_excluded = len(self.citing), np.diff(self.excluded_ptr)
+        first = np.arange(groups) + self.excluded_ptr[:-1]
+        # exclusion x of group g ends run g + x and starts the next one
+        cut = np.repeat(np.arange(groups), n_excluded) + np.arange(self.excluded.size)
+        start = np.empty(groups + self.excluded.size, dtype=np.int64)
+        end = np.empty_like(start)
+        start[first] = self.lo
+        end[first + n_excluded] = self.hi
+        end[cut] = self.excluded
+        start[cut + 1] = self.excluded + 1
+        group = np.repeat(np.arange(groups), n_excluded + 1)
+        keep = start < end
+        single = self._position[self.indices]
+        start = np.concatenate((start[keep], single))
+        end = np.concatenate((end[keep], single + 1))
+        group = np.concatenate((group[keep], np.repeat(np.arange(groups),
+                                                       np.diff(self.indptr))))
+        by_start, by_end = np.argsort(start, kind="stable"), np.argsort(end, kind="stable")
+        position = np.arange(self.n_papers)
+        return (group[by_start], group[by_end],
+                np.searchsorted(start[by_start], position, side="right"),
+                np.searchsorted(end[by_end], position, side="right"))
+
+    def _exact_spread(self, mass: np.ndarray) -> np.ndarray:
+        """Per paper, the sum of ``mass[g]`` over the groups g that hold
+        it, summed exactly in fixed point over :attr:`_runs` and then
+        rounded.  Each mass is cut into ``_LIMBS`` integer limbs of
+        ``_LIMB_BITS`` bits at one scale, the largest mass filling the top
+        limb (bits below 2^-150 of it are dropped).  A position's sum of
+        one limb is the prefix sum of that limb over the runs started at
+        or before it less the one over the runs ended there: exact in
+        int64, and exact as a float while fewer than 2^23 runs hold the
+        paper.  The limb sums are added into a float from the top limb
+        down, so the result depends on the groups holding a paper, not on
+        their order, and is within four roundings of the true sum.
+        O(R log R + N) per table and O(G + R + N) per call, for R runs."""
+        by_start, by_end, started, ended = self._runs
+        scale = _LIMBS * _LIMB_BITS - np.frexp(np.abs(mass).max(initial=0.0))[1]
+        rest, sign = np.ldexp(np.abs(mass), scale), np.sign(mass)
+        total = np.zeros(self.n_papers)
+        for bits in range(_LIMB_BITS * (_LIMBS - 1), -1, -_LIMB_BITS):
+            limb = np.floor(np.ldexp(rest, -bits))
+            rest -= np.ldexp(limb, bits)
+            limb = (sign * limb).astype(np.int64)
+            limb_sum = (np.concatenate(([0], np.cumsum(limb[by_start])))[started]
+                        - np.concatenate(([0], np.cumsum(limb[by_end])))[ended])
+            total += np.ldexp(limb_sum.astype(np.float64), bits)
+        out = np.empty(self.n_papers)
+        out[self.order] = np.ldexp(total, -scale)
+        return out
 
     def category_sums(self, codes: np.ndarray, size: int, *, weighted: bool = False
                       ) -> Iterator[tuple[int, int, np.ndarray]]:
         """``W @ onehot(codes)`` in blocks of consecutive groups: yields
         ``(a, b, sums)`` where ``sums[g - a, c]`` is the number of members
-        of group g with code c (int64), or with ``weighted`` their mass,
-        ``weight[g]`` added once per member in member order (float64)."""
-        for a, b in _blocks(self.indptr, size):
-            lo, hi = self.indptr[a], self.indptr[b]
-            key = np.repeat(np.arange(b - a) * size, self.sizes[a:b])
-            key += codes[self.indices[lo:hi]]
-            mass = np.repeat(self.weight[a:b], self.sizes[a:b]) if weighted else None
-            yield a, b, np.bincount(key, mass, minlength=(b - a) * size).reshape(b - a, size)
+        of group g with code c (int64), or with ``weighted`` their mass
+        (float64): ``weight[g]`` added once per explicit member in member
+        order, plus ``weight[g]`` times the interval members' count.  An
+        interval of at most ``size`` papers is counted paper by paper, a
+        longer one by two binary searches per code in the positions sorted
+        by (code, position); its exclusions' codes are then taken off."""
+        n = self.n_papers
+        n_explicit, entries = np.diff(self.indptr), self.indptr
+        if self.intervals:
+            n_excluded = np.diff(self.excluded_ptr)
+            entries = self.indptr + self.excluded_ptr
+            by_code = np.sort(codes[self.order] * (n + 1) + np.arange(n))
+            code_start = np.arange(size) * (n + 1)
+        for a, b in _blocks(entries, size):
+            rows, cells = np.arange(b - a) * size, (b - a) * size
+            key = np.repeat(rows, n_explicit[a:b])
+            key += codes[self.indices[self.indptr[a]:self.indptr[b]]]
+            mass = np.repeat(self.weight[a:b], n_explicit[a:b]) if weighted else None
+            sums = np.bincount(key, mass, minlength=cells)
+            if self.intervals:
+                lo, hi = self.lo[a:b], self.hi[a:b]
+                listed = np.where(hi - lo <= size, hi - lo, 0)
+                first = np.cumsum(listed) - listed
+                positions = np.arange(listed.sum()) + np.repeat(lo - first, listed)
+                counts = np.bincount(np.repeat(rows, listed) + codes[self.order[positions]],
+                                     minlength=cells)
+                excluded = self.excluded[self.excluded_ptr[a]:self.excluded_ptr[b]]
+                counts -= np.bincount(np.repeat(rows, n_excluded[a:b])
+                                      + codes[self.order[excluded]], minlength=cells)
+                counts = counts.reshape(b - a, size)
+                long = np.flatnonzero(hi - lo > size)
+                counts[long] += (np.searchsorted(by_code, code_start + hi[long, None])
+                                 - np.searchsorted(by_code, code_start + lo[long, None]))
+                counts = counts.ravel()
+                if weighted:
+                    counts = np.repeat(self.weight[a:b], size) * counts
+                sums = sums + counts
+            yield a, b, sums.reshape(b - a, size)
+
+    @cached_property
+    def _position(self) -> np.ndarray:
+        """Per paper, its position in ``order``."""
+        position = np.empty(self.n_papers, dtype=np.int64)
+        position[self.order] = np.arange(self.n_papers)
+        return position
+
+    def holds(self, g: int, j: int) -> bool:
+        """Whether paper j is a member of group g."""
+        p = self._position[j]
+        if self.lo[g] <= p < self.hi[g]:
+            return p not in self.excluded[self.excluded_ptr[g]:self.excluded_ptr[g + 1]]
+        return j in self.indices[self.indptr[g]:self.indptr[g + 1]]
+
+    def members(self, g: int) -> np.ndarray:
+        """The ascending members of group g."""
+        members = self.indices[self.indptr[g]:self.indptr[g + 1]]
+        lo, hi = self.lo[g], self.hi[g]
+        if lo < hi:
+            excluded = self.excluded[self.excluded_ptr[g]:self.excluded_ptr[g + 1]]
+            interval = np.delete(self.order[lo:hi], excluded - lo)
+            members = np.sort(np.concatenate((interval, members)))
+        return members
 
     @cached_property
     def groups(self) -> tuple[ContributionGroup, ...]:
         """The table as one :class:`ContributionGroup` per row, for tests
         and diagnostics; reductions use the arrays."""
-        views = []
-        for g, (lo, hi) in enumerate(zip(self.indptr[:-1], self.indptr[1:])):
-            targets = self.targets[self.target_ptr[g]:self.target_ptr[g + 1]]
-            views.append(ContributionGroup(int(self.citing[g]), self.indices[lo:hi],
-                                           tuple(targets.tolist()),
-                                           float(self.weight[g])))
-        return tuple(views)
+        return tuple(
+            ContributionGroup(int(self.citing[g]), self.members(g),
+                              tuple(self.targets[a:b].tolist()), float(self.weight[g]))
+            for g, (a, b) in enumerate(zip(self.target_ptr[:-1], self.target_ptr[1:])))
 
     @cached_property
     def groups_by_citing(self) -> dict[int, tuple[ContributionGroup, ...]]:
@@ -169,7 +333,7 @@ def _blocks(indptr: np.ndarray, width: int = 1, entries: int | None = None
             ) -> Iterator[tuple[int, int]]:
     """Consecutive group ranges [a, b) covering a table, each of at least
     one group and otherwise of at most ``entries`` (by default
-    ``BLOCK_ENTRIES``) member entries and ``BLOCK_ENTRIES // width``
+    ``BLOCK_ENTRIES``) entries of ``indptr`` and ``BLOCK_ENTRIES // width``
     groups."""
     n_groups, total = len(indptr) - 1, int(indptr[-1])
     rows = max(1, BLOCK_ENTRIES // max(width, 1))
@@ -185,9 +349,9 @@ def _blocks(indptr: np.ndarray, width: int = 1, entries: int | None = None
 
 def _spread(indptr: np.ndarray, indices: np.ndarray, mass: np.ndarray,
             n_papers: int) -> np.ndarray:
-    """Per paper, the sum of ``mass[g]`` over the groups g it is a member
-    of, added in table order (as ``np.bincount(indices, np.repeat(mass,
-    sizes))`` adds, without its table-sized temporaries)."""
+    """Per paper, the sum of ``mass[g]`` over the groups g it is an
+    explicit member of, added in table order (as ``np.bincount(indices,
+    np.repeat(mass, sizes))`` adds, without its table-sized temporaries)."""
     out = np.zeros(n_papers)
     sizes = np.diff(indptr)
     for a, b in _blocks(indptr):
@@ -195,42 +359,57 @@ def _spread(indptr: np.ndarray, indices: np.ndarray, mass: np.ndarray,
     return out
 
 
-#: one group before packing: citer, sorted member ids, observed targets
+#: one explicit group before packing: citer, sorted member ids, observed targets
 Row = tuple[int, np.ndarray, Sequence[int]]
 
 
 def _index_dtype(n_groups: int, n_papers: int, n_entries: int) -> type:
-    """Dtype of a table's member arrays ``indptr``/``indices``: int32 when
-    every value fits, which halves the table, else int64."""
+    """Dtype of a table's position and member arrays: int32 when every
+    value fits, which halves them, else int64."""
     return np.int32 if max(n_groups, n_papers, n_entries) <= _INT32_MAX else np.int64
 
 
-def group_table(model: str, attributes: tuple[str, ...], n_papers: int,
-                citing: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+def _sizes(lo: np.ndarray, hi: np.ndarray, excluded_ptr: np.ndarray,
+           indptr: np.ndarray) -> np.ndarray:
+    """Member count of each group: its interval without its exclusions,
+    plus its explicit members."""
+    return (hi - lo).astype(np.int64) - np.diff(excluded_ptr) + np.diff(indptr)
+
+
+def group_table(model: str, attributes: tuple[str, ...], order: np.ndarray,
+                citing: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                excluded_ptr: np.ndarray, excluded: np.ndarray,
+                indptr: np.ndarray, indices: np.ndarray,
                 target_ptr: np.ndarray, targets: np.ndarray,
                 c_bar: np.ndarray | None = None) -> ExpectedCitations:
-    """Derive ``weight`` from the stored arrays of a group table.  The
-    member arrays are kept in :func:`_index_dtype`.  ``c_bar`` defaults to
-    the column sums of ``W``, added in group order."""
-    weight = np.diff(target_ptr) / np.diff(indptr)
-    if c_bar is None:
-        c_bar = _spread(indptr, indices, weight, n_papers)
-    index_dtype = _index_dtype(len(citing), n_papers, indices.size)
-    return ExpectedCitations(model, attributes, citing, weight,
-                             indptr.astype(index_dtype, copy=False),
-                             indices.astype(index_dtype, copy=False), target_ptr,
-                             targets, np.asarray(c_bar, np.float64))
+    """Derive ``weight`` from the stored arrays of a group table over the
+    eligibility index ``order``.  The position and member arrays are kept
+    in :func:`_index_dtype`."""
+    sizes = _sizes(lo, hi, excluded_ptr, indptr)
+    dtype = _index_dtype(len(citing), order.size, max(indices.size, excluded.size))
+    lo, hi, excluded_ptr, excluded, indptr, indices = (
+        a.astype(dtype, copy=False)
+        for a in (lo, hi, excluded_ptr, excluded, indptr, indices))
+    if c_bar is not None:
+        c_bar = np.asarray(c_bar, np.float64)
+    return ExpectedCitations(model, attributes, order, citing, np.diff(target_ptr) / sizes,
+                             lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr,
+                             targets, c_bar)
 
 
 def _table(model: str, attributes: tuple[str, ...], net: CitationNetwork,
            rows: Sequence[Row], c_bar: np.ndarray | None = None) -> ExpectedCitations:
-    """Pack rows, ordered by citer, into the arrays of :func:`group_table`,
-    concatenating the members straight into their stored dtype."""
+    """Pack explicit rows, ordered by citer, into the arrays of
+    :func:`group_table`, concatenating the members straight into their
+    stored dtype; no group has an interval part."""
     sizes = np.array([row[1].size for row in rows], dtype=np.int64)
     n_targets = np.array([len(row[2]) for row in rows], dtype=np.int64)
     index_dtype = _index_dtype(len(rows), net.n, int(sizes.sum()))
+    none = np.zeros(len(rows), dtype=index_dtype)
     return group_table(
-        model, attributes, net.n, np.array([row[0] for row in rows], dtype=np.int64),
+        model, attributes, eligibility_index(net, attributes)[0],
+        np.array([row[0] for row in rows], dtype=np.int64), none, none,
+        np.zeros(len(rows) + 1, dtype=index_dtype), np.zeros(0, dtype=index_dtype),
         np.concatenate(([0], np.cumsum(sizes)), dtype=index_dtype),
         np.concatenate([np.zeros(0, index_dtype)] + [row[1] for row in rows],
                        dtype=index_dtype),
@@ -253,38 +432,112 @@ def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
     return np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
 
 
+def _index(net: CitationNetwork, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eligibility index over the category ``codes``: the paper
+    indices sorted by (code, date, index); and per paper its date as a
+    day number counted from the earliest date."""
+    if net.n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    day = (net.dates - net.dates.min()).astype(np.int64)
+    return np.lexsort((day, codes)), day
+
+
+def eligibility_index(net: CitationNetwork, attributes: Iterable[str] = ()
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The eligibility index of a model over ``attributes`` (none for RD):
+    the paper indices sorted by (category code, date, index), and the
+    category code of each in that order.  The codes number the distinct
+    attribute combinations in sorted order of their value codes."""
+    codes = _key_codes(net, canonical_attributes(attributes))
+    order = _index(net, codes)[0]
+    return order, codes[order]
+
+
+def _slices(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray,
+            cats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eligibility index ``order`` of ``codes`` and, for each (citer,
+    category) pair, the slice ``[lo, hi)`` of it holding that category's
+    papers from the citer's window floor up to its date: two
+    ``searchsorted`` calls find every slice at once, with floors before
+    the earliest date clamped to it."""
+    order, day = _index(net, codes)
+    if len(citers) == 0:
+        return order, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    span = int(day.max()) + 1
+    keys = (codes * span + day)[order]
+    floor = np.maximum((net.window_floors[citers] - net.dates.min()).astype(np.int64), 0)
+    lo = np.searchsorted(keys, cats * span + floor)
+    hi = np.searchsorted(keys, cats * span + day[citers], side="right")
+    return order, lo, hi
+
+
+def _exclusions(net: CitationNetwork, order: np.ndarray, citers: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each slice ``[lo[k], hi[k])`` of the eligibility index
+    ``order``, the ascending positions of the papers ``citers[k]`` may
+    not cite, as a pointer array and the positions.
+
+    A slice only holds papers in the citer's window, so only the author
+    rule of :meth:`CitationNetwork.citable` can reject one, and only a
+    paper whose (first, last) author pair is one of the four pairs the
+    citer's own first and last author form.  Those papers are found by
+    binary search in the papers sorted by (author pair, position), and
+    ``citable`` confirms each: O(log N) per slice and pair, plus the
+    papers found.
+    """
+    if len(citers) == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    n = net.n
+    firsts, lasts = net.author_codes
+    n_authors = int(max(firsts.max(), lasts.max())) + 1
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    pairs, pair_of = np.unique(firsts * n_authors + lasts, return_inverse=True)
+    by_pair = np.sort(pair_of.reshape(-1) * n + position)
+    fi, li = firsts[citers], lasts[citers]
+    owners, found = [], []
+    for role, (a, b) in enumerate(((fi, fi), (fi, li), (li, fi), (li, li))):
+        # a citer whose first and last author agree forms a single pair
+        ask = np.arange(len(citers)) if role == 0 else np.flatnonzero(fi != li)
+        wanted = a[ask] * n_authors + b[ask]
+        pair = np.minimum(np.searchsorted(pairs, wanted), pairs.size - 1)
+        hit = pairs[pair] == wanted
+        ask, pair = ask[hit], pair[hit] * n
+        start = np.searchsorted(by_pair, pair + lo[ask])
+        count = np.searchsorted(by_pair, pair + hi[ask]) - start
+        ptr = np.concatenate(([0], np.cumsum(count)))
+        owners.append(np.repeat(ask, count))
+        found.append(by_pair[np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], count)] % n)
+    # ascending positions within each slice
+    key = np.sort(np.concatenate(owners) * n + np.concatenate(found))
+    owner, found = np.divmod(key, n)
+    keep = ~net.citable(citers[owner], order[found])
+    counts = np.bincount(owner[keep], minlength=len(citers))
+    return np.concatenate(([0], np.cumsum(counts))), found[keep]
+
+
 def _bases(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray,
            cats: np.ndarray) -> Iterator[np.ndarray]:
     """For each (citer, category) pair, in order, the ascending papers of
-    that category the citer may cite and that are not dated after it.
-
-    The papers are sorted once by (category, date, index), so a pair's
-    candidates are the slice from the citer's window floor to its date:
-    two ``searchsorted`` calls find every slice at once, with floors
-    before the earliest date clamped to it.  :meth:`CitationNetwork.citable`
-    then screens the candidates, which are built in blocks of consecutive
-    pairs holding at most ``BLOCK_ENTRIES // 8`` of them (or a single
-    pair).
-    """
-    if len(citers) == 0:
-        return
-    origin = net.dates.min()
-    day = (net.dates - origin).astype(np.int64)
-    floor = np.maximum((net.window_floors[citers] - origin).astype(np.int64), 0)
-    span = int(day.max()) + 1
-    order = np.lexsort((day, codes))
-    keys = (codes * span + day)[order]
-    lo = np.searchsorted(keys, cats * span + floor)
-    hi = np.searchsorted(keys, cats * span + day[citers], side="right")
+    that category the citer may cite and that are not dated after it:
+    its slice of the eligibility index (:func:`_slices`) without its
+    exclusions (:func:`_exclusions`), sorted by index in blocks of
+    consecutive pairs holding at most ``BLOCK_ENTRIES // 8`` candidates
+    (or a single pair)."""
+    order, lo, hi = _slices(net, codes, citers, cats)
+    excluded_ptr, excluded = _exclusions(net, order, citers, lo, hi)
     ptr = np.concatenate(([0], np.cumsum(hi - lo)))
-    # screening holds about eight candidate-sized temporaries at once
     for a, b in _blocks(ptr, entries=max(1, BLOCK_ENTRIES // 8)):
         sizes = np.diff(ptr[a:b + 1])
-        cand = order[np.arange(ptr[a], ptr[b]) + np.repeat(lo[a:b] - ptr[a:b], sizes)]
-        keep = net.citable(np.repeat(citers[a:b], sizes), cand)
-        # sort each pair's survivors by index: offset pair k by k * N
+        # slice position p of pair k is block entry p - shift[k]
+        shift = lo[a:b] - ptr[a:b] + ptr[a]
+        keep = np.ones(ptr[b] - ptr[a], dtype=bool)
+        keep[excluded[excluded_ptr[a]:excluded_ptr[b]]
+             - np.repeat(shift, np.diff(excluded_ptr[a:b + 1]))] = False
+        cand = order[np.arange(ptr[b] - ptr[a]) + np.repeat(shift, sizes)][keep]
+        # sort each pair's papers by index: offset pair k by k * N
         offset = np.repeat(np.arange(b - a) * net.n, sizes)[keep]
-        key = np.sort(offset + cand[keep])
+        key = np.sort(offset + cand)
         yield from _pieces(key - offset,
                            np.searchsorted(key, np.arange(1, b - a) * net.n).tolist())
 
@@ -360,20 +613,24 @@ def _bundles(targets: np.ndarray, members: Sequence[np.ndarray]
 
 def random_draws(net: CitationNetwork) -> ExpectedCitations:
     """Expected citations when every citation is redrawn uniformly from
-    the citer's eligible set.  One group per citing paper; raises
+    the citer's eligible set.  One group per citing paper, its interval
+    the citer's slice of the one-category index; raises
     :class:`ModelError` for a citer with an empty eligible set."""
     citers = np.flatnonzero(net.out_degree)
-    zeros = np.zeros(net.n, dtype=np.int64)
-    rows: list[Row] = []
-    for i, members in zip(citers.tolist(), _bases(net, zeros, citers, zeros[citers])):
-        targets = net.out_targets[i]
-        if members.size == 0:
-            raise ModelError(
-                f"paper {str(net.ids[i])!r} makes {targets.size} citation(s) "
-                "but its eligible set is empty"
-            )
-        rows.append((i, members, targets))
-    return _table("RD", (), net, rows)
+    codes = np.zeros(net.n, dtype=np.int64)
+    order, lo, hi = _slices(net, codes, citers, codes[citers])
+    excluded_ptr, excluded = _exclusions(net, order, citers, lo, hi)
+    empty = np.flatnonzero(hi - lo == np.diff(excluded_ptr))
+    if empty.size:
+        i = citers[empty[0]]
+        raise ModelError(
+            f"paper {str(net.ids[i])!r} makes {net.out_degree[i]} citation(s) "
+            "but its eligible set is empty"
+        )
+    no_explicit = np.zeros(len(citers) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return group_table("RD", (), order, citers, lo, hi, excluded_ptr, excluded,
+                       *no_explicit, np.concatenate(([0], np.cumsum(net.out_degree[citers]))),
+                       net.edges[:, 1])
 
 
 def homophilic_draws(
@@ -383,14 +640,34 @@ def homophilic_draws(
     uniformly within the target's category inside the eligible set.
 
     Citations from the same paper into the same member set merge into a
-    single group with summed multiplicity.
+    single group with summed multiplicity, listed in the order of its
+    first citation.  A group's interval is the citer's slice of the
+    target category; a citation to a later-dated paper has that paper as
+    the explicit member of a group of its own.
     """
     attrs = canonical_attributes(attributes)
     codes = _key_codes(net, attrs)
-    rows: list[Row] = []
-    for i, targets, bases in _citation_bases(net, codes, np.flatnonzero(net.out_degree)):
-        rows.extend((i, m, tlist) for m, tlist in _bundles(targets, bases))
-    return _table("HD", attrs, net, rows)
+    citing, cited = net.edges[:, 0], net.edges[:, 1]
+    later = net.dates[cited] > net.dates[citing]
+    # the member set is fixed by the citer and the target's category, or
+    # by the target itself when it is later-dated
+    n_codes = int(codes.max(initial=0)) + 1
+    key = citing * (n_codes + net.n) + np.where(later, n_codes + cited, codes[cited])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    # groups in order of their first citation (``lead``): by citer, then
+    # as the citer lists its targets
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    group = rank[inverse.reshape(-1)]
+    lead = np.sort(first)
+    order, lo, hi = _slices(net, codes, citing[lead], codes[cited[lead]])
+    excluded_ptr, excluded = _exclusions(net, order, citing[lead], lo, hi)
+    forced = later[lead]
+    n_targets = np.bincount(group, minlength=lead.size)
+    return group_table("HD", attrs, order, citing[lead], lo, hi, excluded_ptr, excluded,
+                       np.concatenate(([0], np.cumsum(forced))), cited[lead][forced],
+                       np.concatenate(([0], np.cumsum(n_targets))),
+                       cited[np.argsort(group, kind="stable")])
 
 
 def date_order(net: CitationNetwork) -> np.ndarray:
@@ -470,8 +747,7 @@ def observed_as_expectations(net: CitationNetwork) -> ExpectedCitations:
 def citation_probability(ec: ExpectedCitations, i: int, j: int) -> float:
     """Probability mass the model puts on a citation from i to j."""
     lo, hi = np.searchsorted(ec.citing, [i, i + 1])
-    return float(sum(ec.weight[g] for g in range(lo, hi)
-                     if j in ec.indices[ec.indptr[g]:ec.indptr[g + 1]]))
+    return float(sum(ec.weight[g] for g in range(lo, hi) if ec.holds(g, j)))
 
 
 def expected_out(ec: ExpectedCitations) -> np.ndarray:

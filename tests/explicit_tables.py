@@ -1,0 +1,118 @@
+"""The explicit rd/hd group tables, the oracle of the interval-coded ones.
+
+RD and HD once stored every member of every group: each (citer,
+category) base of :func:`citegap.refmodels._bases` as a sorted member
+list, an HD target dated after its citer added to its citation's base,
+and a citer's citations with identical member sets merged into one
+group.  :func:`explicit_random_draws` and :func:`explicit_homophilic_draws`
+build those tables with the package's explicit packer;
+:func:`assert_matches_explicit` checks any table against one.
+"""
+import numpy as np
+
+from citegap.corpus import ATTRIBUTE_ORDER, GenderCategory, canonical_attributes
+from citegap.refmodels import (
+    ModelError,
+    _bases,
+    _bundles,
+    _citation_bases,
+    _key_codes,
+    _table,
+    citation_probability,
+)
+
+#: relative tolerance of every float reduction against the oracle's
+RTOL = 1e-12
+
+
+def explicit_random_draws(net):
+    citers = np.flatnonzero(net.out_degree)
+    zeros = np.zeros(net.n, dtype=np.int64)
+    rows = []
+    for i, members in zip(citers.tolist(), _bases(net, zeros, citers, zeros[citers])):
+        targets = net.out_targets[i]
+        if members.size == 0:
+            raise ModelError(
+                f"paper {str(net.ids[i])!r} makes {targets.size} citation(s) "
+                "but its eligible set is empty"
+            )
+        rows.append((i, members, targets))
+    return _table("RD", (), net, rows)
+
+
+def explicit_homophilic_draws(net, attributes=ATTRIBUTE_ORDER):
+    attrs = canonical_attributes(attributes)
+    codes = _key_codes(net, attrs)
+    rows = []
+    for i, targets, bases in _citation_bases(net, codes, np.flatnonzero(net.out_degree)):
+        rows.extend((i, m, tlist) for m, tlist in _bundles(targets, bases))
+    return _table("HD", attrs, net, rows)
+
+
+def explicit_model(net, model, attributes=ATTRIBUTE_ORDER):
+    if model == "RD":
+        return explicit_random_draws(net)
+    return explicit_homophilic_draws(net, attributes)
+
+
+def assert_close(got, want, what=""):
+    """Elementwise within RTOL of ``want``, so exactly 0 where it is 0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    bad = np.abs(got - want) > RTOL * np.abs(want)
+    assert not bad.any(), (what, got[bad][:5], want[bad][:5])
+
+
+def category_table(ec, codes, size, weighted=False):
+    return np.concatenate([np.zeros((0, size), np.float64 if weighted else np.int64)]
+                          + [s for _, _, s in ec.category_sums(codes, size,
+                                                               weighted=weighted)])
+
+
+def assert_matches_explicit(net, ec, ref, pairs=200):
+    """``ec`` holds the groups of the explicit table ``ref``: the same rows,
+    members, targets, sizes and integer category counts, and spreads,
+    weighted category sums and c_bar within RTOL (exactly 0 where the
+    oracle's are, never negative); ``pairs`` sampled (citer, paper) pairs
+    get the same citation probability."""
+    assert ref.intervals == 0 and ref.excluded.size == 0
+    for name in ("citing", "target_ptr", "targets", "sizes", "weight"):
+        np.testing.assert_array_equal(getattr(ec, name), getattr(ref, name), name)
+    assert ec.member_entries == ref.indices.size
+    # sizes are equal, so equal concatenations mean equal member lists
+    groups = range(len(ref.citing))
+    assert np.array_equal(np.concatenate([ec.members(g) for g in groups] or [[]]),
+                          np.concatenate([ref.members(g) for g in groups] or [[]]))
+    codes = [(net.gender_codes, len(GenderCategory))]
+    codes += [(c, len(labels)) for c, labels in
+              (net.attribute_codes(a) for a in ("rank", "country", "topic"))]
+    for c, size in codes:
+        np.testing.assert_array_equal(category_table(ec, c, size),
+                                      category_table(ref, c, size))
+        assert_close(category_table(ec, c, size, True), category_table(ref, c, size, True),
+                     "weighted category sums")
+    assert_close(ec.c_bar, ref.c_bar, "c_bar")
+    assert (ec.c_bar >= 0).all()
+    rng = np.random.default_rng(len(ec.citing))
+    # papers held by the same groups: equal (count, sum of random group
+    # keys) per paper, sorted next to each other
+    keys = rng.integers(0, 1 << 62, len(ref.citing))
+    signature = np.zeros(net.n, dtype=np.int64)
+    np.add.at(signature, ref.indices, np.repeat(keys, ref.sizes))
+    count = np.bincount(ref.indices, minlength=net.n)
+    by_signature = np.lexsort((count, signature))
+    alike = ((signature[by_signature][1:] == signature[by_signature][:-1])
+             & (count[by_signature][1:] == count[by_signature][:-1]))
+    # masses over twenty orders of magnitude, as PageRank scores may span
+    for y in (np.ones(len(ec.citing)), rng.random(len(ec.citing)),
+              10.0 ** rng.uniform(-20, 0, len(ec.citing))):
+        got = ec.spread(y)
+        assert_close(got, ref.spread(y), "spread")
+        # an exact sum depends on the groups, not on where the paper sits
+        ordered = got[by_signature]
+        assert (ordered[1:] == ordered[:-1])[alike].all()
+    if len(ec.citing):
+        for g in rng.integers(0, len(ec.citing), pairs):
+            i = int(ec.citing[g])
+            for j in (int(rng.integers(0, net.n)), int(rng.choice(ref.members(g)))):
+                assert citation_probability(ec, i, j) == citation_probability(ref, i, j)

@@ -147,15 +147,37 @@ class TestModel:
                 "report_pairs_country.csv", "report_pairs_topic.csv",
                 "report_survival.csv", "model.json"} <= names
 
-    def test_groups_table(self, archive, tmp_path):
+    def test_groups_table(self, archive, tmp_path, capsys):
         out = tmp_path / "hd"
         run("model", archive, out, "--model", "hd")
         with np.load(out / "groups.npz", allow_pickle=False) as groups:
-            assert sorted(groups.files) == ["citing", "indices", "indptr",
-                                            "target_ptr", "targets"]
+            assert sorted(groups.files) == ["citing", "excluded", "excluded_ptr", "hi",
+                                            "indices", "indptr", "lo", "target_ptr",
+                                            "targets"]
             # two groups (P3's and P4's merged pair)
             assert groups["citing"].tolist() == [2, 3]
             assert groups["target_ptr"].tolist() == [0, 1, 3]
+            # the eligibility index holds P1, P2, P4 (topic T1), then P3:
+            # P3's group is positions [0, 2), P4's [0, 3) without P4 itself
+            assert groups["lo"].tolist() == [0, 0]
+            assert groups["hi"].tolist() == [2, 3]
+            assert groups["excluded_ptr"].tolist() == [0, 0, 1]
+            assert groups["excluded"].tolist() == [2]
+            assert groups["indptr"].tolist() == [0, 0, 0]
+            assert groups["indices"].size == 0
+        meta = json.loads((out / "model.json").read_text())
+        assert {k: meta[k] for k in ("format", "groups", "member_entries", "intervals",
+                                     "exclusions", "stored_entries")} == {
+            "format": 2, "groups": 2, "member_entries": 4, "intervals": 2,
+            "exclusions": 1, "stored_entries": 5}
+        assert ("groups: 2\nmember entries: 4\nintervals: 2\nexclusions: 1\n"
+                "stored entries: 5\n") in capsys.readouterr().out
+        # pd groups are explicit: its table leaves the interval arrays out
+        run("model", archive, tmp_path / "pd", "--model", "pd")
+        with np.load(tmp_path / "pd" / "groups.npz", allow_pickle=False) as groups:
+            assert sorted(groups.files) == ["citing", "indices", "indptr", "target_ptr",
+                                            "targets"]
+            assert groups["indices"].tolist() == [0, 1, 0, 1]
 
     def test_rerun_identical(self, archive, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -193,6 +215,27 @@ class TestImbalance:
         assert rows["MM"]["status"] == "ok"
         data = json.loads((out / "imbalance.json").read_text())
         assert len(data) == 4
+
+    def test_defined_resamples_recorded(self, archive, tmp_path):
+        # no paper is MW or WM, so no resample defines them; MM and WW
+        # (P1 and P2, in every group) are defined unless a resample draws
+        # neither citer, which has probability (1/2)^4 = 1/16
+        run("model", archive, tmp_path / "rd", "--model", "rd")
+        out = tmp_path / "imb"
+        assert run("--seed", "4", "imbalance", archive, tmp_path / "rd", out,
+                   "--to", "gender=MM", "--bootstrap", "40") == 0
+        rows = json.loads((out / "imbalance.json").read_text())
+        defined = {r["gender"]: r["resamples_defined"] for r in rows}
+        assert defined["MW"] == defined["WM"] == 0
+        assert defined["MM"] == defined["WW"] and 30 <= defined["MM"] < 40
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resamples_defined"] == defined
+        # the CSV keeps its columns
+        assert "resamples_defined" not in read_csv(out / "imbalance.csv")[0]
+        assert run("imbalance", archive, tmp_path / "rd", tmp_path / "none",
+                   "--stratify", "rank", "--bootstrap", "0") == 0
+        manifest = json.loads((tmp_path / "none" / "manifest.json").read_text())
+        assert manifest["resamples_defined"] == {"A*": dict.fromkeys(defined, 0)}
 
     def test_from_filter_restricts_citers(self, archive, tmp_path):
         model_dir = tmp_path / "rd"
@@ -256,9 +299,11 @@ class TestImbalance:
         lambda meta: {**meta, "exact": "yes"},
         lambda meta: {**meta, "count_tol": "1e-9"},
         lambda meta: {**meta, "member_entries": float(meta["member_entries"])},
+        lambda meta: {**meta, "intervals": None},
+        lambda meta: {**meta, "stored_entries": True},
     ], ids=["no-archive", "null-attributes", "top-level-array", "no-digest",
             "model-not-string", "exact-not-bool", "count-tol-not-number",
-            "member-entries-not-int"])
+            "member-entries-not-int", "intervals-not-int", "stored-entries-bool"])
     def test_malformed_model_json_rejected(self, archive, tmp_path, capsys, broken):
         model_dir = tmp_path / "rd"
         run("model", archive, model_dir, "--model", "rd")
@@ -268,6 +313,24 @@ class TestImbalance:
         assert run("imbalance", archive, model_dir, tmp_path / "imb") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: {k: v for k, v in meta.items() if k != "format"},
+         "has no format, not format 2"),
+        (lambda meta: {**meta, "format": 1}, "has format 1, not format 2"),
+    ], ids=["no-format", "format-1"])
+    def test_artifact_of_another_format_asks_for_rerun(self, archive, tmp_path, capsys,
+                                                      edit, message):
+        # an artifact written before groups were interval-coded has no format
+        model_dir = tmp_path / "rd"
+        run("model", archive, model_dir, "--model", "rd")
+        meta_path = model_dir / "model.json"
+        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        capsys.readouterr()
+        assert run("rank", archive, tmp_path / "rank", "--model-artifact", model_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "rerun model" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("tamper, message", [
@@ -290,27 +353,55 @@ class TestImbalance:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("tamper, message", [
-        (lambda path: path.unlink(), "is missing groups.npz"),
-        (lambda path: path.write_bytes(path.read_bytes()[:path.stat().st_size // 2]),
+    @pytest.mark.parametrize("model, tamper, message", [
+        ("rd", lambda path: path.unlink(), "is missing groups.npz"),
+        ("rd", lambda path: path.write_bytes(path.read_bytes()[:path.stat().st_size // 2]),
          "not a readable group table"),
-        (lambda path: rewrite_groups(path, "citing", slice(None), None, object),
+        ("rd", lambda path: rewrite_groups(path, "citing", slice(None), None, object),
          "not a readable group table"),
-        (lambda path: rewrite_groups(path, "indices", -1, 4), "below 4"),
-        (lambda path: rewrite_groups(path, "indices", 1, 0), "strictly increasing"),
-        (lambda path: rewrite_groups(path, "indptr", -1, 4), "end at the number"),
-        (lambda path: rewrite_groups(path, "indptr", 1, 0), "a group has no members"),
-        (lambda path: rewrite_groups(path, "targets", 0, 1), "archive's citations"),
-        (lambda path: rewrite_groups(path, "indices", 1, 3), "inconsistent"),
-        (lambda path: rewrite_meta(path.with_name("model.json"), groups=3),
+        # explicit members, which pd lists: [P1, P2] for P3 and for P4
+        ("pd", lambda path: rewrite_groups(path, "indices", -1, 4), "below 4"),
+        ("pd", lambda path: rewrite_groups(path, "indices", 1, 0), "strictly increasing"),
+        ("pd", lambda path: rewrite_groups(path, "indptr", -1, 3), "end at the number"),
+        ("pd", lambda path: rewrite_groups(path, "indptr", 1, 0), "a group has no members"),
+        ("rd", lambda path: rewrite_groups(path, "targets", 0, 1), "archive's citations"),
+        ("pd", lambda path: rewrite_groups(path, "indices", 1, 3), "inconsistent"),
+        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), groups=3),
          "records 3 groups"),
+        # intervals: rd's index is P1..P4, P3's group positions [0, 3)
+        # without 2, P4's [0, 4) without 3; hd's index is P1, P2, P4
+        # (topic T1), P3 (topic T2)
+        ("rd", lambda path: rewrite_groups(path, "hi", -1, 5), "0 <= lo <= hi <= 4"),
+        ("rd", lambda path: rewrite_groups(path, "lo", 0, 4), "0 <= lo <= hi <= 4"),
+        ("hd", lambda path: rewrite_groups(path, "hi", 1, 4), "more than one category"),
+        ("rd", lambda path: (rewrite_groups(path, "lo", 0, 1),
+                             rewrite_groups(path, "hi", 0, 4)), "inconsistent"),
+        ("rd", lambda path: rewrite_groups(path, "excluded_ptr", -1, 1),
+         "end at the number of exclusions"),
+        ("rd", lambda path: rewrite_groups(path, "excluded", 0, 3),
+         "inside its group's interval"),
+        ("rd", lambda path: (rewrite_groups(path, "excluded_ptr", 1, 0),
+                             rewrite_groups(path, "excluded", 0, 3)),
+         "exclusions must be strictly increasing"),
+        ("pd", lambda path: add_interval(path, 0, 1), "outside their group's interval"),
+        ("rd", lambda path: drop_array(path, "lo"), "not a readable group table"),
+        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), intervals=1),
+         "records 1 intervals"),
+        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), exclusions=0),
+         "records 0 exclusions"),
+        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), stored_entries=9),
+         "records 9 stored_entries"),
     ], ids=["missing", "truncated", "object-array", "member-out-of-range",
             "member-repeated", "indptr-short", "empty-group", "target-not-an-edge",
-            "member-moved", "group-count-mismatch"])
+            "member-moved", "group-count-mismatch", "interval-past-end",
+            "interval-reversed", "interval-across-categories", "interval-moved",
+            "excluded-ptr-short", "exclusion-outside-interval", "exclusion-twice",
+            "member-inside-interval", "interval-array-missing", "interval-count-mismatch",
+            "exclusion-count-mismatch", "stored-count-mismatch"])
     def test_tampered_groups_rejected(self, archive, tmp_path, capsys,
-                                      tamper, message):
-        model_dir = tmp_path / "rd"
-        run("model", archive, model_dir, "--model", "rd")
+                                      model, tamper, message):
+        model_dir = tmp_path / model
+        run("model", archive, model_dir, "--model", model)
         tamper(model_dir / "groups.npz")
         capsys.readouterr()
         assert run("imbalance", archive, model_dir, tmp_path / "imb") == 2
@@ -326,6 +417,24 @@ def rewrite_groups(path, name, index, value, dtype=None):
         arrays = {k: npz[k] for k in npz.files}
     arrays[name] = arrays[name].astype(dtype or arrays[name].dtype)
     arrays[name][index] = value
+    np.savez(path, **arrays)
+
+
+def drop_array(path, name):
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files if k != name}
+    np.savez(path, **arrays)
+
+
+def add_interval(path, group, hi):
+    """Give a table without intervals the interval [0, hi) in one group."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    groups = len(arrays["citing"])
+    arrays.update(lo=np.zeros(groups, np.int64), hi=np.zeros(groups, np.int64),
+                  excluded_ptr=np.zeros(groups + 1, np.int64),
+                  excluded=np.zeros(0, np.int64))
+    arrays["hi"][group] = hi
     np.savez(path, **arrays)
 
 

@@ -1,7 +1,11 @@
 """Differential sweep: the vectorized corpus filter, model eligibility and
 the per-paper attribute columns against plain per-edge / per-paper loops
 on tiny random corpora, and the rd/hd/pd group tables built from the
-sorted eligibility index against the per-citer mask path it replaced.
+sorted eligibility index against the per-citer mask path it replaced:
+pd bit for bit, the interval-coded rd/hd tables through
+``explicit_tables.assert_matches_explicit``, once the explicit rd/hd
+tables of ``explicit_tables`` are checked bit for bit against the mask
+path.
 
 Each corpus has year-only dates (many ties), a Feb 29 citer whose window
 floor falls on Feb 28, citations to later-dated papers, papers sharing
@@ -45,6 +49,7 @@ from citegap import refmodels
 from citegap.refmodels import _key_codes, _table, date_order
 from citegap.synth import _eligible_bruteforce, _hd_members_bruteforce
 from conftest import make_paper
+from explicit_tables import assert_matches_explicit, explicit_model
 
 SEEDS = range(25)
 ATTRS = ("rank", "country", "topic")
@@ -290,12 +295,16 @@ def test_models_match_mask_path(seed, block, monkeypatch):
     try:
         ref = mask_model(net, "RD")
     except ModelError as err:
-        with pytest.raises(ModelError, match=f"^{re.escape(str(err))}$"):
-            compute_model(net, "RD")
+        for build in (compute_model, explicit_model):
+            with pytest.raises(ModelError, match=f"^{re.escape(str(err))}$"):
+                build(net, "RD")
     else:
-        assert_same_table(compute_model(net, "RD"), ref)
+        assert_same_table(explicit_model(net, "RD"), ref)
+        assert_matches_explicit(net, compute_model(net, "RD"), ref)
     for attrs in SUBSETS:
-        assert_same_table(compute_model(net, "HD", attrs), mask_model(net, "HD", attrs))
+        ref = mask_model(net, "HD", attrs)
+        assert_same_table(explicit_model(net, "HD", attrs), ref)
+        assert_matches_explicit(net, compute_model(net, "HD", attrs), ref)
         for exact in (False, True):
             assert_same_table(compute_model(net, "PD", attrs, exact=exact),
                               mask_model(net, "PD", attrs, exact=exact))

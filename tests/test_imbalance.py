@@ -167,6 +167,29 @@ class TestBootstrap:
                 covered += 1
         assert covered >= 95
 
+    def test_defined_counts_resamples_with_expected_mass(self, toy4):
+        # a resample defines a category when its expectation is positive:
+        # on toy4, when it draws a citer at all (every group holds the MM
+        # P1 and the WW P2); replay the resamples' draws to count them
+        ec = random_draws(toy4)
+        cis = bootstrap_ci(toy4, ec, resamples=60, seed=3)
+        citers = np.flatnonzero(toy4.out_degree)
+        drawn = 0
+        for child in np.random.SeedSequence(3).spawn(60):
+            picks = np.random.default_rng(child).integers(0, toy4.n, toy4.n)
+            drawn += bool(np.isin(picks, citers).any())
+        assert 0 < drawn < 60
+        assert cis.defined == {MM: drawn, MW: 0, WM: 0, WW: drawn}
+
+    def test_every_resample_defined_when_every_paper_cites(self):
+        # four same-day papers citing in a ring: any draw holds a citer,
+        # and each citer's eligible set holds both MM and WW papers
+        papers = [make_paper(pid, date(2010, 1, 1), gender)
+                  for pid, gender in zip("ABCD", (MM, WW, MM, WW))]
+        net = filter_citations(papers, [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+        cis = bootstrap_ci(net, random_draws(net), resamples=30, seed=0)
+        assert cis.defined == {MM: 30, MW: 0, WM: 0, WW: 30}
+
     def test_requires_two_resamples(self, toy4):
         with pytest.raises(ValueError):
             bootstrap_ci(toy4, random_draws(toy4), resamples=1, seed=0)

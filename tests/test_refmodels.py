@@ -573,19 +573,24 @@ def test_table_reductions_match_group_loops(seed, corpus, model, tmp_path):
                               count_tol=DEFAULT_COUNT_TOL)
     reloaded_net, loaded, _ = cli._load_inputs(archive, artifact)
     np.testing.assert_array_equal(reloaded_net.edges, net.edges)
-    for name in ("citing", "weight", "indptr", "indices", "target_ptr", "targets",
-                 "c_bar"):
+    for name in ("order", "citing", "weight", "lo", "hi", "excluded_ptr", "excluded",
+                 "indptr", "indices", "target_ptr", "targets", "c_bar"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(ec, name))
-    # member arrays are int32 whenever they fit, in memory and on disk
-    assert ec.indptr.dtype == ec.indices.dtype == loaded.indices.dtype == np.int32
+    # position and member arrays are int32 whenever they fit, in memory
+    # and on disk
+    for name in ("lo", "hi", "excluded_ptr", "excluded", "indptr", "indices"):
+        assert getattr(ec, name).dtype == getattr(loaded, name).dtype == np.int32
+    # rd/hd groups are intervals of the eligibility index, the others
+    # explicit member lists
+    assert (ec.intervals > 0) == (model in ("RD", "HD-rank", "HD"))
 
     assert list(ec.citing) == sorted(ec.citing)
     if model in ("RD", "HD-rank", "HD"):
-        # c_bar sums the table in group order, exactly as the loop does
+        # c_bar sums the same masses as the loop, in another order
         rebuilt = np.zeros(net.n)
         for g in ec.groups:
             rebuilt[g.members] += g.weight
-        np.testing.assert_array_equal(ec.c_bar, rebuilt)
+        np.testing.assert_allclose(ec.c_bar, rebuilt, rtol=1e-12, atol=0)
 
     # same operations in the same order as the loops: equal to the bit
     np.testing.assert_array_equal(expected_out(ec), loop_expected_out(ec))
@@ -617,15 +622,27 @@ def onehot(codes, size):
 
 def assert_reductions_match_scipy(net, ec):
     """Every reduction over the table equals the same product over a
-    ``scipy.sparse`` matrix W, bit for bit: same additions, same order."""
-    W = sparse.csr_matrix((np.repeat(ec.weight, ec.sizes), ec.indices, ec.indptr),
+    ``scipy.sparse`` matrix W holding the members of ``ec.groups``.  For
+    an explicit table that is bit for bit (same additions, same order);
+    an interval table adds its floats in another order, so they agree to
+    1e-12 relative, and exactly where W's product is 0."""
+    members = [g.members for g in ec.groups]
+    W = sparse.csr_matrix((np.repeat(ec.weight, ec.sizes),
+                           np.concatenate([np.zeros(0, np.int64)] + members),
+                           np.concatenate(([0], np.cumsum(ec.sizes)))),
                           shape=(len(ec.citing), net.n))
+    if ec.intervals:
+        def assert_equal(got, want):
+            want = np.asarray(want)
+            assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+    else:
+        assert_equal = np.testing.assert_array_equal
     ones = np.ones(len(ec.citing))
-    np.testing.assert_array_equal(ec.spread(ones), W.T @ ones)
+    assert_equal(ec.spread(ones), W.T @ ones)
     if ec.model in ("RD", "HD"):
-        np.testing.assert_array_equal(ec.c_bar, W.T @ ones)
+        assert_equal(ec.c_bar, W.T @ ones)
     y = np.random.default_rng(len(ec.citing)).random(len(ec.citing))
-    np.testing.assert_array_equal(ec.spread(y), W.T @ y)
+    assert_equal(ec.spread(y), W.T @ y)
 
     # member counts per gender: the mass W puts on a category over weight
     everything = np.ones(net.n, dtype=bool)
@@ -642,7 +659,7 @@ def assert_reductions_match_scipy(net, ec):
         codes, labels = net.attribute_codes(attribute)
         size = len(labels)
         expected = onehot(codes[ec.citing], size).T @ (W @ onehot(codes, size))
-        np.testing.assert_array_equal(pairs.expected, expected.toarray())
+        assert_equal(pairs.expected, expected.toarray())
 
     # both PageRank flows, iterated to the end
     k = net.out_degree
@@ -656,24 +673,32 @@ def assert_reductions_match_scipy(net, ec):
     ]:
         p, used, _, residual = _power_iteration(flow, teleport, k == 0, DEFAULT_ALPHA,
                                                 DEFAULT_EPS, DEFAULT_T_MAX)
-        np.testing.assert_array_equal(result.raw_score, p)
+        assert_equal(result.raw_score, p)
         assert result.iterations_used == used
-        assert result.final_residual == residual
+        if ec.intervals:
+            # a mean of differences between nearly equal iterates, which
+            # magnifies the last-ulp differences of the scores
+            assert result.final_residual == pytest.approx(residual, rel=1e-9)
+        else:
+            assert result.final_residual == residual
 
 
 @pytest.mark.parametrize("model", ["RD", "HD-rank", "PD"])
 def test_reductions_span_several_blocks(model, monkeypatch):
-    # RD and HD-rank blocks mix groups larger than a block with runs of
-    # smaller ones; PD blocks hold many one- or two-member groups
+    # a block is bounded by its explicit members and exclusions and by
+    # its rows: RD and HD-rank blocks mix groups with more exclusions than
+    # a block with runs of groups with fewer; PD blocks hold many one- or
+    # two-member groups
     monkeypatch.setattr(refmodels, "BLOCK_ENTRIES", 64)
     net = synth_network(1)
     ec = TABLE_MODELS[model](net)
-    blocks = list(refmodels._blocks(ec.indptr, 5))
+    entries = ec.indptr + ec.excluded_ptr
+    blocks = list(refmodels._blocks(entries, 5))
     assert len(blocks) > 1
     assert [a for a, _ in blocks[1:]] == [b for _, b in blocks[:-1]]
     assert blocks[0][0] == 0 and blocks[-1][1] == len(ec.citing)
     for a, b in blocks:
-        assert b - a == 1 or (b - a <= 64 // 5 and ec.indptr[b] - ec.indptr[a] <= 64)
+        assert b - a == 1 or (b - a <= 64 // 5 and entries[b] - entries[a] <= 64)
     assert_group_invariants(net, ec)
     assert_reductions_match_scipy(net, ec)
 
