@@ -38,10 +38,12 @@ numpy, with ``W`` the G x N matrix holding ``weight[g]`` at (g, j) for
 every member j: ``W.T @ y`` (expected in-citations, the PageRank
 operator) with :meth:`ExpectedCitations.spread`, and ``W`` times a
 category indicator (gender expectations, pairwise counts) with
-:meth:`ExpectedCitations.category_sums`.  Each reduces the interval part
-without the exclusions and adds the explicit part.  The package needs
-numpy only; the tests check the tables against the explicit member lists
-RD and HD once stored, and the reductions against ``scipy.sparse``.
+:meth:`ExpectedCitations.category_sums`.  Each reads the intervals
+without their exclusions, and the explicit parts; on a table with
+intervals ``spread`` sums exactly, so papers held by the same groups get
+the same expected count.  The package needs numpy only; the tests check
+the tables against the explicit member lists RD and HD once stored, and
+the reductions against ``scipy.sparse``.
 """
 from __future__ import annotations
 
