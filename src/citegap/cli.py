@@ -180,7 +180,7 @@ def _network_summary(net: CitationNetwork) -> dict[str, object]:
 
 def _write_archive(net: CitationNetwork, out: Path,
                    **extra: object) -> dict[str, object]:
-    write_papers(net.papers, out / PAPERS_FILE)
+    write_papers(net, out / PAPERS_FILE)
     write_citations(net, out / CITATIONS_FILE)
     summary = {**_network_summary(net), **extra}
     with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:

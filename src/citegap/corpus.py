@@ -6,6 +6,15 @@ edges that survive the date-window and self-citation rules, and no
 isolated papers.  Everything downstream (reference models, imbalance,
 rankings) reads this structure and never mutates it.
 
+A network is columnar: a :class:`PaperTable` of ids, ``datetime64[D]``
+dates and integer codes per attribute, plus the edges.  Loading a file
+builds no per-paper record.  Each table is read once and split into one
+array per column; dates, gender/rank tokens and ids are checked and
+encoded as arrays, with a per-row fallback only for non-canonical dates
+and a loop only over the rows that draw a warning.  ``Paper`` records
+remain where a record is the API (:mod:`citegap.synth`, record matching)
+and as :attr:`PaperTable.papers`, a view built on first use.
+
 Input formats (UTF-8, tab-delimited, header row):
 
 * paper table: ``id pub_date gender rank country topic subfield
@@ -13,18 +22,24 @@ Input formats (UTF-8, tab-delimited, header row):
   a bare year maps to January 1 of that year);
 * citation table: ``citing_id cited_id``;
 * record-match table: ``title year last_names`` with ``;``-joined last names.
+
+Fields are stripped of surrounding whitespace.  Fields may be quoted as
+:mod:`csv` quotes them (holding tabs, quotes or newlines); CRLF line
+endings and blank lines are accepted.
 """
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -253,160 +268,217 @@ def parse_pub_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _rows(
-    stream: Iterable[str], columns: Sequence[str], what: str
-) -> Iterator[tuple[int, list[str]]]:
-    """Validated (line number, fields) pairs from a tab-delimited stream."""
-    reader = csv.reader(stream, delimiter="\t")
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != tuple(columns):
-        raise ParseError(
-            f"line 1: expected {what} header {' '.join(columns)!r}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise ParseError(
-                f"line {lineno}: expected {len(columns)} columns, got {len(row)}"
-            )
-        yield lineno, row
+def _split_fields(text: str, width: int) -> list[str] | None:
+    """Every field of ``text``, row after row, split at each tab and
+    newline; ``None`` unless each line holds exactly ``width`` fields (so
+    no line is blank) and the text holds no quote, carriage return or NUL,
+    the characters :mod:`csv` treats specially."""
+    body = text[:-1] if text.endswith("\n") else text
+    if not body or '"' in body or "\r" in body or "\x00" in body:
+        return None
+    # tabs and newlines are single bytes in UTF-8, never part of another
+    # character; row by row, the separators must read width - 1 tabs and
+    # a newline (the last line's newline appended)
+    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    separators = np.append(raw[(raw == 9) | (raw == 10)], 10)
+    if separators.size % width:
+        return None
+    expected = np.array([9] * (width - 1) + [10], dtype=np.uint8)
+    if not (separators.reshape(-1, width) == expected).all():
+        return None
+    return body.replace("\n", "\t").split("\t")
 
 
-def parse_papers(stream: Iterable[str]) -> list[Paper]:
-    """Parse the paper table.  Unknown gender/rank tokens fall back to
-    UNKNOWN/Unranked with a logged warning; bad dates or column counts
-    raise :class:`ParseError` naming the line."""
-    papers = []
-    for lineno, row in _rows(stream, PAPER_COLUMNS, "paper"):
-        pid, raw_date, raw_gender, raw_rank, country, topic, subfield, first, last_ = (
-            field.strip() for field in row
-        )
+def _csv_rows(text: str, width: int
+              ) -> tuple[list[str], list[list[str]], list[int], Exception | None]:
+    """The header, the rows and their line numbers, read with :mod:`csv`
+    (quoted fields, CRLF, blank lines), stopping at the first row without
+    ``width`` fields or that :mod:`csv` rejects; that error comes last,
+    ``None`` if every row was read."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter="\t")
+    header = next(reader, [])
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(
+                    f"line {lineno}: expected {width} columns, got {len(row)}"
+                )
+            rows.append(row)
+            lines.append(lineno)
+    except (ParseError, csv.Error) as exc:
+        return header, rows, lines, exc
+    return header, rows, lines, None
+
+
+def _table(stream: TextIO, columns: Sequence[str], what: str
+           ) -> tuple[dict[str, np.ndarray], np.ndarray, Exception | None]:
+    """Read a tab-delimited table with a ``columns`` header row.
+
+    Returns one array of stripped ``str`` fields per column, the line
+    number of each row, and the error of the first malformed row (the
+    rows before it are returned; callers raise it once those rows have
+    raised their own errors), ``None`` if there is none.  Text that
+    :func:`_split_fields` accepts is split at once; any other goes row by
+    row through :mod:`csv`, which names a malformed line.  The stream is
+    read as a file opened with ``newline=""`` presents it.
+    """
+    text = stream.read()
+    width = len(columns)
+    fields = _split_fields(text, width)
+    if fields is None:
+        header, rows, lines, error = _csv_rows(text, width)
+        fields = [f for row in rows for f in row]
+    else:
+        header, fields, error = fields[:width], fields[width:], None
+        lines = range(2, 2 + len(fields) // width)
+    if [h.strip() for h in header] != list(columns):
+        raise ParseError(f"line 1: expected {what} header {' '.join(columns)!r}")
+    values = {name: np.char.strip(np.array(fields[k::width], dtype=str))
+              for k, name in enumerate(columns)}
+    return values, np.array(lines, dtype=np.int64), error
+
+
+def _parse_dates(texts: np.ndarray) -> tuple[np.ndarray, tuple[int, ValueError] | None]:
+    """:func:`parse_pub_date` of each field as ``datetime64[D]``, and the
+    row and error of the first that does not parse (``None`` if all do).
+
+    ``YYYY-MM-DD`` and ``YYYY`` in ASCII digits with a year of at least 1
+    are read as arrays; any other text (``0000``, ``20100105``, non-ASCII
+    digits, a day past the month's end) goes to :func:`parse_pub_date`.
+    """
+    width = max(texts.dtype.itemsize // 4, 10)
+    chars = texts.astype(f"U{width}").view(np.uint32).reshape(texts.size, width)
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    d = chars[:, :10].astype(np.int64) - ord("0")
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    bare_year = digit[:, :4].all(axis=1) & ~chars[:, 4:].any(axis=1)
+    iso = (digit[:, [0, 1, 2, 3, 5, 6, 8, 9]].all(axis=1) & (chars[:, 4] == ord("-"))
+           & (chars[:, 7] == ord("-")) & ~chars[:, 10:].any(axis=1))
+    month = np.where(iso, d[:, 5] * 10 + d[:, 6], 1)
+    day = np.where(iso, d[:, 8] * 10 + d[:, 9], 1)
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    dates = months.astype("datetime64[D]") + (day - 1)
+    # a day past the month's end spills into the next month
+    valid = ((bare_year | iso) & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+             & (dates.astype("datetime64[M]") == months))
+    for k in np.flatnonzero(~valid).tolist():
         try:
-            pub = parse_pub_date(raw_date)
+            dates[k] = parse_pub_date(texts[k].item())
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad pub_date {raw_date!r}: {exc}") from exc
-        try:
-            gender = GenderCategory(raw_gender)
-        except ValueError:
-            log.warning(
-                "line %d: unknown gender token %r for paper %s, using UNKNOWN",
-                lineno, raw_gender, pid,
-            )
-            gender = GenderCategory.UNKNOWN
-        try:
-            rank = ConferenceRank(raw_rank)
-        except ValueError:
-            log.warning(
-                "line %d: unknown rank token %r for paper %s, using Unranked",
-                lineno, raw_rank, pid,
-            )
-            rank = ConferenceRank.UNRANKED
-        papers.append(
-            Paper(pid, pub, gender, rank, country, topic, subfield, first, last_)
-        )
-    return papers
+            return dates, (k, exc)
+    return dates, None
 
 
-def parse_citations(stream: Iterable[str]) -> list[tuple[str, str]]:
-    """Parse the citation table into (citing_id, cited_id) pairs."""
-    return [
-        (row[0].strip(), row[1].strip())
-        for _, row in _rows(stream, CITATION_COLUMNS, "citation")
-    ]
+#: the gender tokens, each at its :data:`GENDER_CODE`
+_GENDER_TOKENS = np.array([g.value for g in GenderCategory])
+#: the rank tokens in prestige order
+_RANK_TOKENS = np.array([r.value for r in RANK_ORDER])
+#: columns labelled with the values present, not a fixed vocabulary
+_PRESENT_LABELS = ("rank", "country", "topic", "subfield")
 
 
-def parse_publication_records(stream: Iterable[str]) -> list[PublicationRecord]:
-    """Parse the record-match table (last names ``;``-joined)."""
-    records = []
-    for lineno, row in _rows(stream, RECORD_COLUMNS, "record"):
-        title, raw_year, raw_names = (field.strip() for field in row)
-        try:
-            year = int(raw_year)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad year {raw_year!r}") from exc
-        names = tuple(n.strip() for n in raw_names.split(";") if n.strip())
-        if not names:
-            raise ParseError(f"line {lineno}: empty last_names")
-        records.append(PublicationRecord(title, year, names))
-    return records
+def _lookup(values: np.ndarray, tokens: np.ndarray, default: int) -> np.ndarray:
+    """Index of each value in ``tokens``, ``default`` where it is absent;
+    one dict lookup per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    index = {token: code for code, token in enumerate(tokens.tolist())}
+    found = [index.get(v, default) for v in distinct.tolist()]
+    return np.array(found, dtype=np.int64)[inverse.reshape(-1)]
+
+
+def _present(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``codes`` renumbered over the labels that occur, in label order."""
+    used, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1), labels[used]
+
+
+def _encode(values: dict[str, np.ndarray], dates: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The :class:`PaperTable` columns of the str ``values`` of each
+    :data:`PAPER_COLUMNS` entry but the date; unknown gender and rank
+    tokens become UNKNOWN and Unranked."""
+    unknown = GENDER_CODE[GenderCategory.UNKNOWN]
+    unranked = RANK_ORDER.index(ConferenceRank.UNRANKED)
+    codes = {
+        "gender": (_lookup(values["gender"], _GENDER_TOKENS, unknown), _GENDER_TOKENS),
+        "rank": _present(_lookup(values["rank"], _RANK_TOKENS, unranked), _RANK_TOKENS),
+    }
+    for name in ("country", "topic", "subfield"):
+        labels, inverse = np.unique(values[name], return_inverse=True)
+        codes[name] = inverse.reshape(-1), labels
+    # one vocabulary for both roles, so the author rule compares codes
+    n = dates.size
+    authors, inverse = np.unique(
+        np.concatenate((values["first_author"], values["last_author"])),
+        return_inverse=True)
+    inverse = inverse.reshape(-1)
+    codes["first_author"] = inverse[:n], authors
+    codes["last_author"] = inverse[n:], authors
+    return values["id"], dates, codes
 
 
 @dataclass(frozen=True, eq=False)
-class CitationNetwork:
-    """Immutable filtered citation network.
+class PaperTable:
+    """The paper table as columns, one row per paper.
 
-    ``papers`` are indexed 0..N-1; ``edges`` is an (M, 2) integer array of
-    (citing, cited) index pairs, lexicographically sorted, without
-    duplicates or self-loops.  Construct through :func:`filter_citations`,
-    which establishes the invariants (every edge :meth:`citable`, no
-    isolated papers) and records in ``filter_counts`` what each rule
-    dropped.
+    ``ids`` is a ``str`` array and ``dates`` a ``datetime64[D]`` array;
+    ``codes`` maps each other column of :data:`PAPER_COLUMNS` to per-paper
+    integer codes and the label of each code (a ``str`` array):
+
+    * gender codes are :data:`GENDER_CODE`, labelled with every category;
+    * rank, country, topic and subfield are labelled with the values
+      present, ranks in prestige order and the others sorted;
+    * first_author and last_author share one sorted vocabulary of names.
+
+    Every array is read-only.  The corpus rules (:meth:`in_window`,
+    :meth:`citable`) read these columns.
     """
 
-    papers: tuple[Paper, ...]
-    edges: np.ndarray
-    filter_counts: dict[str, int] = field(default_factory=dict)
+    ids: np.ndarray
+    dates: np.ndarray
+    codes: dict[str, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
+        for array in (self.ids, self.dates, *chain.from_iterable(self.codes.values())):
+            array.setflags(write=False)
+
+    @classmethod
+    def from_papers(cls, papers: Sequence[Paper], *args, **kwargs):
+        """The table of ``Paper`` records; further arguments go to the
+        constructor, so ``CitationNetwork.from_papers(papers, edges)``
+        builds a network."""
+        values = {name: [getattr(p, name) for p in papers] for name in PAPER_COLUMNS}
+        dates = np.array(values.pop("pub_date"), dtype="datetime64[D]")
+        for name in ("gender", "rank"):
+            values[name] = [v.value for v in values[name]]
+        columns = {name: np.array(v, dtype=str) for name, v in values.items()}
+        return cls(*_encode(columns, dates), *args, **kwargs)
 
     @property
     def n(self) -> int:
-        return len(self.papers)
+        return len(self.ids)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def gender_codes(self) -> np.ndarray:
+        """Per paper, :data:`GENDER_CODE` of its category."""
+        return self.codes["gender"][0]
 
-    @cached_property
-    def out_degree(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.n)
-
-    @cached_property
-    def in_degree(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 1], minlength=self.n)
-
-    @cached_property
-    def out_targets(self) -> tuple[np.ndarray, ...]:
-        """Per paper, the cited indices in edge order (read-only views
-        into ``edges``, which are sorted by citer)."""
-        return tuple(np.split(self.edges[:, 1], np.cumsum(self.out_degree))[:-1])
+    @property
+    def author_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, last) author ids encoded over a shared vocabulary."""
+        return self.codes["first_author"][0], self.codes["last_author"][0]
 
     @cached_property
     def index_of(self) -> dict[str, int]:
-        return {p.id: i for i, p in enumerate(self.papers)}
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """Per paper, its id (a numpy string array)."""
-        return np.array([p.id for p in self.papers], dtype=str)
-
-    @cached_property
-    def dates(self) -> np.ndarray:
-        return np.array([p.pub_date for p in self.papers], dtype="datetime64[D]")
+        return {pid: i for i, pid in enumerate(self.ids.tolist())}
 
     @cached_property
     def window_floors(self) -> np.ndarray:
         return citation_window_floors(self.dates)
-
-    @cached_property
-    def gender_codes(self) -> np.ndarray:
-        """Per paper, :data:`GENDER_CODE` of its category."""
-        return np.array([GENDER_CODE[p.gender] for p in self.papers], dtype=np.int64)
-
-    @cached_property
-    def author_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, last) author ids encoded over a shared vocabulary."""
-        vocab: dict[str, int] = {}
-        firsts = np.empty(self.n, dtype=np.int64)
-        lasts = np.empty(self.n, dtype=np.int64)
-        for i, p in enumerate(self.papers):
-            firsts[i] = vocab.setdefault(p.first_author, len(vocab))
-            lasts[i] = vocab.setdefault(p.last_author, len(vocab))
-        return firsts, lasts
 
     def in_window(self, citing, cited=slice(None)) -> np.ndarray:
         """Whether ``cited`` is at most ten calendar years older than
@@ -429,46 +501,154 @@ class CitationNetwork:
         shared = ((fj == fi) | (fj == li)) & ((lj == fi) | (lj == li))
         return self.in_window(citing, cited) & ~shared
 
-    @cached_property
-    def _attribute_codes(self) -> dict[str, tuple[np.ndarray, tuple[str, ...]]]:
-        return {}
-
     def attribute_codes(self, field: str) -> tuple[np.ndarray, tuple[str, ...]]:
         """Per-paper integer codes for one of :data:`SELECTABLE_FIELDS`, and
-        the label of each code; computed once per network.
+        the label of each code.
 
         Gender codes are :attr:`gender_codes`, labelled with every
         category; ranks present are labelled in prestige order, the values
         of other fields in sorted order.
         """
-        cached = self._attribute_codes.get(field)
-        if cached is not None:
-            return cached
         if field not in SELECTABLE_FIELDS:
             raise ValueError(f"unknown attribute {field!r}")
-        if field == "gender":
-            result = self.gender_codes, tuple(g.value for g in GenderCategory)
-        else:
-            if field == "rank":
-                values = [p.rank.value for p in self.papers]
-                present = set(values)
-                labels = tuple(r.value for r in RANK_ORDER if r.value in present)
-            else:
-                values = [getattr(p, field) for p in self.papers]
-                labels = tuple(sorted(set(values)))
-            index = {label: i for i, label in enumerate(labels)}
-            codes = np.array([index[v] for v in values], dtype=np.int64)
-            codes.setflags(write=False)
-            result = codes, labels
-        self._attribute_codes[field] = result
-        return result
+        codes, labels = self.codes[field]
+        return codes, tuple(labels.tolist())
+
+    def _text(self) -> list[list]:
+        """Per column of :data:`PAPER_COLUMNS`, its values (dates as
+        ``date`` objects)."""
+        return [self.ids.tolist(), self.dates.tolist(),
+                *(labels[codes].tolist() for codes, labels in self.codes.values())]
+
+    @cached_property
+    def papers(self) -> tuple[Paper, ...]:
+        """The rows as ``Paper`` records, built on first use; the corpus,
+        the models and the CLI read the columns instead."""
+        return tuple(
+            Paper(pid, day, GenderCategory(gender), ConferenceRank(rank), *rest)
+            for pid, day, gender, rank, *rest in zip(*self._text())
+        )
+
+    def _subset(self, rows: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+        """The columns of the papers ``rows`` (ascending), labels
+        narrowed to the values they hold."""
+        codes = {}
+        for name, (column, labels) in self.codes.items():
+            codes[name] = (_present(column[rows], labels) if name in _PRESENT_LABELS
+                           else (column[rows], labels))
+        return self.ids[rows], self.dates[rows], codes
+
+
+def parse_papers(stream: TextIO) -> PaperTable:
+    """Parse the paper table.  Unknown gender/rank tokens fall back to
+    UNKNOWN/Unranked with a logged warning; bad dates or column counts
+    raise :class:`ParseError` naming the line (after the warnings of the
+    lines before it)."""
+    values, lines, error = _table(stream, PAPER_COLUMNS, "paper")
+    dates, failed = _parse_dates(values["pub_date"])
+    stop = len(lines) if failed is None else failed[0]
+    bad_gender = ~np.isin(values["gender"], _GENDER_TOKENS)
+    bad_rank = ~np.isin(values["rank"], _RANK_TOKENS)
+    # only the rows with an unknown token are visited
+    for k in np.flatnonzero((bad_gender | bad_rank)[:stop]).tolist():
+        lineno, pid = int(lines[k]), values["id"][k].item()
+        if bad_gender[k]:
+            log.warning(
+                "line %d: unknown gender token %r for paper %s, using UNKNOWN",
+                lineno, values["gender"][k].item(), pid,
+            )
+        if bad_rank[k]:
+            log.warning(
+                "line %d: unknown rank token %r for paper %s, using Unranked",
+                lineno, values["rank"][k].item(), pid,
+            )
+    if failed is not None:
+        k, exc = failed
+        raw_date = values["pub_date"][k].item()
+        raise ParseError(f"line {lines[k]}: bad pub_date {raw_date!r}: {exc}") from exc
+    if error is not None:
+        raise error
+    return PaperTable(*_encode(values, dates))
+
+
+def parse_citations(stream: TextIO) -> np.ndarray:
+    """Parse the citation table into an (M, 2) ``str`` array of
+    (citing_id, cited_id) rows."""
+    values, _, error = _table(stream, CITATION_COLUMNS, "citation")
+    if error is not None:
+        raise error
+    return np.stack([values[name] for name in CITATION_COLUMNS], axis=1)
+
+
+def parse_publication_records(stream: TextIO) -> list[PublicationRecord]:
+    """Parse the record-match table (last names ``;``-joined)."""
+    values, lines, error = _table(stream, RECORD_COLUMNS, "record")
+    records = []
+    for lineno, title, raw_year, raw_names in zip(
+            lines.tolist(), *(values[name].tolist() for name in RECORD_COLUMNS)):
+        try:
+            year = int(raw_year)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad year {raw_year!r}") from exc
+        names = tuple(n.strip() for n in raw_names.split(";") if n.strip())
+        if not names:
+            raise ParseError(f"line {lineno}: empty last_names")
+        records.append(PublicationRecord(title, year, names))
+    if error is not None:
+        raise error
+    return records
+
+
+@dataclass(frozen=True, eq=False)
+class CitationNetwork(PaperTable):
+    """Immutable filtered citation network: a :class:`PaperTable` of the
+    papers, indexed 0..N-1, and their citations.
+
+    ``edges`` is an (M, 2) integer array of (citing, cited) index pairs,
+    lexicographically sorted, without duplicates or self-loops.  Construct
+    through :func:`filter_citations`, which establishes the invariants
+    (every edge :meth:`citable`, no isolated papers) and records in
+    ``filter_counts`` what each rule dropped.
+    """
+
+    edges: np.ndarray
+    filter_counts: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def out_degree(self) -> np.ndarray:
+        return np.bincount(self.edges[:, 0], minlength=self.n)
+
+    @cached_property
+    def in_degree(self) -> np.ndarray:
+        return np.bincount(self.edges[:, 1], minlength=self.n)
+
+    @cached_property
+    def out_targets(self) -> tuple[np.ndarray, ...]:
+        """Per paper, the cited indices in edge order (read-only views
+        into ``edges``, which are sorted by citer)."""
+        return tuple(np.split(self.edges[:, 1], np.cumsum(self.out_degree))[:-1])
 
 
 def filter_citations(
-    papers: Sequence[Paper], raw_edges: Iterable[tuple[str, str]]
+    papers: PaperTable | Sequence[Paper],
+    raw_edges: np.ndarray | Iterable[tuple[str, str]],
 ) -> CitationNetwork:
     """Apply the corpus filtering rules and build the network.
 
+    ``papers`` is a :class:`PaperTable` or a sequence of ``Paper``
+    records, ``raw_edges`` an (M, 2) ``str`` array or (citing_id,
+    cited_id) pairs.  Ids are resolved by binary search in the sorted ids.
     De-duplicates edges, removes edges that are not
     :meth:`CitationNetwork.citable`, drops papers left without any
     citation in either direction, and reindexes the survivors (original
@@ -476,62 +656,60 @@ def filter_citations(
     ``filter_counts`` holds ``duplicates``, ``out_of_window``,
     ``self_citations`` (in-window edges only, so each dropped edge counts
     once), ``isolated_papers`` and ``later_dated_kept`` (kept citations to
-    later-dated papers).  The returned network's ``dates``,
-    ``window_floors`` and ``author_codes`` are taken from the ones the
-    rules were evaluated on, not rebuilt.  Idempotent: re-filtering a
-    network's own papers/edges is a no-op.
+    later-dated papers).  Its ``window_floors`` are the rows of the ones
+    the rules were evaluated on.  Idempotent: re-filtering a network's own
+    papers/edges is a no-op.
     """
-    index: dict[str, int] = {}
-    for pos, p in enumerate(papers):
-        if p.id in index:
-            raise IngestError(f"duplicate paper id {p.id!r}")
-        index[p.id] = pos
-    n = len(index)
-
-    def unknown(u: str, v: str) -> NoReturn:
-        which, bad = ("citing", u) if u not in index else ("cited", v)
+    table = papers if isinstance(papers, PaperTable) else PaperTable.from_papers(papers)
+    if not isinstance(raw_edges, np.ndarray):
+        raw_edges = np.array(list(raw_edges), dtype=str)
+    pairs = raw_edges.reshape(-1, 2)
+    n = table.n
+    order = np.argsort(table.ids, kind="stable")
+    ids = table.ids[order]
+    repeated = order[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        # the first row whose id an earlier row holds
+        raise IngestError(f"duplicate paper id {table.ids[repeated.min()].item()!r}")
+    at = np.minimum(np.searchsorted(ids, pairs), max(n - 1, 0))
+    known = ids[at] == pairs if n else np.zeros(pairs.shape, dtype=bool)
+    if not known.all():
+        row = int(np.argmin(known.all(axis=1)))
+        u, v = pairs[row].tolist()
+        which, bad = ("citing", u) if not known[row, 0] else ("cited", v)
         raise IngestError(f"citation ({u!r}, {v!r}): unknown {which} id {bad!r}")
+    index = order[at]
 
-    # one key i*N + j per raw pair; np.unique dedups and sorts by (i, j)
-    keys = np.fromiter(
-        (index[u] * n + index[v] if u in index and v in index else unknown(u, v)
-         for u, v in raw_edges),
-        dtype=np.int64,
-    )
-    unique = np.unique(keys)
-    raw = CitationNetwork(tuple(papers), np.stack(np.divmod(unique, n), axis=1))
-    citing, cited = raw.edges.T
-    in_window = raw.in_window(citing, cited)
-    keep = raw.citable(citing, cited)
-    kept = raw.edges[keep]
-    survivors = np.unique(kept)
+    # one key i*N + j per raw pair, sorted by (i, j), each kept once
+    keys = np.sort(index[:, 0] * n + index[:, 1])
+    unique = keys[np.diff(keys, prepend=-1) != 0]
+    citing, cited = np.divmod(unique, max(n, 1))
+    in_window = table.in_window(citing, cited)
+    keep = table.citable(citing, cited)
+    kept = np.stack((citing[keep], cited[keep]), axis=1)
+    cites = np.zeros(n, dtype=bool)
+    cites[kept] = True
+    survivors = np.flatnonzero(cites)
     counts = {
         "duplicates": int(keys.size - unique.size),
         "out_of_window": int(np.count_nonzero(~in_window)),
         "self_citations": int(np.count_nonzero(in_window & ~keep)),
         "isolated_papers": int(n - survivors.size),
         "later_dated_kept": int(np.count_nonzero(
-            raw.dates[kept[:, 1]] > raw.dates[kept[:, 0]])),
+            table.dates[kept[:, 1]] > table.dates[kept[:, 0]])),
     }
-    net = CitationNetwork(tuple(papers[k] for k in survivors.tolist()),
-                          np.searchsorted(survivors, kept), counts)
-    # the survivors' rule arrays are rows of the ones just built; author
-    # codes keep the raw vocabulary, which preserves their equalities
-    firsts, lasts = raw.author_codes
-    vars(net).update(
-        dates=raw.dates[survivors],
-        window_floors=raw.window_floors[survivors],
-        author_codes=(firsts[survivors], lasts[survivors]),
-    )
+    net = CitationNetwork(*table._subset(survivors), (np.cumsum(cites) - 1)[kept], counts)
+    # the survivors' floors are rows of the ones the rules just read
+    vars(net)["window_floors"] = table.window_floors[survivors]
     return net
 
 
-def read_papers(path: str | Path) -> list[Paper]:
+def read_papers(path: str | Path) -> PaperTable:
     with open(path, encoding="utf-8", newline="") as fh:
         return parse_papers(fh)
 
 
-def read_citations(path: str | Path) -> list[tuple[str, str]]:
+def read_citations(path: str | Path) -> np.ndarray:
     with open(path, encoding="utf-8", newline="") as fh:
         return parse_citations(fh)
 
@@ -541,24 +719,15 @@ def load_network(papers_path: str | Path, citations_path: str | Path) -> Citatio
     return filter_citations(read_papers(papers_path), read_citations(citations_path))
 
 
-def write_papers(papers: Iterable[Paper], path: str | Path) -> None:
+def write_papers(table: PaperTable, path: str | Path) -> None:
+    """Write the paper table (dates in ISO format), quoted as :mod:`csv`
+    quotes."""
+    columns = table._text()
+    columns[1] = np.datetime_as_string(table.dates, unit="D").tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(PAPER_COLUMNS)
-        for p in papers:
-            writer.writerow(
-                [
-                    p.id,
-                    p.pub_date.isoformat(),
-                    p.gender.value,
-                    p.rank.value,
-                    p.country,
-                    p.topic,
-                    p.subfield,
-                    p.first_author,
-                    p.last_author,
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 def write_citations(net: CitationNetwork, path: str | Path) -> None:

@@ -400,16 +400,19 @@ def group_table(model: str, attributes: tuple[str, ...], order: np.ndarray,
 
 
 def _table(model: str, attributes: tuple[str, ...], net: CitationNetwork,
-           rows: Sequence[Row], c_bar: np.ndarray | None = None) -> ExpectedCitations:
+           rows: Sequence[Row], c_bar: np.ndarray | None = None,
+           order: np.ndarray | None = None) -> ExpectedCitations:
     """Pack explicit rows, ordered by citer, into the arrays of
     :func:`group_table`, concatenating the members straight into their
-    stored dtype; no group has an interval part."""
+    stored dtype; no group has an interval part.  ``order`` is the
+    eligibility index over ``attributes``, built here when not given."""
     sizes = np.array([row[1].size for row in rows], dtype=np.int64)
     n_targets = np.array([len(row[2]) for row in rows], dtype=np.int64)
     index_dtype = _index_dtype(len(rows), net.n, int(sizes.sum()))
     none = np.zeros(len(rows), dtype=index_dtype)
     return group_table(
-        model, attributes, eligibility_index(net, attributes)[0],
+        model, attributes,
+        eligibility_index(net, attributes)[0] if order is None else order,
         np.array([row[0] for row in rows], dtype=np.int64), none, none,
         np.zeros(len(rows) + 1, dtype=index_dtype), np.zeros(0, dtype=index_dtype),
         np.concatenate(([0], np.cumsum(sizes)), dtype=index_dtype),
@@ -714,7 +717,8 @@ def preferential_draws(
             rows.append((x, m, tlist))
 
     rows.sort(key=lambda row: row[0])
-    return _table("PD", attrs, net, rows, running.astype(np.float64))
+    return _table("PD", attrs, net, rows, running.astype(np.float64),
+                  _index(net, codes)[0])
 
 
 def compute_model(

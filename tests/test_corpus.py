@@ -39,9 +39,9 @@ def paper_table(*rows):
 
 class TestParsePapers:
     def test_direct_field_mapping(self):
-        rows = parse_papers(paper_table("P1\t2010-01-01\tMM\tA*\tUS\tT1\tS1\ta1\ta2"))
-        assert len(rows) == 1
-        p = rows[0]
+        table = parse_papers(paper_table("P1\t2010-01-01\tMM\tA*\tUS\tT1\tS1\ta1\ta2"))
+        assert table.n == 1
+        p = table.papers[0]
         assert p.id == "P1"
         assert p.pub_date == date(2010, 1, 1)
         assert p.gender is GenderCategory.MM
@@ -51,14 +51,14 @@ class TestParsePapers:
 
     def test_unknown_gender_token_falls_back(self, caplog):
         with caplog.at_level(logging.WARNING):
-            rows = parse_papers(paper_table("P1\t2010-01-01\tXX\tA*\tUS\tT1\tS1\ta1\ta2"))
-        assert rows[0].gender is GenderCategory.UNKNOWN
+            table = parse_papers(paper_table("P1\t2010-01-01\tXX\tA*\tUS\tT1\tS1\ta1\ta2"))
+        assert table.papers[0].gender is GenderCategory.UNKNOWN
         assert any("XX" in r.message for r in caplog.records)
 
     def test_unknown_rank_token_falls_back(self, caplog):
         with caplog.at_level(logging.WARNING):
-            rows = parse_papers(paper_table("P1\t2010-01-01\tMM\tZ\tUS\tT1\tS1\ta1\ta2"))
-        assert rows[0].rank is ConferenceRank.UNRANKED
+            table = parse_papers(paper_table("P1\t2010-01-01\tMM\tZ\tUS\tT1\tS1\ta1\ta2"))
+        assert table.papers[0].rank is ConferenceRank.UNRANKED
 
     def test_invalid_month_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -78,8 +78,8 @@ class TestParsePapers:
             parse_papers(io.StringIO("P1\t2010-01-01\tMM\tA*\tUS\tT1\tS1\ta1\ta2\n"))
 
     def test_year_only_date_maps_to_january_first(self):
-        rows = parse_papers(paper_table("P1\t2010\tMM\tA*\tUS\tT1\tS1\ta1\ta2"))
-        assert rows[0].pub_date == date(2010, 1, 1)
+        table = parse_papers(paper_table("P1\t2010\tMM\tA*\tUS\tT1\tS1\ta1\ta2"))
+        assert table.papers[0].pub_date == date(2010, 1, 1)
 
 
 def test_parse_pub_date_rejects_garbage():
@@ -89,7 +89,7 @@ def test_parse_pub_date_rejects_garbage():
 
 def test_parse_citations_roundtrip():
     stream = io.StringIO("citing_id\tcited_id\nP3\tP1\nP4\tP2\n")
-    assert parse_citations(stream) == [("P3", "P1"), ("P4", "P2")]
+    assert parse_citations(stream).tolist() == [["P3", "P1"], ["P4", "P2"]]
 
 
 class TestGenderCategory:

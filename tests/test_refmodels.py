@@ -708,8 +708,8 @@ def test_table_packs_members_once_in_the_stored_dtype():
     # is 8 MB, and packing may hold little beyond it (an int64
     # intermediate alone would be 16 MB)
     n = 2000
-    net = CitationNetwork(tuple(make_paper(f"P{k}", date(2000, 1, 1)) for k in range(n)),
-                          np.zeros((0, 2)))
+    net = CitationNetwork.from_papers([make_paper(f"P{k}", date(2000, 1, 1)) for k in range(n)],
+                                      np.zeros((0, 2)))
     rows = [(i, np.arange(0, n, 2), [i]) for i in range(n)]
     tracemalloc.start()
     try:
