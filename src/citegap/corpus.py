@@ -25,7 +25,9 @@ Input formats (UTF-8, tab-delimited, header row):
 
 Fields are stripped of surrounding whitespace.  Fields may be quoted as
 :mod:`csv` quotes them (holding tabs, quotes or newlines); CRLF line
-endings and blank lines are accepted.
+endings and blank lines are accepted.  A row :mod:`csv` rejects (a
+quoted field past its 131,072-character limit) raises
+:class:`ParseError` naming the line.
 """
 from __future__ import annotations
 
@@ -293,12 +295,17 @@ def _csv_rows(text: str, width: int
               ) -> tuple[list[str], list[list[str]], list[int], Exception | None]:
     """The header, the rows and their line numbers, read with :mod:`csv`
     (quoted fields, CRLF, blank lines), stopping at the first row without
-    ``width`` fields or that :mod:`csv` rejects; that error comes last,
-    ``None`` if every row was read."""
+    ``width`` fields or that :mod:`csv` rejects; that error, a
+    :class:`ParseError`, comes last, ``None`` if every row was read.  A
+    header :mod:`csv` rejects raises at once."""
     reader = csv.reader(io.StringIO(text, newline=""), delimiter="\t")
-    header = next(reader, [])
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise ParseError(f"line 1: {exc}") from exc
     rows: list[list[str]] = []
     lines: list[int] = []
+    lineno = 1
     try:
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -309,8 +316,11 @@ def _csv_rows(text: str, width: int
                 )
             rows.append(row)
             lines.append(lineno)
-    except (ParseError, csv.Error) as exc:
+    except ParseError as exc:
         return header, rows, lines, exc
+    except csv.Error as exc:
+        # the row after the last one read
+        return header, rows, lines, ParseError(f"line {lineno + 1}: {exc}")
     return header, rows, lines, None
 
 
@@ -447,6 +457,14 @@ class PaperTable:
             array.setflags(write=False)
 
     @classmethod
+    def from_columns(cls, values: dict[str, np.ndarray], dates: np.ndarray,
+                     *args, **kwargs):
+        """The table of one ``str`` array per :data:`PAPER_COLUMNS` entry
+        but the date, and the ``datetime64[D]`` dates; further arguments
+        go to the constructor."""
+        return cls(*_encode(values, dates), *args, **kwargs)
+
+    @classmethod
     def from_papers(cls, papers: Sequence[Paper], *args, **kwargs):
         """The table of ``Paper`` records; further arguments go to the
         constructor, so ``CitationNetwork.from_papers(papers, edges)``
@@ -456,7 +474,7 @@ class PaperTable:
         for name in ("gender", "rank"):
             values[name] = [v.value for v in values[name]]
         columns = {name: np.array(v, dtype=str) for name, v in values.items()}
-        return cls(*_encode(columns, dates), *args, **kwargs)
+        return cls.from_columns(columns, dates, *args, **kwargs)
 
     @property
     def n(self) -> int:
@@ -569,7 +587,7 @@ def parse_papers(stream: TextIO) -> PaperTable:
         raise ParseError(f"line {lines[k]}: bad pub_date {raw_date!r}: {exc}") from exc
     if error is not None:
         raise error
-    return PaperTable(*_encode(values, dates))
+    return PaperTable.from_columns(values, dates)
 
 
 def parse_citations(stream: TextIO) -> np.ndarray:

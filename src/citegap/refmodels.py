@@ -553,6 +553,16 @@ def _pieces(a: Sequence, stops: list[int]) -> list:
     return [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted, as :func:`np.unique` gives them, by a
+    sort and a neighbour compare: numpy 2.x runs a bare ``np.unique``
+    through a hash table, many times slower on int64 keys."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _citation_bases(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray
                     ) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
     """For each citer, in the order given (which must list every paper
@@ -563,7 +573,7 @@ def _citation_bases(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray
     n_codes = int(codes.max(initial=0)) + 1
     position = np.zeros(net.n, dtype=np.int64)
     position[citers] = np.arange(len(citers))
-    pairs = np.unique(position[net.edges[:, 0]] * n_codes + codes[net.edges[:, 1]])
+    pairs = _distinct(position[net.edges[:, 0]] * n_codes + codes[net.edges[:, 1]])
     pos, cats = np.divmod(pairs, n_codes)
     bases = _bases(net, codes, citers[pos], cats)
     ends = np.cumsum(np.bincount(pos, minlength=len(citers)))[:-1].tolist()
@@ -799,7 +809,7 @@ class StructuralReport:
 def survival_points(values: Sequence[float] | np.ndarray) -> SurvivalCurve:
     """Empirical survival function of ``values`` (always includes x=0)."""
     vals = np.sort(np.asarray(values, dtype=np.float64))
-    thresholds = np.unique(np.concatenate(([0.0], vals)))
+    thresholds = _distinct(np.concatenate(([0.0], vals)))
     fraction = (len(vals) - np.searchsorted(vals, thresholds, side="left")) / len(vals)
     return SurvivalCurve(thresholds, fraction)
 

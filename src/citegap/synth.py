@@ -8,6 +8,15 @@ first and/or last author.  With all knobs neutral the draw is uniform
 over the eligible set, i.e. exactly the random-draws process, which is
 what the null-calibration checks rely on.
 
+A paper's eligible predecessors are a slice of the date-sorted papers,
+its weights are products of per-paper arrays over that slice, and its
+draw without replacement is :func:`_choice`, which makes the draws of
+``Generator.choice`` from the same stream (the tests pin the two against
+each other); the corpus is built as columns, not ``Paper`` records.
+Knobs must be finite, and a paper whose weights sum to a non-finite
+total ends generation with a :class:`GenerationError`.  Dates before
+year 11 are accepted: window floors are ``datetime64``.
+
 The oracle replays a model's literal stochastic draw process many times
 and reports empirical citation frequencies, independently of the
 closed-form expectation code (eligible sets are recomputed here by
@@ -17,8 +26,9 @@ checks the analytic recursion as a mean-field description.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Iterable
 
@@ -31,10 +41,11 @@ from .corpus import (
     W_CATEGORIES,
     CitationNetwork,
     GenderCategory,
-    Paper,
+    PaperTable,
     canonical_attributes,
     category_key,
     citation_window_floor,
+    citation_window_floors,
     filter_citations,
 )
 from .refmodels import date_order
@@ -51,15 +62,18 @@ def _parse_out_degree(spec: str) -> tuple[str, tuple[float, ...]]:
     kind, sep, rest = spec.partition(":")
     try:
         if kind == "fixed" and sep:
-            return "fixed", (int(rest),)
+            k = int(rest)
+            if k < 0:
+                raise ValueError
+            return "fixed", (k,)
         if kind == "uniform" and sep:
             lo, hi = (int(v) for v in rest.split(","))
-            if lo > hi:
+            if not 0 <= lo <= hi:
                 raise ValueError
             return "uniform", (lo, hi)
         if kind == "poisson" and sep:
             lam = float(rest)
-            if lam < 0:
+            if not 0 <= lam < math.inf:
                 raise ValueError
             return "poisson", (lam,)
     except ValueError:
@@ -109,16 +123,20 @@ class SynthConfig:
         weights = [self.category_weights.get(g, 0.0) for g in KNOWN_CATEGORIES]
         if min(weights) < 0 or sum(weights) <= 0:
             raise GenerationError("category weights must be nonnegative and sum > 0")
+        if not math.isfinite(sum(weights)):
+            raise GenerationError("category weights must have a finite sum")
         if not 1 <= self.n_ranks <= len(RANK_ORDER):
             raise GenerationError(f"n_ranks must be in 1..{len(RANK_ORDER)}")
         for name in ("n_countries", "n_topics", "n_subfields"):
             if getattr(self, name) < 1:
                 raise GenerationError(f"{name} must be at least 1")
         for a, h in self.homophily.items():
-            if a not in ATTRIBUTE_ORDER or h < 0:
+            if a not in ATTRIBUTE_ORDER or not 0 <= h < math.inf:
                 raise GenerationError(f"bad homophily entry {a}={h}")
         if self.pa_strength < 0 or self.gender_bias < 0:
             raise GenerationError("pa_strength and gender_bias must be nonnegative")
+        if not (math.isfinite(self.pa_strength) and math.isfinite(self.gender_bias)):
+            raise GenerationError("pa_strength and gender_bias must be finite")
         kind, params = _parse_out_degree(self.out_degree)
         minimum = {"fixed": lambda p: p[0], "uniform": lambda p: p[0],
                    "poisson": lambda p: 0}[kind](params)
@@ -194,6 +212,66 @@ def load_config(path: str | Path) -> SynthConfig:
     return cfg
 
 
+#: ``Generator.choice``'s tolerance on the sum of the probabilities
+_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _kahan_sum(values: list[float]) -> float:
+    """Compensated sum in list order, as ``Generator.choice`` sums ``p``."""
+    total, carry = values[0], 0.0
+    for v in values[1:]:
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def _choice(rng: np.random.Generator, k: int, p: np.ndarray) -> np.ndarray:
+    """``rng.choice(p.size, k, replace=False, p=p)``: the same indices,
+    the same draws from ``rng`` and the same ``ValueError`` texts.
+
+    Each round draws one uniform per index still missing, maps it through
+    the normalized cumulative sum of ``p`` with the indices found so far
+    zeroed, and keeps each new index at its first occurrence.  ``p`` is
+    validated as numpy validates it; the compensated sum runs only when
+    the plain cumulative sum is not within half the tolerance of 1 or
+    ``p`` has a negative (or NaN) entry.
+    """
+    cdf = p.cumsum()
+    # below 2**24 entries the cumulative and compensated sums of
+    # nonnegative p lie well within atol / 2 of each other
+    if not (p.size < 2**24 and abs(cdf[-1] - 1.0) <= _ATOL / 2 and p.min() >= 0):
+        total = _kahan_sum(p.tolist())
+        if np.isnan(total):
+            raise ValueError("Probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("Probabilities are not non-negative")
+        if abs(total - 1.0) > _ATOL:
+            raise ValueError("Probabilities do not sum to 1. See Notes "
+                             "section of docstring for more information.")
+    if k > p.size:
+        raise ValueError("Cannot take a larger sample than population when "
+                         "replace is False")
+    if np.count_nonzero(p) < k:
+        raise ValueError("Fewer non-zero entries in p than size")
+    found = list(dict.fromkeys((cdf / cdf[-1]).searchsorted(rng.random(k), "right").tolist()))
+    if len(found) < k:
+        p = p.copy()
+    while len(found) < k:
+        x = rng.random(k - len(found))
+        p[found] = 0
+        cdf = p.cumsum()
+        # a zeroed entry spans an empty interval, so no round repeats one
+        found.extend(dict.fromkeys((cdf / cdf[-1]).searchsorted(x, "right").tolist()))
+    return np.array(found, dtype=np.int64)
+
+
+def _labels(prefix: str, count: int) -> np.ndarray:
+    """``prefix`` followed by 1..count, the label of each code."""
+    return np.array([f"{prefix}{c}" for c in range(1, count + 1)])
+
+
 def generate_network(cfg: SynthConfig) -> CitationNetwork:
     """Grow a synthetic corpus and return it filtered.
 
@@ -208,7 +286,8 @@ def generate_network(cfg: SynthConfig) -> CitationNetwork:
     span = (cfg.date_end - cfg.date_start).days + 1
 
     offsets = np.sort(rng.choice(span, size=n, replace=False))
-    dates = [cfg.date_start + timedelta(days=int(o)) for o in offsets]
+    start = np.datetime64(cfg.date_start, "D")
+    dates = start + offsets
 
     weights = np.array([cfg.category_weights.get(g, 0.0) for g in KNOWN_CATEGORIES])
     genders = rng.choice(len(KNOWN_CATEGORIES), size=n, p=weights / weights.sum())
@@ -216,7 +295,6 @@ def generate_network(cfg: SynthConfig) -> CitationNetwork:
     countries = rng.integers(0, cfg.n_countries, size=n)
     topics = rng.integers(0, cfg.n_topics, size=n)
     subfields = rng.integers(0, cfg.n_subfields, size=n)
-    is_w = np.array([KNOWN_CATEGORIES[g] in W_CATEGORIES for g in genders])
 
     kind, params = _parse_out_degree(cfg.out_degree)
     if kind == "fixed":
@@ -226,60 +304,77 @@ def generate_network(cfg: SynthConfig) -> CitationNetwork:
     else:
         demand = rng.poisson(params[0], size=n)
 
-    h_rank = cfg.homophily.get("rank", 0.0)
-    h_country = cfg.homophily.get("country", 0.0)
-    h_topic = cfg.homophily.get("topic", 0.0)
+    # paper i draws from its predecessors [lo[i], i), the ones in its window
+    floors = (citation_window_floors(dates) - start).astype(np.int64)
+    lo = np.searchsorted(offsets, floors, "left")
+    draws = np.minimum(demand, np.arange(n) - lo)
 
+    # the homophily factor exp(sum of h * [attribute matches]) takes one
+    # of 2**len(matched) values, summed in attribute order; a term whose
+    # h is 0 adds exactly 0.0 and is left out
+    matched = [(h, column) for h, column in (
+        (cfg.homophily.get("rank", 0.0), ranks),
+        (cfg.homophily.get("country", 0.0), countries),
+        (cfg.homophily.get("topic", 0.0), topics)) if h]
+    sums = [sum(h * float(code >> bit & 1) for bit, (h, _) in enumerate(matched))
+            for code in range(2 ** len(matched))]
+    with np.errstate(over="ignore"):
+        factor = np.exp(np.array(sums))
+    columns = [column for _, column in matched]
+    bias = None
+    if cfg.gender_bias != 1.0:
+        is_w = np.array([g in W_CATEGORIES for g in KNOWN_CATEGORIES])[genders]
+        bias = np.where(is_w, cfg.gender_bias, 1.0)
+
+    # base[j] = 1 + pa_strength * (citations j has drawn so far)
+    base = np.ones(n)
     running = np.zeros(n)
-    edges: list[tuple[int, int]] = []
-    for i in range(1, n):
-        lo = int(np.searchsorted(
-            offsets, (citation_window_floor(dates[i]) - cfg.date_start).days, "left"
-        ))
-        pool = np.arange(lo, i)
-        k = min(int(demand[i]), pool.size)
-        if k == 0:
-            continue
-        w = 1.0 + cfg.pa_strength * running[pool]
-        if h_rank or h_country or h_topic:
-            w = w * np.exp(
-                h_rank * (ranks[pool] == ranks[i])
-                + h_country * (countries[pool] == countries[i])
-                + h_topic * (topics[pool] == topics[i])
-            )
-        if cfg.gender_bias != 1.0:
-            w = w * np.where(is_w[pool], cfg.gender_bias, 1.0)
-        total = w.sum()
-        if total <= 0:
-            raise GenerationError(
-                f"paper {i} has {pool.size} eligible predecessors but zero "
-                "total citation weight"
-            )
-        targets = rng.choice(pool, size=k, replace=False, p=w / total)
-        edges.extend((i, int(t)) for t in targets)
-        running[targets] += 1
+    targets = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(draws).tolist():
+            first = int(lo[i])
+            w = base[first:i]
+            if columns:
+                code = columns[0][first:i] == columns[0][i]
+                for bit, c in enumerate(columns[1:], start=1):
+                    code = code | (c[first:i] == c[i]) << bit
+                w = w * factor.take(code)
+            if bias is not None:
+                w = w * bias[first:i]
+            total = w.sum()
+            if not math.isfinite(total):
+                raise GenerationError(
+                    f"paper {i} has a non-finite total citation weight over its "
+                    f"{i - first} eligible predecessors"
+                )
+            if total <= 0:
+                raise GenerationError(
+                    f"paper {i} has {i - first} eligible predecessors but zero "
+                    "total citation weight"
+                )
+            drawn = first + _choice(rng, int(draws[i]), w / total)
+            running[drawn] += 1
+            base[drawn] = 1.0 + cfg.pa_strength * running[drawn]
+            targets.append(drawn)
 
-    if not edges:
+    if not targets:
         raise GenerationError("configuration generated no citations")
 
     width = len(str(n))
-    papers = [
-        Paper(
-            id=f"P{i + 1:0{width}d}",
-            pub_date=dates[i],
-            gender=KNOWN_CATEGORIES[genders[i]],
-            rank=RANK_ORDER[ranks[i]],
-            country=f"C{countries[i] + 1}",
-            topic=f"T{topics[i] + 1}",
-            subfield=f"F{subfields[i] + 1}",
-            first_author=f"a{2 * i + 1}",
-            last_author=f"a{2 * i + 2}",
-        )
-        for i in range(n)
-    ]
-    return filter_citations(
-        papers, [(papers[i].id, papers[j].id) for i, j in edges]
-    )
+    ids = np.array([f"P{i:0{width}d}" for i in range(1, n + 1)])
+    authors = np.array([f"a{i}" for i in range(1, 2 * n + 1)])
+    values = {
+        "id": ids,
+        "gender": np.array([g.value for g in KNOWN_CATEGORIES])[genders],
+        "rank": np.array([r.value for r in RANK_ORDER])[ranks],
+        "country": _labels("C", cfg.n_countries)[countries],
+        "topic": _labels("T", cfg.n_topics)[topics],
+        "subfield": _labels("F", cfg.n_subfields)[subfields],
+        "first_author": authors[0::2],
+        "last_author": authors[1::2],
+    }
+    edges = np.stack((np.repeat(np.arange(n), draws), np.concatenate(targets)), axis=1)
+    return filter_citations(PaperTable.from_columns(values, dates), ids[edges])
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,23 @@ class TestIngest:
         assert run("ingest", papers, citations, tmp_path / "archive") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, line", [("papers", 3), ("citations", 2),
+                                             ("header", 1)])
+    def test_field_over_csv_limit_exit_code(self, tmp_path, capsys, table, line):
+        # csv rejects a quoted field past its 131,072-character limit
+        big = '"' + "x" * 200_000 + '"'
+        papers = tmp_path / "papers.tsv"
+        citations = tmp_path / "citations.tsv"
+        papers.write_text(TOY4_PAPERS.replace("\tS1\ta3", f"\t{big}\ta3")
+                          if table == "papers" else TOY4_PAPERS)
+        citations.write_text(
+            TOY4_CITATIONS.replace("P3\tP1", f"P3\t{big}") if table == "citations"
+            else TOY4_CITATIONS.replace("citing_id", big) if table == "header"
+            else TOY4_CITATIONS)
+        assert run("ingest", papers, citations, tmp_path / "archive") == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}: field larger than field limit (131072)\n")
+
     def test_unknown_edge_id_exit_code(self, tmp_path, capsys):
         papers = tmp_path / "papers.tsv"
         citations = tmp_path / "citations.tsv"

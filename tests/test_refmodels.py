@@ -314,6 +314,17 @@ class TestStructuralReport:
         assert list(curve.thresholds) == [0.0, 1.0, 3.0]
         assert list(curve.fraction) == [1.0, 0.75, 0.25]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_matches_unique(self, seed):
+        r = np.random.default_rng(seed)
+        size = int(r.integers(0, 3000))
+        keys = r.integers(0, 1 + size // (1 + seed % 3), size)
+        values = np.round(r.exponential(2.0, size), seed % 4) + r.choice([0.0, np.inf], size,
+                                                                         p=[0.95, 0.05])
+        for a in (keys, values):
+            got, expected = refmodels._distinct(a), np.unique(a)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_gender_survival_series_present(self, toy4):
         report = structural_report(toy4, random_draws(toy4))
         assert set(report.survival_by_gender) == {"MM", "WW"}
