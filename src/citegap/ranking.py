@@ -86,6 +86,9 @@ def _power_iteration(
     from p(0) = teleport until the mean absolute update (the residual)
     drops below eps; returns p, the steps taken, whether it converged, and
     the last residual (None if no step ran)."""
+    if not (0 <= alpha <= 1 and eps >= 0 and t_max >= 0):
+        raise ValueError("PageRank needs alpha in [0, 1], eps >= 0 and t_max >= 0, got "
+                         f"alpha={alpha}, eps={eps}, t_max={t_max}")
     p = teleport.copy()
     residual = None
     for t in range(1, t_max + 1):

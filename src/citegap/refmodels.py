@@ -29,9 +29,17 @@ the papers sorted by author pair, and :meth:`CitationNetwork.citable`
 confirms each.  So an RD or HD group is stored as an interval of the
 index, minus a short list of excluded positions, plus an explicit part:
 the target of an HD citation to a later-dated paper, the one case in
-which a target lies outside its slice.  A PD group, narrowed by running
-counts, and an observed-edge group are explicit member lists only.  Every
-table is O(N + M + exclusions), however large the eligible sets are.
+which a target lies outside its slice.  An RD or HD table is
+O(N + M + exclusions), however large the eligible sets are.
+
+A PD group, narrowed by running counts, and an observed-edge group are
+explicit member lists only.  PD walks the citers in date order.  The
+*base* a citation is narrowed from, its HD set, is one slice without its
+exclusions, plus the target when that is later-dated; the bases are
+sorted by index into one flat array per block of ``BLOCK_ENTRIES // 8``
+entries.  A citer's step gathers running counts over slices of it,
+compares, narrows, merges identical sets into bundles and adds their
+mass, in float and exact mode alike.
 
 Each downstream sum is one of two reductions over the table, in plain
 numpy, with ``W`` the G x N matrix holding ``weight[g]`` at (g, j) for
@@ -42,15 +50,15 @@ category indicator (gender expectations, pairwise counts) with
 without their exclusions, and the explicit parts; on a table with
 intervals ``spread`` sums exactly, so papers held by the same groups get
 the same expected count.  The package needs numpy only; the tests check
-the tables against the explicit member lists RD and HD once stored, and
-the reductions against ``scipy.sparse``.
+the tables against the explicit member lists RD and HD once stored, PD
+against a per-citer mask path, and the reductions against
+``scipy.sparse``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -317,12 +325,6 @@ class ExpectedCitations:
                               tuple(self.targets[a:b].tolist()), float(self.weight[g]))
             for g, (a, b) in enumerate(zip(self.target_ptr[:-1], self.target_ptr[1:])))
 
-    @cached_property
-    def groups_by_citing(self) -> dict[int, tuple[ContributionGroup, ...]]:
-        citers, starts = np.unique(self.citing, return_index=True)
-        ends = [*starts[1:], len(self.citing)]
-        return {int(i): self.groups[a:b] for i, a, b in zip(citers, starts, ends)}
-
     def check_network(self, net: CitationNetwork) -> None:
         if self.n_papers != net.n or self.n_citations != net.m:
             raise ModelError(
@@ -361,10 +363,6 @@ def _spread(indptr: np.ndarray, indices: np.ndarray, mass: np.ndarray,
     return out
 
 
-#: one explicit group before packing: citer, sorted member ids, observed targets
-Row = tuple[int, np.ndarray, Sequence[int]]
-
-
 def _index_dtype(n_groups: int, n_papers: int, n_entries: int) -> type:
     """Dtype of a table's position and member arrays: int32 when every
     value fits, which halves them, else int64."""
@@ -397,31 +395,6 @@ def group_table(model: str, attributes: tuple[str, ...], order: np.ndarray,
     return ExpectedCitations(model, attributes, order, citing, np.diff(target_ptr) / sizes,
                              lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr,
                              targets, c_bar)
-
-
-def _table(model: str, attributes: tuple[str, ...], net: CitationNetwork,
-           rows: Sequence[Row], c_bar: np.ndarray | None = None,
-           order: np.ndarray | None = None) -> ExpectedCitations:
-    """Pack explicit rows, ordered by citer, into the arrays of
-    :func:`group_table`, concatenating the members straight into their
-    stored dtype; no group has an interval part.  ``order`` is the
-    eligibility index over ``attributes``, built here when not given."""
-    sizes = np.array([row[1].size for row in rows], dtype=np.int64)
-    n_targets = np.array([len(row[2]) for row in rows], dtype=np.int64)
-    index_dtype = _index_dtype(len(rows), net.n, int(sizes.sum()))
-    none = np.zeros(len(rows), dtype=index_dtype)
-    return group_table(
-        model, attributes,
-        eligibility_index(net, attributes)[0] if order is None else order,
-        np.array([row[0] for row in rows], dtype=np.int64), none, none,
-        np.zeros(len(rows) + 1, dtype=index_dtype), np.zeros(0, dtype=index_dtype),
-        np.concatenate(([0], np.cumsum(sizes)), dtype=index_dtype),
-        np.concatenate([np.zeros(0, index_dtype)] + [row[1] for row in rows],
-                       dtype=index_dtype),
-        np.concatenate(([0], np.cumsum(n_targets))),
-        np.fromiter(chain.from_iterable(row[2] for row in rows), np.int64,
-                    n_targets.sum()), c_bar,
-    )
 
 
 def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
@@ -521,36 +494,43 @@ def _exclusions(net: CitationNetwork, order: np.ndarray, citers: np.ndarray,
     return np.concatenate(([0], np.cumsum(counts))), found[keep]
 
 
-def _bases(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray,
-           cats: np.ndarray) -> Iterator[np.ndarray]:
-    """For each (citer, category) pair, in order, the ascending papers of
-    that category the citer may cite and that are not dated after it:
-    its slice of the eligibility index (:func:`_slices`) without its
-    exclusions (:func:`_exclusions`), sorted by index in blocks of
-    consecutive pairs holding at most ``BLOCK_ENTRIES // 8`` candidates
-    (or a single pair)."""
+def _base_blocks(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray,
+                 cats: np.ndarray, extra: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """For each (citer, category) pair k its *base*: the ascending papers of
+    that category the citer may cite and that are not dated after it, its
+    slice of the eligibility index without its exclusions, plus the paper
+    ``extra[k]`` unless that is -1.  Returns the index, the bounds of each
+    base in the concatenation of all, and that concatenation in blocks of
+    consecutive bases of at most ``BLOCK_ENTRIES // 8`` entries (or one
+    base), each with the end of its bases."""
     order, lo, hi = _slices(net, codes, citers, cats)
     excluded_ptr, excluded = _exclusions(net, order, citers, lo, hi)
-    ptr = np.concatenate(([0], np.cumsum(hi - lo)))
-    for a, b in _blocks(ptr, entries=max(1, BLOCK_ENTRIES // 8)):
-        sizes = np.diff(ptr[a:b + 1])
-        # slice position p of pair k is block entry p - shift[k]
-        shift = lo[a:b] - ptr[a:b] + ptr[a]
-        keep = np.ones(ptr[b] - ptr[a], dtype=bool)
-        keep[excluded[excluded_ptr[a]:excluded_ptr[b]]
-             - np.repeat(shift, np.diff(excluded_ptr[a:b + 1]))] = False
-        cand = order[np.arange(ptr[b] - ptr[a]) + np.repeat(shift, sizes)][keep]
-        # sort each pair's papers by index: offset pair k by k * N
-        offset = np.repeat(np.arange(b - a) * net.n, sizes)[keep]
-        key = np.sort(offset + cand)
-        yield from _pieces(key - offset,
-                           np.searchsorted(key, np.arange(1, b - a) * net.n).tolist())
+    ptr = np.concatenate(([0], np.cumsum(hi - lo - np.diff(excluded_ptr) + (extra >= 0))))
+    # base k's entries are offset by k << bits while they are sorted
+    bits = max(net.n - 1, 1).bit_length()
 
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for a, b in _blocks(ptr, entries=max(1, BLOCK_ENTRIES // 8)):
+            sizes = hi[a:b] - lo[a:b]
+            # slice position p of base k is block entry p - shift[k]
+            shift = lo[a:b] - np.cumsum(sizes) + sizes
+            offset = np.arange(b - a) << bits
+            key = order[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
+            key += np.repeat(offset, sizes)
+            if excluded_ptr[b] > excluded_ptr[a]:
+                keep = np.ones(key.size, dtype=bool)
+                keep[excluded[excluded_ptr[a]:excluded_ptr[b]]
+                     - np.repeat(shift, np.diff(excluded_ptr[a:b + 1]))] = False
+                key = key[keep]
+            own = np.flatnonzero(extra[a:b] >= 0)
+            if own.size:
+                key = np.concatenate((key, offset[own] + extra[a:b][own]))
+            # a stable sort merges the runs of equal dates of each slice
+            key.sort(kind="stable")
+            yield b, key & ((1 << bits) - 1)
 
-def _pieces(a: Sequence, stops: list[int]) -> list:
-    """``a`` cut before each of the ascending positions ``stops``."""
-    bounds = [0, *stops, len(a)]
-    return [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return order, ptr, blocks()
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -563,36 +543,11 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _citation_bases(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray
-                    ) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
-    """For each citer, in the order given (which must list every paper
-    that cites), its targets and each one's base: the :func:`_bases` entry
-    of the target's category, plus the target when it is dated after the
-    citer.  Every edge is citable, so that is the one case in which a
-    target lies outside its slice."""
-    n_codes = int(codes.max(initial=0)) + 1
-    position = np.zeros(net.n, dtype=np.int64)
-    position[citers] = np.arange(len(citers))
-    pairs = _distinct(position[net.edges[:, 0]] * n_codes + codes[net.edges[:, 1]])
-    pos, cats = np.divmod(pairs, n_codes)
-    bases = _bases(net, codes, citers[pos], cats)
-    ends = np.cumsum(np.bincount(pos, minlength=len(citers)))[:-1].tolist()
-    later = (net.dates[net.edges[:, 1]] > net.dates[net.edges[:, 0]]).tolist()
-    first = (np.cumsum(net.out_degree) - net.out_degree).tolist()
-    for i, own in zip(citers.tolist(), _pieces(cats.tolist(), ends)):
-        base = {c: next(bases) for c in own}
-        targets = net.out_targets[i]
-        yield i, targets, [
-            _with_member(base[c], t) if late else base[c]
-            for c, t, late in zip(codes[targets].tolist(), targets.tolist(),
-                                  later[first[i]:first[i] + targets.size])
-        ]
-
-
 def eligible_set_rd(net: CitationNetwork, i: int) -> np.ndarray:
     """Sorted indices of papers that paper i could cite under RD."""
-    return next(_bases(net, np.zeros(net.n, dtype=np.int64), np.array([i]),
-                       np.zeros(1, dtype=np.int64)))
+    blocks = _base_blocks(net, np.zeros(net.n, dtype=np.int64), np.array([i]),
+                          np.zeros(1, dtype=np.int64), np.array([-1]))[2]
+    return next(blocks)[1]
 
 
 def eligible_set_hd(
@@ -604,26 +559,8 @@ def eligible_set_hd(
     """Sorted indices of the RD-eligible papers sharing the observed
     target's category, always including the target itself."""
     codes = _key_codes(net, canonical_attributes(attributes))
-    base = next(_bases(net, codes, np.array([i]), codes[[i_prime]]))
-    return _with_member(base, i_prime)
-
-
-def _with_member(members: np.ndarray, j: int) -> np.ndarray:
-    """Sorted member array guaranteed to contain j."""
-    pos = np.searchsorted(members, j)
-    if pos < len(members) and members[pos] == j:
-        return members
-    return np.insert(members, pos, j)
-
-
-def _bundles(targets: np.ndarray, members: Sequence[np.ndarray]
-             ) -> list[tuple[np.ndarray, list[int]]]:
-    """One citer's citations as (members, targets) bundles: citations
-    with identical member sets merge into one bundle."""
-    merged: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for t, m in zip(targets.tolist(), members):
-        merged.setdefault(m.tobytes(), (m, []))[1].append(t)
-    return list(merged.values())
+    blocks = _base_blocks(net, codes, np.array([i]), codes[[i_prime]], np.array([-1]))[2]
+    return np.union1d(next(blocks)[1], [i_prime])
 
 
 def random_draws(net: CitationNetwork) -> ExpectedCitations:
@@ -705,30 +642,86 @@ def preferential_draws(
     target's; all citations of one paper read the state frozen before
     that paper, then their contributions are applied together.
 
-    Count equality is ``|a - b| <= count_tol`` in float mode.  With
-    ``exact=True`` the running counts are exact rationals compared for
-    true equality, which removes float drift at the cost of speed.
+    Count equality is ``|a - b| <= count_tol``, a number >= 0, in float
+    mode.  With ``exact=True`` the running counts are exact rationals
+    compared for true equality: no float drift, at the cost of speed.
     """
+    if not count_tol >= 0:
+        raise ValueError(f"the count tolerance must be a number >= 0, got {count_tol}")
     attrs = canonical_attributes(attributes)
     codes = _key_codes(net, attrs)
-    order = date_order(net)
-    running = np.full(net.n, Fraction(0), dtype=object) if exact else np.zeros(net.n)
-    rows: list[Row] = []
-    for x, targets, bases in _citation_bases(net, codes, order[net.out_degree[order] > 0]):
-        # one comparison narrows every citation against the frozen state;
-        # a target always survives, as its count equals itself
-        sizes = [b.size for b in bases]
-        values = running[np.concatenate(bases)]
-        count = np.repeat(running[targets], sizes)
-        keep = values == count if exact else np.abs(values - count) <= count_tol
-        narrowed = [b[k] for b, k in zip(bases, _pieces(keep, list(accumulate(sizes[:-1]))))]
-        for m, tlist in _bundles(targets, narrowed):
-            running[m] += Fraction(len(tlist), m.size) if exact else len(tlist) / m.size
-            rows.append((x, m, tlist))
+    citing, cited = net.edges[:, 0], net.edges[:, 1]
+    later = net.dates[cited] > net.dates[citing]
+    # one unit per distinct base, by citer in date order: a citation's base
+    # is fixed by its citer and its target's category, or also by the
+    # target itself when that is dated after the citer
+    n_codes = int(codes.max(initial=0)) + 1
+    _, lead, unit = np.unique(np.argsort(date_order(net))[citing] * (n_codes + net.n)
+                              + np.where(later, n_codes + cited, codes[cited]),
+                              return_index=True, return_inverse=True)
+    order, base_ptr, blocks = _base_blocks(net, codes, citing[lead], codes[cited[lead]],
+                                           np.where(later[lead], cited[lead], -1))
+    unit_ptr = [*np.flatnonzero(np.diff(citing[lead], prepend=-1)).tolist(), lead.size]
+    citers = citing[lead[unit_ptr[:-1]]]
+    # per citation, the bounds of its base among all bases
+    size = np.diff(base_ptr)[unit]
+    start, stop = base_ptr[unit].tolist(), base_ptr[unit + 1].tolist()
+    edge_ptr = np.concatenate(([0], np.cumsum(net.out_degree))).tolist()
 
-    rows.sort(key=lambda row: row[0])
-    return _table("PD", attrs, net, rows, running.astype(np.float64),
-                  _index(net, codes)[0])
+    running = np.full(net.n, Fraction(0), dtype=object) if exact else np.zeros(net.n)
+    # per citer, in date order: its bundles' members, sizes, targets and
+    # target counts, each bundle's after the one before
+    rows, member_dtype = [], _index_dtype(0, net.n, 0)
+    # the bases' entries from ``done`` on, through those of unit ``loaded``
+    flat, done, loaded = np.zeros(0, dtype=np.int64), 0, 0
+    for p, x in enumerate(citers.tolist()):
+        while loaded < unit_ptr[p + 1]:
+            loaded, more = next(blocks)
+            flat = np.concatenate((flat[base_ptr[unit_ptr[p]] - done:], more))
+            done = int(base_ptr[unit_ptr[p]])
+        e0, e1 = edge_ptr[x], edge_ptr[x + 1]
+        t, n = cited[e0:e1], size[e0:e1]
+        base = np.concatenate([flat[a - done:b - done]
+                               for a, b in zip(start[e0:e1], stop[e0:e1])])
+        # every citation is narrowed against the state frozen before x; a
+        # target always survives, as its count equals itself
+        values, count = running[base], running[t].repeat(n)
+        if exact:
+            keep = values == count
+        else:
+            values -= count
+            keep = np.abs(values, out=values) <= count_tol
+        kept = np.add.reduceat(keep, n.cumsum() - n)
+        m, n_t = base[keep], np.ones(e1 - e0, dtype=np.int64)
+        if unit_ptr[p + 1] - unit_ptr[p] < e1 - e0:
+            # citations with identical member sets merge into one bundle,
+            # in the place of the first; only citations of one unit can, as
+            # the others' sets differ in a category or a target
+            merged: dict[bytes, list[int]] = {}
+            end = kept.cumsum()
+            for c, (a, b) in enumerate(zip((end - kept).tolist(), end.tolist())):
+                merged.setdefault(m[a:b].tobytes(), []).append(c)
+            if len(merged) < e1 - e0:
+                first = [c[0] for c in merged.values()]
+                m = m[np.bincount(first, minlength=e1 - e0).astype(bool).repeat(kept)]
+                n_t = np.array([len(c) for c in merged.values()])
+                t, kept = t[[c for cs in merged.values() for c in cs]], kept[first]
+        mass = (np.array([Fraction(a, b) for a, b in zip(n_t.tolist(), kept.tolist())])
+                if exact else n_t / kept)
+        np.add.at(running, m, mass.repeat(kept))
+        rows.append((m.astype(member_dtype), kept, t, n_t))
+
+    # the rows by citer, each citer's bundles in the order of their first
+    # targets; a leading empty row types the arrays when no paper cites
+    rows = [rows[p] for p in np.argsort(citers).tolist()]
+    citing = np.sort(citers).repeat([row[1].size for row in rows])
+    members, sizes, targets, n_targets = map(np.concatenate, zip(
+        (np.zeros(0, member_dtype), *[np.zeros(0, np.int64)] * 3), *rows))
+    zeros = np.zeros(citing.size + 1, dtype=np.int64)
+    return group_table("PD", attrs, order, citing, zeros[1:], zeros[1:], zeros, zeros[:0],
+                       np.concatenate(([0], np.cumsum(sizes))), members,
+                       np.concatenate(([0], np.cumsum(n_targets))), targets,
+                       running.astype(np.float64))
 
 
 def compute_model(
@@ -756,8 +749,10 @@ def observed_as_expectations(net: CitationNetwork) -> ExpectedCitations:
     Useful as a consistency anchor: reference-model machinery applied to
     these groups must reproduce observed statistics exactly.
     """
-    rows = [(int(i), np.array([j]), (int(j),)) for i, j in net.edges]
-    return _table("observed", (), net, rows, net.in_degree.astype(float))
+    ptr, zeros = np.arange(net.m + 1), np.zeros(net.m + 1, dtype=np.int64)
+    return group_table("observed", (), eligibility_index(net)[0], net.edges[:, 0].copy(),
+                       zeros[1:], zeros[1:], zeros, zeros[:0], ptr, net.edges[:, 1], ptr,
+                       net.edges[:, 1].copy(), net.in_degree.astype(float))
 
 
 def citation_probability(ec: ExpectedCitations, i: int, j: int) -> float:

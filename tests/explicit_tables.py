@@ -1,35 +1,89 @@
-"""The explicit rd/hd group tables, the oracle of the interval-coded ones.
+"""The explicit group tables, the oracle of the interval-coded rd/hd ones,
+and the packer of every oracle's rows.
 
 RD and HD once stored every member of every group: each (citer,
-category) base of :func:`citegap.refmodels._bases` as a sorted member
-list, an HD target dated after its citer added to its citation's base,
-and a citer's citations with identical member sets merged into one
-group.  :func:`explicit_random_draws` and :func:`explicit_homophilic_draws`
-build those tables with the package's explicit packer;
-:func:`assert_matches_explicit` checks any table against one.
+category) base, the papers of that category the citer may cite and that
+are not dated after it, as a sorted member list; an HD target dated
+after its citer added to its citation's base; and a citer's citations
+with identical member sets merged into one group.
+:func:`explicit_random_draws` and :func:`explicit_homophilic_draws` build
+those tables here, from the papers sorted by (category, date) and
+:meth:`CitationNetwork.citable`, without the package's eligibility index;
+:func:`table_from_rows` packs any oracle's rows as the package packed
+them; :func:`assert_matches_explicit` checks any table against one.
 """
 import numpy as np
 
 from citegap.corpus import ATTRIBUTE_ORDER, GenderCategory, canonical_attributes
-from citegap.refmodels import (
-    ModelError,
-    _bases,
-    _bundles,
-    _citation_bases,
-    _key_codes,
-    _table,
-    citation_probability,
-)
+from citegap.refmodels import ModelError, citation_probability, eligibility_index, group_table
 
 #: relative tolerance of every float reduction against the oracle's
 RTOL = 1e-12
 
 
+def category_codes(net, attributes):
+    """Per paper, its category code under ``attributes``: two papers share
+    a code exactly when they agree on every attribute."""
+    order, codes = eligibility_index(net, attributes)
+    out = np.empty(net.n, dtype=np.int64)
+    out[order] = codes
+    return out
+
+
+def table_from_rows(model, attributes, net, rows, c_bar=None):
+    """Pack explicit rows (citer, sorted member ids, observed targets),
+    ordered by citer, into the arrays of ``group_table``, concatenating the
+    members straight into their stored dtype: int32 when every value
+    fits, else int64.  No group has an interval part."""
+    sizes = np.array([row[1].size for row in rows], dtype=np.int64)
+    n_targets = np.array([len(row[2]) for row in rows], dtype=np.int64)
+    fits = max(len(rows), net.n, int(sizes.sum())) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits else np.int64
+    none = np.zeros(len(rows), dtype=index_dtype)
+    return group_table(
+        model, attributes, eligibility_index(net, attributes)[0],
+        np.array([row[0] for row in rows], dtype=np.int64), none, none,
+        np.zeros(len(rows) + 1, dtype=index_dtype), np.zeros(0, dtype=index_dtype),
+        np.concatenate(([0], np.cumsum(sizes)), dtype=index_dtype),
+        np.concatenate([np.zeros(0, index_dtype)] + [row[1] for row in rows],
+                       dtype=index_dtype),
+        np.concatenate(([0], np.cumsum(n_targets))),
+        np.fromiter((t for row in rows for t in row[2]), np.int64, n_targets.sum()), c_bar,
+    )
+
+
+class Bases:
+    """Per (citer, category), the ascending papers of that category the
+    citer may cite and that are not dated after it: the category's papers
+    from the citer's window floor to its date, found by binary search in
+    the papers sorted by (category, date), filtered by ``citable``."""
+
+    def __init__(self, net, codes):
+        self.net, self.order = net, np.lexsort((net.dates, codes))
+        self.codes, self.dates = codes[self.order], net.dates[self.order]
+
+    def __call__(self, i, category):
+        a, b = np.searchsorted(self.codes, [category, category + 1])
+        lo = a + np.searchsorted(self.dates[a:b], self.net.window_floors[i])
+        hi = a + np.searchsorted(self.dates[a:b], self.net.dates[i], side="right")
+        candidates = self.order[lo:hi]
+        return np.sort(candidates[self.net.citable(i, candidates)])
+
+
+def bundles(targets, members):
+    """One citer's citations as (members, targets) bundles: citations
+    with identical member sets merge into one bundle."""
+    merged = {}
+    for t, m in zip(targets.tolist(), members):
+        merged.setdefault(m.tobytes(), (m, []))[1].append(t)
+    return list(merged.values())
+
+
 def explicit_random_draws(net):
-    citers = np.flatnonzero(net.out_degree)
-    zeros = np.zeros(net.n, dtype=np.int64)
+    bases = Bases(net, np.zeros(net.n, dtype=np.int64))
     rows = []
-    for i, members in zip(citers.tolist(), _bases(net, zeros, citers, zeros[citers])):
+    for i in np.flatnonzero(net.out_degree).tolist():
+        members = bases(i, 0)
         targets = net.out_targets[i]
         if members.size == 0:
             raise ModelError(
@@ -37,16 +91,21 @@ def explicit_random_draws(net):
                 "but its eligible set is empty"
             )
         rows.append((i, members, targets))
-    return _table("RD", (), net, rows)
+    return table_from_rows("RD", (), net, rows)
 
 
 def explicit_homophilic_draws(net, attributes=ATTRIBUTE_ORDER):
     attrs = canonical_attributes(attributes)
-    codes = _key_codes(net, attrs)
+    codes = category_codes(net, attrs)
+    bases = Bases(net, codes)
     rows = []
-    for i, targets, bases in _citation_bases(net, codes, np.flatnonzero(net.out_degree)):
-        rows.extend((i, m, tlist) for m, tlist in _bundles(targets, bases))
-    return _table("HD", attrs, net, rows)
+    for i in np.flatnonzero(net.out_degree).tolist():
+        targets = net.out_targets[i]
+        base = {c: bases(i, c) for c in set(codes[targets].tolist())}
+        members = [np.union1d(base[codes[t]], [t]) if net.dates[t] > net.dates[i]
+                   else base[codes[t]] for t in targets.tolist()]
+        rows.extend((i, m, tlist) for m, tlist in bundles(targets, members))
+    return table_from_rows("HD", attrs, net, rows)
 
 
 def explicit_model(net, model, attributes=ATTRIBUTE_ORDER):

@@ -170,7 +170,7 @@ def test_criterion_04_monte_carlo_oracle():
                 if k == 0:
                     assert not est.w_mean[i].any()
                     continue
-                for g in ec.groups_by_citing.get(i, ()):
+                for g in ec.groups[slice(*np.searchsorted(ec.citing, [i, i + 1]))]:
                     p = g.weight / k
                     se = math.sqrt(k * p * (1 - p) / samples)
                     gaps = np.abs(est.w_mean[i, g.members] - g.weight)

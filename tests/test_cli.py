@@ -204,6 +204,17 @@ class TestModel:
         run("model", archive, out, "--model", "pd")
         assert tree_hashes(out) == before
 
+    @pytest.mark.parametrize("exact", [(), ("--exact",)], ids=["float", "exact"])
+    @pytest.mark.parametrize("count_tol", ["nan", "-1e-9"])
+    def test_bad_count_tol_exit_code(self, archive, tmp_path, capsys, count_tol, exact):
+        out = tmp_path / "pd"
+        # the = form, as argparse reads "-1e-9" alone as an option
+        assert run("model", archive, out, "--model", "pd", f"--count-tol={count_tol}",
+                   *exact) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: the count tolerance must be a number >= 0, got {float(count_tol)}"]
+        assert not out.exists()
+
     def test_empty_eligible_set_exit_code(self, tmp_path, capsys):
         # the only citer cites a later-dated paper, so its rd eligible set
         # is empty and the model is undefinable
@@ -513,6 +524,23 @@ class TestRank:
         assert manifest["converged"] == {"observed": False, "model": False}
         assert all(isinstance(r, float) and r >= 0
                    for r in manifest["final_residual"].values())
+
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--alpha", "nan", "alpha=nan, eps=1e-06, t_max=100"),
+        ("--alpha", "1.5", "alpha=1.5, eps=1e-06, t_max=100"),
+        ("--alpha", "-0.5", "alpha=-0.5, eps=1e-06, t_max=100"),
+        ("--eps", "nan", "alpha=0.85, eps=nan, t_max=100"),
+        ("--eps", "-1e-06", "alpha=0.85, eps=-1e-06, t_max=100"),
+        ("--t-max", "-1", "alpha=0.85, eps=1e-06, t_max=-1"),
+    ])
+    def test_bad_pagerank_parameters_exit_code(self, archive, tmp_path, capsys,
+                                               flag, value, shown):
+        out = tmp_path / "rank"
+        assert run("rank", archive, out, "--metric", "pagerank", f"{flag}={value}") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: PageRank needs alpha in [0, 1], eps >= 0 and t_max >= 0, got {shown}"]
+        assert captured.out == "" and not out.exists()
 
     def test_bad_d_grid_rejected(self, archive, tmp_path, capsys):
         assert run("rank", archive, tmp_path / "r", "--d-grid", "0,5") == 2

@@ -46,10 +46,15 @@ from citegap.corpus import (
     parse_pub_date,
 )
 from citegap import refmodels
-from citegap.refmodels import _key_codes, _table, date_order
+from citegap.refmodels import _key_codes, date_order
 from citegap.synth import _eligible_bruteforce, _hd_members_bruteforce
 from conftest import make_paper
-from explicit_tables import assert_matches_explicit, explicit_model
+from explicit_tables import (
+    assert_matches_explicit,
+    category_codes,
+    explicit_model,
+    table_from_rows,
+)
 from row_parser import filter_rows
 
 SEEDS = range(25)
@@ -217,13 +222,13 @@ def mask_model(net, model, attrs=(), *, exact=False, count_tol=1e-9):
                                  f"{net.out_targets[i].size} citation(s) "
                                  "but its eligible set is empty")
             rows.append((i, members, net.out_targets[i]))
-        return _table("RD", (), net, rows)
-    codes = _key_codes(net, attrs)
+        return table_from_rows("RD", (), net, rows)
+    codes = category_codes(net, attrs)
     if model == "HD":
         rows = [(i, members, tlist) for i in citers
                 for members, tlist in mask_bundles(net.out_targets[i],
                                                    mask_eligible(net, i), codes)]
-        return _table("HD", attrs, net, rows)
+        return table_from_rows("HD", attrs, net, rows)
     running = [Fraction(0)] * net.n if exact else np.zeros(net.n)
 
     def narrow(base, t):
@@ -243,7 +248,7 @@ def mask_model(net, model, attrs=(), *, exact=False, count_tol=1e-9):
                     else len(tlist) / members.size
             rows.append((x, members, tlist))
     rows.sort(key=lambda row: row[0])
-    return _table("PD", attrs, net, rows, np.array([float(v) for v in running]))
+    return table_from_rows("PD", attrs, net, rows, np.array([float(v) for v in running]))
 
 
 def assert_same_table(ec, ref):

@@ -1,9 +1,11 @@
 """Interval-coded rd/hd tables on corpora the size of the benchmark's:
 the rd-dense synth corpus (N=5,000 over 40 years of daily dates) and the
 pd-ties rawgen corpus (N=5,000 over 30 years, year-only dates), at seeds
-1 and 7, against the explicit tables of ``explicit_tables``; and the
-memory a model and its reductions take, which grows with N + M and not
-with the member lists' N^2 entries."""
+1 and 7, against the explicit tables of ``explicit_tables``; the PD
+tables of the pd-ties corpora, whose base blocks each hold many citers,
+against the mask path bit for bit; and the memory a model and its
+reductions take, which grows with N + M and not with the member lists'
+N^2 entries."""
 import sys
 import tracemalloc
 from datetime import date
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 
 from citegap import SynthConfig, compute_model, generate_network, load_network
-from citegap.corpus import GenderCategory
+from citegap.corpus import ATTRIBUTE_ORDER, GenderCategory
 from explicit_tables import assert_matches_explicit, explicit_model
+from test_eligibility import assert_same_table, mask_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,6 +57,19 @@ def test_interval_tables_match_explicit(corpus, model, attrs):
     # corpora in test_eligibility
     ec = compute_model(corpus, model, attrs)
     assert_matches_explicit(corpus, ec, explicit_model(corpus, model, attrs), pairs=50)
+
+
+@pytest.mark.parametrize("corpus, attrs, exact", [
+    (("pd-ties", 1), ATTRIBUTE_ORDER, False),
+    (("pd-ties", 1), ATTRIBUTE_ORDER, True),
+    (("pd-ties", 1), ("rank",), False),
+    (("pd-ties", 7), ATTRIBUTE_ORDER, False),
+    (("pd-ties", 7), ("rank",), False),
+], indirect=["corpus"], ids=["pd-ties-1", "pd-ties-1-exact", "pd-ties-1-rank", "pd-ties-7",
+                             "pd-ties-7-rank"])
+def test_pd_matches_mask_path(corpus, attrs, exact):
+    assert_same_table(compute_model(corpus, "PD", attrs, exact=exact),
+                      mask_model(corpus, "PD", attrs, exact=exact))
 
 
 def traced_peak(fn):

@@ -1,4 +1,5 @@
 import logging
+import re
 from datetime import date
 
 import numpy as np
@@ -128,6 +129,28 @@ class TestPagerankObserved:
         net = filter_citations([], [])
         with pytest.raises(ValueError):
             pagerank_observed(net)
+
+    @pytest.mark.parametrize("params, shown", [
+        ({"alpha": 1.5}, "alpha=1.5, eps=1e-06, t_max=100"),
+        ({"alpha": -0.1}, "alpha=-0.1, eps=1e-06, t_max=100"),
+        ({"alpha": float("nan")}, "alpha=nan, eps=1e-06, t_max=100"),
+        ({"eps": float("nan")}, "alpha=0.85, eps=nan, t_max=100"),
+        ({"eps": -1e-6}, "alpha=0.85, eps=-1e-06, t_max=100"),
+        ({"t_max": -1}, "alpha=0.85, eps=1e-06, t_max=-1"),
+    ])
+    def test_bad_parameters_rejected(self, params, shown):
+        message = f"PageRank needs alpha in [0, 1], eps >= 0 and t_max >= 0, got {shown}"
+        for rank in (lambda net: pagerank_observed(net, **params),
+                     lambda net: pagerank_reference(random_draws(net), net, **params)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rank(two_paper_chain())
+
+    def test_parameter_bounds_accepted(self):
+        # the ends of each range: no damping, all damping, no step
+        for params in ({"alpha": 0.0}, {"alpha": 1.0}, {"eps": 0.0, "t_max": 3},
+                       {"t_max": 0}):
+            assert pagerank_observed(two_paper_chain(), **params).raw_score.sum() \
+                == pytest.approx(1.0)
 
 
 class TestPagerankReference:

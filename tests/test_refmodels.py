@@ -45,6 +45,7 @@ from citegap.refmodels import (
     survival_points,
 )
 from conftest import make_paper
+from explicit_tables import table_from_rows
 
 ATTRS = ("rank", "country", "topic")
 
@@ -233,6 +234,13 @@ class TestPreferentialDraws:
         np.testing.assert_allclose(pd_.c_bar, hd.c_bar, atol=1e-12)
         assert_group_invariants(net, pd_)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("count_tol", [float("nan"), -1e-9, -math.inf])
+    def test_rejects_bad_count_tol(self, toy_pd, count_tol, exact):
+        # no target would survive its own narrowing
+        with pytest.raises(ValueError, match="^the count tolerance must be a number >= 0"):
+            preferential_draws(toy_pd, ATTRS, count_tol=count_tol, exact=exact)
+
     def test_date_order_breaks_ties_by_id(self, toy4):
         order = date_order(toy4)
         assert [toy4.papers[i].id for i in order] == ["P1", "P2", "P3", "P4"]
@@ -279,7 +287,7 @@ class TestModelInvariantsOnSynthetic:
         for i in range(0, synth_net.n, 25):
             total = sum(
                 g.weight * g.members.size
-                for g in ec.groups_by_citing.get(i, ())
+                for g in ec.groups[slice(*np.searchsorted(ec.citing, [i, i + 1]))]
             )
             assert total == pytest.approx(synth_net.out_degree[i], abs=1e-9)
 
@@ -621,7 +629,8 @@ def test_table_reductions_match_group_loops(seed, corpus, model, tmp_path):
         np.testing.assert_allclose(report.pairwise[attribute].expected,
                                    loop_pairwise(net, ec, attribute), rtol=1e-12, atol=0)
     for i, j in net.edges[::7]:
-        direct = sum(g.weight for g in ec.groups_by_citing[int(i)] if j in g.members)
+        groups = ec.groups[slice(*np.searchsorted(ec.citing, [i, i + 1]))]
+        direct = sum(g.weight for g in groups if j in g.members)
         assert citation_probability(ec, int(i), int(j)) == pytest.approx(direct, rel=1e-12)
     assert_reductions_match_scipy(net, ec)
 
@@ -726,7 +735,7 @@ def test_table_packs_members_once_in_the_stored_dtype():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        ec = refmodels._table("RD", (), net, rows)
+        ec = table_from_rows("RD", (), net, rows)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
