@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    ATTRIBUTE_ORDER,
     CitationNetwork,
     ConferenceRank,
     GenderCategory,
@@ -53,6 +54,7 @@ from .ranking import (
     DEFAULT_ALPHA,
     DEFAULT_EPS,
     DEFAULT_T_MAX,
+    check_pagerank_parameters,
     citation_scores,
     pagerank_observed,
     pagerank_reference,
@@ -210,7 +212,7 @@ def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _parse_attrs(text: str | None) -> tuple[str, ...]:
     if text is None:
-        return ("rank", "country", "topic")
+        return ATTRIBUTE_ORDER
     return tuple(a.strip() for a in text.split(",") if a.strip())
 
 
@@ -533,6 +535,8 @@ def _parse_d_grid(text: str) -> list[float]:
 
 
 def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
+    # checked for either metric, so no bad value is written to a manifest
+    check_pagerank_parameters(args.alpha, args.eps, args.t_max)
     artifact = None if args.model_artifact is None else Path(args.model_artifact)
     net, ec, inputs = _load_inputs(Path(args.archive), artifact)
 
@@ -604,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=["rd", "hd", "pd"])
     p.add_argument("--attrs", default=None,
                    help="comma-joined attribute set for hd/pd "
-                        "(default rank,country,topic)")
+                        f"(default {','.join(ATTRIBUTE_ORDER)})")
     p.add_argument("--exact", action="store_true",
                    help="exact-rational running counts for pd")
     p.add_argument("--count-tol", type=float, default=DEFAULT_COUNT_TOL,

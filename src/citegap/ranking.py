@@ -74,6 +74,13 @@ def normalized_scores(raw: np.ndarray, net: CitationNetwork) -> np.ndarray:
     return out
 
 
+def check_pagerank_parameters(alpha: float, eps: float, t_max: int) -> None:
+    """Raise ``ValueError`` unless alpha is in [0, 1], eps >= 0 and t_max >= 0."""
+    if not (0 <= alpha <= 1 and eps >= 0 and t_max >= 0):
+        raise ValueError("PageRank needs alpha in [0, 1], eps >= 0 and t_max >= 0, got "
+                         f"alpha={alpha}, eps={eps}, t_max={t_max}")
+
+
 def _power_iteration(
     flow,
     teleport: np.ndarray,
@@ -86,9 +93,7 @@ def _power_iteration(
     from p(0) = teleport until the mean absolute update (the residual)
     drops below eps; returns p, the steps taken, whether it converged, and
     the last residual (None if no step ran)."""
-    if not (0 <= alpha <= 1 and eps >= 0 and t_max >= 0):
-        raise ValueError("PageRank needs alpha in [0, 1], eps >= 0 and t_max >= 0, got "
-                         f"alpha={alpha}, eps={eps}, t_max={t_max}")
+    check_pagerank_parameters(alpha, eps, t_max)
     p = teleport.copy()
     residual = None
     for t in range(1, t_max + 1):

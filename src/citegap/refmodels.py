@@ -33,13 +33,13 @@ which a target lies outside its slice.  An RD or HD table is
 O(N + M + exclusions), however large the eligible sets are.
 
 A PD group, narrowed by running counts, and an observed-edge group are
-explicit member lists only.  PD walks the citers in date order.  The
-*base* a citation is narrowed from, its HD set, is one slice without its
-exclusions, plus the target when that is later-dated; the bases are
-sorted by index into one flat array per block of ``BLOCK_ENTRIES // 8``
-entries.  A citer's step gathers running counts over slices of it,
-compares, narrows, merges identical sets into bundles and adds their
-mass, in float and exact mode alike.
+explicit member lists only.  The *base* a PD citation is narrowed from,
+its HD set, is read from the index as an HD group is: one slice and its
+exclusions, plus the target when that is later-dated.  PD walks the
+citers in date order; a citer's step concatenates the slices of its
+citations, compares their running counts, masks its exclusions, merges
+identical narrowed sets into bundles and adds their mass, in float and
+exact mode alike.  The members are sorted once, after the walk.
 
 Each downstream sum is one of two reductions over the table, in plain
 numpy, with ``W`` the G x N matrix holding ``weight[g]`` at (g, j) for
@@ -333,18 +333,16 @@ class ExpectedCitations:
             )
 
 
-def _blocks(indptr: np.ndarray, width: int = 1, entries: int | None = None
-            ) -> Iterator[tuple[int, int]]:
+def _blocks(indptr: np.ndarray, width: int = 1) -> Iterator[tuple[int, int]]:
     """Consecutive group ranges [a, b) covering a table, each of at least
-    one group and otherwise of at most ``entries`` (by default
-    ``BLOCK_ENTRIES``) entries of ``indptr`` and ``BLOCK_ENTRIES // width``
-    groups."""
+    one group and otherwise of at most ``BLOCK_ENTRIES`` entries of
+    ``indptr`` and ``BLOCK_ENTRIES // width`` groups: the blocks of every
+    blocked pass over a table, ``BLOCK_ENTRIES`` read at each call."""
     n_groups, total = len(indptr) - 1, int(indptr[-1])
     rows = max(1, BLOCK_ENTRIES // max(width, 1))
-    entries = entries or BLOCK_ENTRIES
     a = 0
     while a < n_groups:
-        last = min(int(indptr[a]) + entries, total)
+        last = min(int(indptr[a]) + BLOCK_ENTRIES, total)
         b = int(np.searchsorted(indptr, last, side="right")) - 1
         b = max(a + 1, min(b, a + rows))
         yield a, b
@@ -494,45 +492,6 @@ def _exclusions(net: CitationNetwork, order: np.ndarray, citers: np.ndarray,
     return np.concatenate(([0], np.cumsum(counts))), found[keep]
 
 
-def _base_blocks(net: CitationNetwork, codes: np.ndarray, citers: np.ndarray,
-                 cats: np.ndarray, extra: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-    """For each (citer, category) pair k its *base*: the ascending papers of
-    that category the citer may cite and that are not dated after it, its
-    slice of the eligibility index without its exclusions, plus the paper
-    ``extra[k]`` unless that is -1.  Returns the index, the bounds of each
-    base in the concatenation of all, and that concatenation in blocks of
-    consecutive bases of at most ``BLOCK_ENTRIES // 8`` entries (or one
-    base), each with the end of its bases."""
-    order, lo, hi = _slices(net, codes, citers, cats)
-    excluded_ptr, excluded = _exclusions(net, order, citers, lo, hi)
-    ptr = np.concatenate(([0], np.cumsum(hi - lo - np.diff(excluded_ptr) + (extra >= 0))))
-    # base k's entries are offset by k << bits while they are sorted
-    bits = max(net.n - 1, 1).bit_length()
-
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for a, b in _blocks(ptr, entries=max(1, BLOCK_ENTRIES // 8)):
-            sizes = hi[a:b] - lo[a:b]
-            # slice position p of base k is block entry p - shift[k]
-            shift = lo[a:b] - np.cumsum(sizes) + sizes
-            offset = np.arange(b - a) << bits
-            key = order[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
-            key += np.repeat(offset, sizes)
-            if excluded_ptr[b] > excluded_ptr[a]:
-                keep = np.ones(key.size, dtype=bool)
-                keep[excluded[excluded_ptr[a]:excluded_ptr[b]]
-                     - np.repeat(shift, np.diff(excluded_ptr[a:b + 1]))] = False
-                key = key[keep]
-            own = np.flatnonzero(extra[a:b] >= 0)
-            if own.size:
-                key = np.concatenate((key, offset[own] + extra[a:b][own]))
-            # a stable sort merges the runs of equal dates of each slice
-            key.sort(kind="stable")
-            yield b, key & ((1 << bits) - 1)
-
-    return order, ptr, blocks()
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, sorted, as :func:`np.unique` gives them, by a
     sort and a neighbour compare: numpy 2.x runs a bare ``np.unique``
@@ -543,11 +502,19 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _eligible(net: CitationNetwork, codes: np.ndarray, i: int, cat: int) -> np.ndarray:
+    """Sorted indices of the papers of category ``cat`` under ``codes``
+    that paper i may cite and that are not dated after it: its slice of
+    the eligibility index without its exclusions."""
+    citer = np.array([i])
+    order, lo, hi = _slices(net, codes, citer, np.array([cat]))
+    excluded = _exclusions(net, order, citer, lo, hi)[1]
+    return np.sort(np.delete(order[lo[0]:hi[0]], excluded - lo[0]))
+
+
 def eligible_set_rd(net: CitationNetwork, i: int) -> np.ndarray:
     """Sorted indices of papers that paper i could cite under RD."""
-    blocks = _base_blocks(net, np.zeros(net.n, dtype=np.int64), np.array([i]),
-                          np.zeros(1, dtype=np.int64), np.array([-1]))[2]
-    return next(blocks)[1]
+    return _eligible(net, np.zeros(net.n, dtype=np.int64), i, 0)
 
 
 def eligible_set_hd(
@@ -559,8 +526,7 @@ def eligible_set_hd(
     """Sorted indices of the RD-eligible papers sharing the observed
     target's category, always including the target itself."""
     codes = _key_codes(net, canonical_attributes(attributes))
-    blocks = _base_blocks(net, codes, np.array([i]), codes[[i_prime]], np.array([-1]))[2]
-    return np.union1d(next(blocks)[1], [i_prime])
+    return np.union1d(_eligible(net, codes, i, codes[i_prime]), [i_prime])
 
 
 def random_draws(net: CitationNetwork) -> ExpectedCitations:
@@ -659,30 +625,28 @@ def preferential_draws(
     _, lead, unit = np.unique(np.argsort(date_order(net))[citing] * (n_codes + net.n)
                               + np.where(later, n_codes + cited, codes[cited]),
                               return_index=True, return_inverse=True)
-    order, base_ptr, blocks = _base_blocks(net, codes, citing[lead], codes[cited[lead]],
-                                           np.where(later[lead], cited[lead], -1))
+    order, lo, hi = _slices(net, codes, citing[lead], codes[cited[lead]])
+    excluded_ptr, excluded = _exclusions(net, order, citing[lead], lo, hi)
     unit_ptr = [*np.flatnonzero(np.diff(citing[lead], prepend=-1)).tolist(), lead.size]
     citers = citing[lead[unit_ptr[:-1]]]
-    # per citation, the bounds of its base among all bases
-    size = np.diff(base_ptr)[unit]
-    start, stop = base_ptr[unit].tolist(), base_ptr[unit + 1].tolist()
+    # per citer the papers its author rule excludes; per citation its base's
+    # size; per unit its slice and the target its base adds after it, or -1
+    excluded, excluded_ptr = order[excluded], excluded_ptr[unit_ptr].tolist()
+    size = (hi - lo + later[lead])[unit]
+    lo, hi, extra = lo.tolist(), hi.tolist(), np.where(later[lead], cited[lead], -1).tolist()
     edge_ptr = np.concatenate(([0], np.cumsum(net.out_degree))).tolist()
 
     running = np.full(net.n, Fraction(0), dtype=object) if exact else np.zeros(net.n)
+    blocked = np.zeros(net.n, dtype=bool)
     # per citer, in date order: its bundles' members, sizes, targets and
     # target counts, each bundle's after the one before
     rows, member_dtype = [], _index_dtype(0, net.n, 0)
-    # the bases' entries from ``done`` on, through those of unit ``loaded``
-    flat, done, loaded = np.zeros(0, dtype=np.int64), 0, 0
     for p, x in enumerate(citers.tolist()):
-        while loaded < unit_ptr[p + 1]:
-            loaded, more = next(blocks)
-            flat = np.concatenate((flat[base_ptr[unit_ptr[p]] - done:], more))
-            done = int(base_ptr[unit_ptr[p]])
         e0, e1 = edge_ptr[x], edge_ptr[x + 1]
         t, n = cited[e0:e1], size[e0:e1]
-        base = np.concatenate([flat[a - done:b - done]
-                               for a, b in zip(start[e0:e1], stop[e0:e1])])
+        base = np.concatenate([order[lo[k]:hi[k]] if extra[k] < 0
+                               else np.append(order[lo[k]:hi[k]], extra[k])
+                               for k in unit[e0:e1].tolist()])
         # every citation is narrowed against the state frozen before x; a
         # target always survives, as its count equals itself
         values, count = running[base], running[t].repeat(n)
@@ -691,12 +655,19 @@ def preferential_draws(
         else:
             values -= count
             keep = np.abs(values, out=values) <= count_tol
+        # the author rule excludes the same papers from every base of x, and
+        # never a later-dated target
+        own = excluded[excluded_ptr[p]:excluded_ptr[p + 1]]
+        if own.size:
+            blocked[own] = True
+            keep[blocked[base]] = False
+            blocked[own] = False
         kept = np.add.reduceat(keep, n.cumsum() - n)
         m, n_t = base[keep], np.ones(e1 - e0, dtype=np.int64)
         if unit_ptr[p + 1] - unit_ptr[p] < e1 - e0:
             # citations with identical member sets merge into one bundle,
-            # in the place of the first; only citations of one unit can, as
-            # the others' sets differ in a category or a target
+            # in the place of the first: only those of one unit can, and they
+            # keep its base's order; the others differ in a category or target
             merged: dict[bytes, list[int]] = {}
             end = kept.cumsum()
             for c, (a, b) in enumerate(zip((end - kept).tolist(), end.tolist())):
@@ -717,10 +688,14 @@ def preferential_draws(
     citing = np.sort(citers).repeat([row[1].size for row in rows])
     members, sizes, targets, n_targets = map(np.concatenate, zip(
         (np.zeros(0, member_dtype), *[np.zeros(0, np.int64)] * 3), *rows))
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    # each row's members ascending, a block of rows at a time
+    for a, b in _blocks(indptr):
+        offset = np.repeat(np.arange(b - a) * net.n, sizes[a:b])
+        members[indptr[a]:indptr[b]] = np.sort(members[indptr[a]:indptr[b]] + offset) - offset
     zeros = np.zeros(citing.size + 1, dtype=np.int64)
     return group_table("PD", attrs, order, citing, zeros[1:], zeros[1:], zeros, zeros[:0],
-                       np.concatenate(([0], np.cumsum(sizes))), members,
-                       np.concatenate(([0], np.cumsum(n_targets))), targets,
+                       indptr, members, np.concatenate(([0], np.cumsum(n_targets))), targets,
                        running.astype(np.float64))
 
 

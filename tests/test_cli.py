@@ -470,6 +470,25 @@ def rewrite_meta(path, **fields):
     path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
+BAD_PAGERANK_PARAMETERS = [
+    ("--alpha", "nan", "alpha=nan, eps=1e-06, t_max=100"),
+    ("--alpha", "1.5", "alpha=1.5, eps=1e-06, t_max=100"),
+    ("--alpha", "-0.5", "alpha=-0.5, eps=1e-06, t_max=100"),
+    ("--eps", "nan", "alpha=0.85, eps=nan, t_max=100"),
+    ("--eps", "-1e-06", "alpha=0.85, eps=-1e-06, t_max=100"),
+    ("--t-max", "-1", "alpha=0.85, eps=1e-06, t_max=-1"),
+]
+
+
+def assert_rank_rejected(archive, tmp_path, capsys, shown, *flags):
+    out = tmp_path / "rank"
+    assert run("rank", archive, out, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: PageRank needs alpha in [0, 1], eps >= 0 and t_max >= 0, got {shown}"]
+    assert captured.out == "" and not out.exists()
+
+
 class TestRank:
     def test_two_paper_chain_pagerank(self, tmp_path):
         papers = tmp_path / "papers.tsv"
@@ -525,22 +544,17 @@ class TestRank:
         assert all(isinstance(r, float) and r >= 0
                    for r in manifest["final_residual"].values())
 
-    @pytest.mark.parametrize("flag, value, shown", [
-        ("--alpha", "nan", "alpha=nan, eps=1e-06, t_max=100"),
-        ("--alpha", "1.5", "alpha=1.5, eps=1e-06, t_max=100"),
-        ("--alpha", "-0.5", "alpha=-0.5, eps=1e-06, t_max=100"),
-        ("--eps", "nan", "alpha=0.85, eps=nan, t_max=100"),
-        ("--eps", "-1e-06", "alpha=0.85, eps=-1e-06, t_max=100"),
-        ("--t-max", "-1", "alpha=0.85, eps=1e-06, t_max=-1"),
-    ])
+    @pytest.mark.parametrize("flag, value, shown", BAD_PAGERANK_PARAMETERS)
     def test_bad_pagerank_parameters_exit_code(self, archive, tmp_path, capsys,
                                                flag, value, shown):
-        out = tmp_path / "rank"
-        assert run("rank", archive, out, "--metric", "pagerank", f"{flag}={value}") == 2
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            f"error: PageRank needs alpha in [0, 1], eps >= 0 and t_max >= 0, got {shown}"]
-        assert captured.out == "" and not out.exists()
+        assert_rank_rejected(archive, tmp_path, capsys, shown,
+                             "--metric", "pagerank", f"{flag}={value}")
+
+    @pytest.mark.parametrize("flag, value, shown", BAD_PAGERANK_PARAMETERS)
+    def test_citations_metric_checks_pagerank_parameters(self, archive, tmp_path, capsys,
+                                                         flag, value, shown):
+        # the default metric never iterates, but rejects the same values
+        assert_rank_rejected(archive, tmp_path, capsys, shown, f"{flag}={value}")
 
     def test_bad_d_grid_rejected(self, archive, tmp_path, capsys):
         assert run("rank", archive, tmp_path / "r", "--d-grid", "0,5") == 2

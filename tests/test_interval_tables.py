@@ -2,10 +2,9 @@
 the rd-dense synth corpus (N=5,000 over 40 years of daily dates) and the
 pd-ties rawgen corpus (N=5,000 over 30 years, year-only dates), at seeds
 1 and 7, against the explicit tables of ``explicit_tables``; the PD
-tables of the pd-ties corpora, whose base blocks each hold many citers,
-against the mask path bit for bit; and the memory a model and its
-reductions take, which grows with N + M and not with the member lists'
-N^2 entries."""
+tables of the pd-ties corpora against the mask path bit for bit; and the
+memory a model and its reductions take, which grows with N + M and not
+with the member lists' N^2 entries."""
 import sys
 import tracemalloc
 from datetime import date
