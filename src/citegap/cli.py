@@ -44,6 +44,7 @@ from .corpus import (
 )
 from .imbalance import (
     ALL_PAPERS,
+    STRATIFIERS,
     PaperFilter,
     imbalance_report,
     stratified_imbalance,
@@ -298,8 +299,13 @@ def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     archive = Path(args.archive)
     net, _, inputs = _load_inputs(archive)
     model = args.model.upper()
-    if model == "RD" and args.attrs is not None:
-        log.warning("--attrs is ignored by the random-draws model")
+    # model.json records every flag, also those this model does not read
+    ignored = [flag for flag, unread in (
+        ("--attrs", model == "RD" and args.attrs is not None),
+        ("--exact", model != "PD" and args.exact),
+        ("--count-tol", model != "PD" and args.count_tol != DEFAULT_COUNT_TOL)) if unread]
+    if ignored:
+        log.warning("%s ignored by the %s model", " and ".join(ignored), model)
     attrs = () if model == "RD" else _parse_attrs(args.attrs)
     ec = compute_model(net, model, attrs, count_tol=args.count_tol, exact=args.exact)
     out = _out_dir(args, args.out)
@@ -497,8 +503,7 @@ def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
         reports = imbalance_report(net, ec, from_filter, to_filter,
                                    args.bootstrap, seed)
     else:
-        stratifier = "conference_rank" if args.stratify == "rank" else "subfield"
-        reports = stratified_imbalance(net, ec, stratifier, args.bootstrap, seed)
+        reports = stratified_imbalance(net, ec, args.stratify, args.bootstrap, seed)
     out = _out_dir(args, args.out)
     write_report_csv(reports, out / "imbalance.csv")
     write_report_json(reports, out / "imbalance.json")
@@ -537,10 +542,9 @@ def _parse_d_grid(text: str) -> list[float]:
 def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     # checked for either metric, so no bad value is written to a manifest
     check_pagerank_parameters(args.alpha, args.eps, args.t_max)
+    grid = _parse_d_grid(args.d_grid)
     artifact = None if args.model_artifact is None else Path(args.model_artifact)
     net, ec, inputs = _load_inputs(Path(args.archive), artifact)
-
-    grid = _parse_d_grid(args.d_grid)
     # the observed ranking, then the model's; rankings.csv holds the last
     if args.metric == "pagerank":
         results = [pagerank_observed(net, args.alpha, args.eps, args.t_max)]
@@ -625,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", default="all", help="cited-paper filter")
     p.add_argument("--bootstrap", type=int, default=500,
                    help="bootstrap resamples (0 disables CIs)")
-    p.add_argument("--stratify", choices=["none", "rank", "subfield"],
+    p.add_argument("--stratify", choices=["none", *STRATIFIERS],
                    default="none")
     p.set_defaults(func=cmd_imbalance)
 

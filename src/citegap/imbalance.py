@@ -10,8 +10,8 @@ both the observed counts and the expectations.
 A selection (:class:`PaperFilter`) is a boolean mask over the network's
 attribute codes (:meth:`CitationNetwork.attribute_codes`); strata are
 the labels of the rank or subfield codes.  The per-group gender member
-counts are one pass over the model's group table, shared by every
-selection and stratum.
+counts are one pass over the model's group table and the bootstrap
+draws are made once per report; every selection and stratum shares both.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ from .corpus import (
 )
 from .refmodels import ExpectedCitations
 
-#: stratifier -> the paper attribute whose values are its strata
-STRATIFIERS = {"conference_rank": "rank", "subfield": "subfield"}
+#: the paper attributes whose values can be the strata of a report
+STRATIFIERS = ("rank", "subfield")
 
 _UNKNOWN = GENDER_CODE[GenderCategory.UNKNOWN]
 
@@ -175,55 +175,59 @@ def bootstrap_ci(
     net: CitationNetwork,
     ec: ExpectedCitations,
     from_filter: PaperFilter = ALL_PAPERS,
-    to_filter: PaperFilter = ALL_PAPERS,
+    to_filters: Sequence[PaperFilter] = (ALL_PAPERS,),
     resamples: int = 500,
     seed: int = 0,
-) -> BootstrapCIs:
-    """95% percentile bootstrap CI of over/under-citation per category.
+) -> list[BootstrapCIs]:
+    """95% percentile bootstrap CI of over/under-citation per category,
+    one result per to-selection.
 
     Each resample draws N papers with replacement; a paper drawn m times
     contributes its outgoing citations and its group fractions m times.
-    Group member sets stay those of the full-network model.  Resamples
-    with zero expected mass for a category are undefined and dropped;
-    the CI itself is None when fewer than two defined resamples remain.
-    The result's ``defined`` counts, per category, the defined resamples.
+    Every selection reads the same draws: its result is that of a call
+    with it alone.  Group member sets stay those of the full-network
+    model.  Resamples with zero expected mass for a category are
+    undefined and dropped; the CI itself is None when fewer than two
+    defined resamples remain.  A result's ``defined`` counts, per
+    category, the defined resamples.
     """
     if resamples < 2:
         raise ValueError("resamples must be at least 2")
     ec.check_network(net)
     fm = from_filter.mask(net)
-    tm = to_filter.mask(net)
-    gcodes = net.gender_codes
-    known = gcodes != _UNKNOWN
+    known = net.gender_codes != _UNKNOWN
+    citers, cited = net.edges[:, 0], net.edges[:, 1]
+    k = len(KNOWN_CATEGORIES)
 
-    # per-citer observed counts per category, restricted to from/to
-    obs = np.zeros((len(KNOWN_CATEGORIES), net.n))
-    keep = fm[net.edges[:, 0]] & tm[net.edges[:, 1]] & known[net.edges[:, 1]]
-    np.add.at(obs, (gcodes[net.edges[keep, 1]], net.edges[keep, 0]), 1.0)
+    # per selection: per-citer observed counts per category, and the
+    # counted groups' citers, citation counts and member fractions
+    selections = []
+    for to_filter in to_filters:
+        tm = to_filter.mask(net)
+        keep = fm[citers] & tm[cited] & known[cited]
+        obs = np.zeros((k, net.n))
+        np.add.at(obs, (net.gender_codes[cited[keep]], citers[keep]), 1.0)
+        citing, m_to, counts, sizes = _counted_groups(net, ec, fm, tm)
+        selections.append((obs, citing, m_to, (counts[:, :k] / sizes[:, None]).T))
 
-    citing, m_to, counts, sizes = _counted_groups(net, ec, fm, tm)
-    fractions = (counts[:, : len(KNOWN_CATEGORIES)] / sizes[:, None]).T
-
-    values = np.full((resamples, len(KNOWN_CATEGORIES)), np.nan)
+    values = np.full((len(selections), resamples, k), np.nan)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):
         rng = np.random.default_rng(child)
         mult = np.bincount(rng.integers(0, net.n, net.n), minlength=net.n)
-        observed = obs @ mult
-        expected = fractions @ (mult[citing] * m_to)
-        defined = expected > 0
-        values[r, defined] = (observed[defined] - expected[defined]) / expected[defined]
+        for s, (obs, citing, m_to, fractions) in enumerate(selections):
+            observed = obs @ mult
+            expected = fractions @ (mult[citing] * m_to)
+            defined = expected > 0
+            values[s, r, defined] = (observed[defined] - expected[defined]) / expected[defined]
 
-    out: dict[GenderCategory, tuple[float, float] | None] = {}
-    for k, g in enumerate(KNOWN_CATEGORIES):
-        column = values[:, k]
-        column = column[~np.isnan(column)]
-        if column.size < 2:
-            out[g] = None
-        else:
-            low, high = np.percentile(column, [2.5, 97.5])
-            out[g] = (float(low), float(high))
-    defined = (~np.isnan(values)).sum(axis=0).tolist()
-    return BootstrapCIs(out, dict(zip(KNOWN_CATEGORIES, defined)))
+    results = []
+    for block in values:
+        columns = [column[~np.isnan(column)] for column in block.T]
+        cis = [tuple(np.percentile(c, [2.5, 97.5]).tolist()) if c.size >= 2 else None
+               for c in columns]
+        results.append(BootstrapCIs(dict(zip(KNOWN_CATEGORIES, cis)),
+                                    dict(zip(KNOWN_CATEGORIES, [c.size for c in columns]))))
+    return results
 
 
 @dataclass(frozen=True)
@@ -257,66 +261,56 @@ def imbalance_report(
     to_filter: PaperFilter = ALL_PAPERS,
     resamples: int = 500,
     seed: int = 0,
-    stratum: str | None = None,
 ) -> list[ImbalanceReport]:
     """Full per-category report: counts, expectations, over/under, CI.
 
     ``resamples=0`` skips the bootstrap (CIs reported as None).
     """
-    observed = observed_by_gender(net, from_filter, to_filter)
-    expected = expected_by_gender(net, ec, from_filter, to_filter)
-    cis: dict[GenderCategory, tuple[float, float] | None]
-    if resamples:
-        cis = bootstrap_ci(net, ec, from_filter, to_filter, resamples, seed)
-        defined = cis.defined
-    else:
-        cis = {g: None for g in KNOWN_CATEGORIES}
-        defined = dict.fromkeys(KNOWN_CATEGORIES, 0)
-    reports = []
-    for g in KNOWN_CATEGORIES:
-        ci = cis[g]
-        reports.append(
-            ImbalanceReport(
-                gender=g,
-                n_obs=observed[g],
-                n_expected=expected[g],
-                over_under=over_under(observed[g], expected[g]),
-                ci_low=None if ci is None else ci[0],
-                ci_high=None if ci is None else ci[1],
-                model=ec.model,
-                from_filter=from_filter.description,
-                to_filter=to_filter.description,
-                stratum=stratum,
-                resamples_defined=defined[g],
-            )
-        )
-    return reports
+    return _reports(net, ec, from_filter, [to_filter], [None], resamples, seed)
 
 
 def stratified_imbalance(
     net: CitationNetwork,
     ec: ExpectedCitations,
-    stratifier: str,
+    field: str,
     resamples: int = 500,
     seed: int = 0,
 ) -> list[ImbalanceReport]:
     """Per-stratum reports with to = papers in the stratum, from = all.
 
-    ``stratifier`` is ``conference_rank`` or ``subfield``; strata are the
-    labels of that attribute's codes (ranks present in prestige order,
-    subfields sorted).
+    ``field`` is ``rank`` or ``subfield``; strata are the labels of that
+    attribute's codes (ranks present in prestige order, subfields
+    sorted).  The strata share the bootstrap draws.
     """
-    field = STRATIFIERS.get(stratifier)
-    if field is None:
-        raise ValueError(f"unknown stratifier {stratifier!r} (use {tuple(STRATIFIERS)})")
-    reports: list[ImbalanceReport] = []
-    for value in net.attribute_codes(field)[1]:
-        to_filter = PaperFilter(f"{field}={value}", ((field, value),))
-        reports.extend(
-            imbalance_report(
-                net, ec, ALL_PAPERS, to_filter, resamples, seed, stratum=value
-            )
-        )
+    if field not in STRATIFIERS:
+        raise ValueError(f"unknown stratifier {field!r} (use {STRATIFIERS})")
+    strata = net.attribute_codes(field)[1]
+    to_filters = [PaperFilter(f"{field}={value}", ((field, value),)) for value in strata]
+    return _reports(net, ec, ALL_PAPERS, to_filters, strata, resamples, seed)
+
+
+def _reports(net: CitationNetwork, ec: ExpectedCitations, from_filter: PaperFilter,
+             to_filters: Sequence[PaperFilter], strata: Sequence[str | None],
+             resamples: int, seed: int) -> list[ImbalanceReport]:
+    """The reports of every to-selection, each labelled with its stratum,
+    from one bootstrap over all of them."""
+    if resamples:
+        cis = bootstrap_ci(net, ec, from_filter, to_filters, resamples, seed)
+    else:
+        none = dict.fromkeys(KNOWN_CATEGORIES)
+        cis = [BootstrapCIs(none, dict.fromkeys(KNOWN_CATEGORIES, 0))] * len(to_filters)
+    reports = []
+    for to_filter, stratum, ci in zip(to_filters, strata, cis):
+        observed = observed_by_gender(net, from_filter, to_filter)
+        expected = expected_by_gender(net, ec, from_filter, to_filter)
+        for g in KNOWN_CATEGORIES:
+            low, high = ci[g] or (None, None)
+            reports.append(ImbalanceReport(
+                gender=g, n_obs=observed[g], n_expected=expected[g],
+                over_under=over_under(observed[g], expected[g]), ci_low=low, ci_high=high,
+                model=ec.model, from_filter=from_filter.description,
+                to_filter=to_filter.description, stratum=stratum,
+                resamples_defined=ci.defined[g]))
     return reports
 
 

@@ -214,7 +214,7 @@ def test_criterion_05_null_calibration():
         )
         net = generate_network(cfg)
         ec = random_draws(net)
-        cis = bootstrap_ci(net, ec, resamples=500, seed=seed)
+        cis = bootstrap_ci(net, ec, resamples=500, seed=seed)[0]
         if all(
             cis[g] is not None and cis[g][0] <= 0 <= cis[g][1] for g in KNOWN
         ):
@@ -255,7 +255,7 @@ def test_criterion_06_bias_recovery():
     for seed in range(20):
         net = generate_network(biased_config(seed))
         ec = random_draws(net)
-        ci = bootstrap_ci(net, ec, resamples=500, seed=seed)[GenderCategory.WW]
+        ci = bootstrap_ci(net, ec, resamples=500, seed=seed)[0][GenderCategory.WW]
         if ci is not None and ci[0] <= closed_form <= ci[1]:
             covering += 1
     elapsed = time.perf_counter() - started

@@ -149,12 +149,33 @@ class TestModel:
                 rows[pid] = float(value)
         assert rows == {"P1": 1.5, "P2": 1.5, "P3": 0.0, "P4": 0.0}
 
-    def test_rd_warns_on_attrs_without_failing(self, archive, tmp_path, caplog):
+    @pytest.mark.parametrize("model, flags", [
+        ("rd", ("--attrs", "rank,topic")),
+        ("rd", ("--exact",)),
+        ("hd", ("--exact",)),
+        ("rd", ("--count-tol", "0.5")),
+        ("hd", ("--count-tol", "0")),
+    ], ids=["rd-attrs", "rd-exact", "hd-exact", "rd-count-tol", "hd-count-tol"])
+    def test_rd_warns_on_attrs_without_failing(self, archive, tmp_path, caplog,
+                                               model, flags):
+        # a flag the model does not read is recorded in model.json, with
+        # one warning, and changes no output
+        run("model", archive, tmp_path / "plain", "--model", model)
+        caplog.clear()
         with caplog.at_level(logging.WARNING):
-            code = run("model", archive, tmp_path / "rd", "--model", "rd",
-                       "--attrs", "rank,topic")
+            code = run("model", archive, tmp_path / model, "--model", model, *flags)
         assert code == 0
-        assert any("ignored" in r.message for r in caplog.records)
+        warnings = [r.message for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "ignored" in warnings[0]
+        for name in ("groups.npz", "c_bar.tsv"):
+            assert (tmp_path / model / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+
+    def test_pd_reads_exact_and_count_tol_without_warning(self, archive, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING):
+            assert run("model", archive, tmp_path / "pd", "--model", "pd", "--exact",
+                       "--count-tol", "0") == 0
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     def test_structural_report_files(self, archive, tmp_path):
         out = tmp_path / "hd"
@@ -559,6 +580,10 @@ class TestRank:
     def test_bad_d_grid_rejected(self, archive, tmp_path, capsys):
         assert run("rank", archive, tmp_path / "r", "--d-grid", "0,5") == 2
         assert "d-grid" in capsys.readouterr().err
+        # the grid is checked before any input is read
+        assert run("rank", tmp_path / "missing", tmp_path / "r", "--d-grid", "0,5") == 2
+        assert capsys.readouterr().err == "error: --d-grid values must be in (0, 100]\n"
+        assert not (tmp_path / "r").exists()
 
 
 class TestSynth:

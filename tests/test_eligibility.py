@@ -376,13 +376,12 @@ def test_normalized_scores_match_dict_loop(seed, caplog):
 def test_strata_match_per_paper_values(seed):
     net = filter_citations(*random_corpus(seed))
     ec = observed_as_expectations(net)
-    for stratifier, field, labels in [
-        ("conference_rank", "rank",
-         [r.value for r in RANK_ORDER if r in {p.rank for p in net.papers}]),
-        ("subfield", "subfield", sorted({p.subfield for p in net.papers})),
+    for field, labels in [
+        ("rank", [r.value for r in RANK_ORDER if r in {p.rank for p in net.papers}]),
+        ("subfield", sorted({p.subfield for p in net.papers})),
     ]:
         assert list(net.attribute_codes(field)[1]) == labels
-        reports = stratified_imbalance(net, ec, stratifier, resamples=0)
+        reports = stratified_imbalance(net, ec, field, resamples=0)
         assert [r.stratum for r in reports[::4]] == labels
         for r in reports:
             assert r.to_filter == f"{field}={r.stratum}"

@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -12,9 +13,11 @@ from citegap import (
     GenderCategory,
     ModelError,
     PaperFilter,
+    SynthConfig,
     bootstrap_ci,
     expected_by_gender,
     filter_citations,
+    generate_network,
     homophilic_draws,
     imbalance_report,
     observed_by_gender,
@@ -144,13 +147,13 @@ class TestBootstrap:
         papers += [make_paper(f"B{k}", date(2011, 1, 1)) for k in range(3)]
         edges = [(f"B{k}", f"A{j}") for k in range(3) for j in range(3)]
         net = filter_citations(papers, edges)
-        ci = bootstrap_ci(net, random_draws(net), resamples=200, seed=0)[MM]
+        ci = bootstrap_ci(net, random_draws(net), resamples=200, seed=0)[0][MM]
         assert ci == (0.0, 0.0)
 
     def test_fixed_seed_is_deterministic(self, toy4):
         ec = random_draws(toy4)
-        first = bootstrap_ci(toy4, ec, resamples=100, seed=42)
-        second = bootstrap_ci(toy4, ec, resamples=100, seed=42)
+        first = bootstrap_ci(toy4, ec, resamples=100, seed=42)[0]
+        second = bootstrap_ci(toy4, ec, resamples=100, seed=42)[0]
         assert first == second
 
     def test_point_estimate_covered_across_seeds(self, toy4):
@@ -162,7 +165,7 @@ class TestBootstrap:
         )
         covered = 0
         for seed in range(100):
-            ci = bootstrap_ci(toy4, ec, resamples=500, seed=seed)[MM]
+            ci = bootstrap_ci(toy4, ec, resamples=500, seed=seed)[0][MM]
             if ci is not None and ci[0] <= point <= ci[1]:
                 covered += 1
         assert covered >= 95
@@ -172,7 +175,7 @@ class TestBootstrap:
         # on toy4, when it draws a citer at all (every group holds the MM
         # P1 and the WW P2); replay the resamples' draws to count them
         ec = random_draws(toy4)
-        cis = bootstrap_ci(toy4, ec, resamples=60, seed=3)
+        cis = bootstrap_ci(toy4, ec, resamples=60, seed=3)[0]
         citers = np.flatnonzero(toy4.out_degree)
         drawn = 0
         for child in np.random.SeedSequence(3).spawn(60):
@@ -187,7 +190,7 @@ class TestBootstrap:
         papers = [make_paper(pid, date(2010, 1, 1), gender)
                   for pid, gender in zip("ABCD", (MM, WW, MM, WW))]
         net = filter_citations(papers, [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
-        cis = bootstrap_ci(net, random_draws(net), resamples=30, seed=0)
+        cis = bootstrap_ci(net, random_draws(net), resamples=30, seed=0)[0]
         assert cis.defined == {MM: 30, MW: 0, WM: 0, WW: 30}
 
     def test_requires_two_resamples(self, toy4):
@@ -248,7 +251,7 @@ class TestStratified:
     def test_bias_shows_in_the_right_stratum(self):
         net = _biased_rank_network()
         reports = stratified_imbalance(
-            net, random_draws(net), "conference_rank", resamples=0
+            net, random_draws(net), "rank", resamples=0
         )
         ou = {(r.stratum, r.gender): r.over_under for r in reports}
         assert abs(ou[("A*", WW)]) > abs(ou[("B", WW)])
@@ -275,7 +278,7 @@ class TestStratified:
         ]
         net = filter_citations(papers, [("C", "A")])
         reports = stratified_imbalance(
-            net, random_draws(net), "conference_rank", resamples=0
+            net, random_draws(net), "rank", resamples=0
         )
         c_rows = [r for r in reports if r.stratum == "C"]
         assert c_rows and all(r.status == "undefined" for r in c_rows)
@@ -296,14 +299,45 @@ class TestStratified:
             return category_sums(self, *args, **kwargs)
 
         monkeypatch.setattr(ExpectedCitations, "category_sums", counted)
-        reports = stratified_imbalance(net, random_draws(net), "conference_rank",
+        reports = stratified_imbalance(net, random_draws(net), "rank",
                                        resamples=20)
         assert [r.stratum for r in reports[::4]] == ["A*", "B"]
         assert all(r.ci_low is not None for r in reports if r.gender in (MM, WW))
         assert passes == ["RD"]
-        stratified_imbalance(net, homophilic_draws(net, ("rank",)), "conference_rank",
+        stratified_imbalance(net, homophilic_draws(net, ("rank",)), "rank",
                              resamples=20)
         assert passes == ["RD", "HD"]
+
+    @pytest.mark.parametrize("field", ["rank", "subfield"])
+    def test_strata_equal_plain_reports(self, field):
+        # the strata share the bootstrap draws, so each stratum's rows are
+        # those of a plain report on its selection, bit for bit
+        net = generate_network(SynthConfig(n_papers=300, seed=4, homophily={"rank": 0.5}))
+        ec = homophilic_draws(net, ("rank",))
+        reports = stratified_imbalance(net, ec, field, resamples=40, seed=9)
+        labels = net.attribute_codes(field)[1]
+        assert len(labels) == 4 and len(reports) == 16
+        assert all(r.ci_low is not None for r in reports if r.gender is MM)
+        for k, value in enumerate(labels):
+            plain = imbalance_report(net, ec, to_filter=PaperFilter.parse(f"{field}={value}"),
+                                     resamples=40, seed=9)
+            assert reports[4 * k:4 * k + 4] == [replace(r, stratum=value) for r in plain]
+
+    def test_one_draw_per_resample_for_every_stratum(self, monkeypatch):
+        net = generate_network(SynthConfig(n_papers=300, seed=4))
+        ec = random_draws(net)
+        assert len(net.attribute_codes("rank")[1]) == 4
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        reports = stratified_imbalance(net, ec, "rank", resamples=20)
+        assert len(reports) == 16
+        assert len(draws) == 20
 
 
 class TestHomophilyAttenuation:

@@ -1,7 +1,9 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from citegap import (
     filter_citations,
     generate_network,
     homophilic_draws,
+    load_network,
     observed_as_expectations,
     preferential_draws,
     random_draws,
@@ -44,10 +47,11 @@ from citegap.refmodels import (
     ks_distance,
     survival_points,
 )
-from conftest import make_paper
+from conftest import build_toy_pd, make_paper
 from explicit_tables import table_from_rows
 
 ATTRS = ("rank", "country", "topic")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def ids(net, *names):
@@ -410,9 +414,11 @@ class TestObservedAsExpectations:
         assert_group_invariants(toy4, ec)
 
 
-def naive_preferential_draws(net, attrs):
+def naive_preferential_draws(net, attrs, author_rule=True):
     """Dict-based transcription of the sequential recursion, independent
-    of the vectorized implementation."""
+    of the vectorized implementation: c_bar, and per (citer, target) the
+    ascending member set of the citation's draw.  ``author_rule=False``
+    drops the exclusion of papers by the citer's author pair."""
     from citegap.corpus import category_key, citation_window_floor
 
     order = sorted(
@@ -420,6 +426,7 @@ def naive_preferential_draws(net, attrs):
     )
     c_run = [0.0] * net.n
     c_bar = [0.0] * net.n
+    members_of = {}
     for x in order:
         targets = [int(t) for t in net.out_targets[x]]
         if not targets:
@@ -432,7 +439,8 @@ def naive_preferential_draws(net, attrs):
             for j, p in enumerate(net.papers)
             if j != x
             and floor <= p.pub_date <= citer.pub_date
-            and not (p.first_author in authors and p.last_author in authors)
+            and not (author_rule and p.first_author in authors
+                     and p.last_author in authors)
         ]
         updates = []
         for t in targets:
@@ -443,12 +451,24 @@ def naive_preferential_draws(net, attrs):
             if t not in members:
                 members.append(t)
             cls = [j for j in members if abs(c_run[j] - c_run[t]) <= 1e-9]
+            members_of[x, t] = sorted(cls)
             updates.append((cls, 1.0 / len(cls)))
         for cls, w in updates:
             for j in cls:
                 c_run[j] += w
                 c_bar[j] += w
-    return np.array(c_bar)
+    return np.array(c_bar), members_of
+
+
+def assert_matches_naive(net, attrs):
+    # c_bar, and per citation the members of the bundle that holds it, in
+    # the table's order
+    ec = preferential_draws(net, attrs)
+    c_bar, members_of = naive_preferential_draws(net, attrs)
+    np.testing.assert_allclose(ec.c_bar, c_bar, atol=1e-12)
+    table = {(g.citing, t): g.members.tolist() for g in ec.groups for t in g.targets}
+    assert table == members_of
+    return ec, members_of
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
@@ -466,10 +486,34 @@ def test_pd_matches_naive_recursion(seed):
         date_end=date(2006, 12, 31),
     )
     net = generate_network(cfg)
-    mine = preferential_draws(net, ATTRS).c_bar
-    np.testing.assert_allclose(mine, naive_preferential_draws(net, ATTRS), atol=1e-12)
+    mine = assert_matches_naive(net, ATTRS)[0].c_bar
     exact = preferential_draws(net, ATTRS, exact=True).c_bar
     np.testing.assert_allclose(mine, exact, atol=1e-12)
+
+
+@pytest.mark.parametrize("corpus", ["toy_pd", "rawgen-1", "rawgen-7"])
+def test_pd_matches_naive_recursion_under_author_rule(corpus, tmp_path):
+    # toy_pd's P3 meets P2, excluded by the author rule with the running
+    # count of P3's target; the year-only rawgen corpora reuse author pairs,
+    # so many citers meet excluded papers tied with their targets, and hold
+    # citations to later-dated papers
+    if corpus == "toy_pd":
+        net, attrs = build_toy_pd(), ATTRS
+    else:
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            import rawgen
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        papers, citations = tmp_path / "papers.tsv", tmp_path / "citations.tsv"
+        rawgen.generate(300, 12, int(corpus[-1])).write(papers, citations)
+        # rows out of date order, so the eligibility index is not index order
+        header, *rows = papers.read_text().splitlines(keepends=True)
+        papers.write_text("".join([header, *np.random.default_rng(0).permutation(rows)]))
+        net, attrs = load_network(papers, citations), ("rank",)
+    members_of = assert_matches_naive(net, attrs)[1]
+    # the author rule changes some citation's draw
+    assert naive_preferential_draws(net, attrs, author_rule=False)[1] != members_of
 
 
 def test_check_network_rejects_mismatch(toy4, toy_pd):
