@@ -488,6 +488,9 @@ def _load_model_artifact(archive: Path, artifact: Path,
 
 
 def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise CliError("--bootstrap must be 0 (no CIs) or at least 2, "
+                       f"got {args.bootstrap}")
     from_filter = PaperFilter.parse(args.from_)
     to_filter = PaperFilter.parse(args.to)
     if args.stratify != "none" and (from_filter, to_filter) != (ALL_PAPERS, ALL_PAPERS):

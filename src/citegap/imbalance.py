@@ -12,6 +12,14 @@ attribute codes (:meth:`CitationNetwork.attribute_codes`); strata are
 the labels of the rank or subfield codes.  The per-group gender member
 counts are one pass over the model's group table and the bootstrap
 draws are made once per report; every selection and stratum shares both.
+
+The bootstrap folds each selection into rows over the N papers, built
+once per report: per citer, its observed citations into each category
+and its expected ones, the latter cut into integer limbs.  The
+multiplicities of a block of ``_BLOCK`` resamples take one product with
+the rows of every selection, exact in float64, so the CIs do not depend
+on the BLAS, its threads or the block size, and the memory beyond the
+rows is one ``_BLOCK x N`` block.
 """
 from __future__ import annotations
 
@@ -32,12 +40,21 @@ from .corpus import (
     CitationNetwork,
     GenderCategory,
 )
-from .refmodels import ExpectedCitations
+from .refmodels import ExpectedCitations, fixed_point_limbs
 
 #: the paper attributes whose values can be the strata of a report
 STRATIFIERS = ("rank", "subfield")
 
 _UNKNOWN = GENDER_CODE[GenderCategory.UNKNOWN]
+
+#: resamples whose multiplicities share one product in :func:`bootstrap_ci`
+_BLOCK = 16
+#: the most multiply-adds of one BLAS call in :func:`bootstrap_ci`:
+#: OpenBLAS runs a product of at most 2^18 on the calling thread and
+#: splits a larger one with a worker thread, which every call then waits
+#: for whenever another process holds the other cores (8 ms against
+#: 0.3 ms per pd-ties block on 2 cores)
+_PANEL_WORK = 1 << 18
 
 #: a comma that begins the next ``field=`` clause of a filter
 _CLAUSE_BREAK = re.compile(r",(?=\s*(?:%s)\s*=)" % "|".join(SELECTABLE_FIELDS))
@@ -138,9 +155,10 @@ def _gender_counts(net: CitationNetwork, ec: ExpectedCitations) -> np.ndarray:
     the table, kept for the last (network, model) pair, whose every
     selection and stratum reads it (both objects are immutable)."""
     size = len(GenderCategory)
-    counts = np.concatenate([np.zeros((0, size), np.int64)] + [
+    # a count is at most N, which the dtype of the table's positions holds
+    counts = np.concatenate([np.zeros((0, size), ec.lo.dtype)] + [
         sums for _, _, sums in ec.category_sums(net.gender_codes, size)
-    ])
+    ], dtype=ec.lo.dtype)
     counts.setflags(write=False)
     return counts
 
@@ -159,6 +177,27 @@ def _counted_groups(
     m_to = counted[ec.target_ptr[1:]] - counted[ec.target_ptr[:-1]]
     keep = from_mask[ec.citing] & (m_to > 0)
     return ec.citing[keep], m_to[keep], _gender_counts(net, ec)[keep], ec.sizes[keep]
+
+
+def _expected_by_citer(net: CitationNetwork, ec: ExpectedCitations,
+                       from_mask: np.ndarray, to_mask: np.ndarray) -> np.ndarray:
+    """Per known category and paper, the expected citations of the paper,
+    as a citer in the from-set, into the category's papers of the to-set."""
+    citing, m_to, counts, sizes = _counted_groups(net, ec, from_mask, to_mask)
+    return np.stack([np.bincount(citing, m_to * counts[:, c] / sizes, minlength=net.n)
+                     for c in range(len(KNOWN_CATEGORIES))])
+
+
+def _limb_count(values: np.ndarray, bits: int) -> int:
+    """How many limbs of ``bits`` bits :func:`fixed_point_limbs` needs to
+    cut the nonnegative ``values`` without dropping a bit: they span from
+    the top exponent of the largest value down to the last bit of the
+    smallest positive one, 53 bits below its top exponent."""
+    positive = values[values > 0]
+    if not positive.size:
+        return 0
+    span = np.frexp(positive.max())[1] - np.frexp(positive.min())[1] + 53
+    return int(-(-span // bits))
 
 
 class BootstrapCIs(dict):
@@ -190,35 +229,76 @@ def bootstrap_ci(
     undefined and dropped; the CI itself is None when fewer than two
     defined resamples remain.  A result's ``defined`` counts, per
     category, the defined resamples.
+
+    Each selection is folded into rows over the N papers: per citer, its
+    observed citations into each category, and its expected citations
+    of each category cut into integer limbs at one scale of the
+    selection, as many as drop no bit (:func:`fixed_point_limbs`).  A
+    limb holds ``53 - N.bit_length()`` bits, so its dot product with a
+    resample's multiplicities, which sum to N, is exact in float64.  The
+    multiplicities of ``_BLOCK`` resamples fill a ``_BLOCK x N`` block,
+    and one product of every selection's rows with the block gives their
+    observed counts and expected limbs, exactly; it is summed over panels
+    of papers of at most ``_PANEL_WORK`` multiply-adds each, which the
+    BLAS runs on the calling thread.  The limbs are added into a float
+    from the top one down.  So the result does not depend on the BLAS,
+    its threads or the block size, and the memory beyond the rows,
+    ``k (1 + limbs)`` of them per selection, is the block's.
     """
     if resamples < 2:
         raise ValueError("resamples must be at least 2")
     ec.check_network(net)
+    n, k = net.n, len(KNOWN_CATEGORIES)
     fm = from_filter.mask(net)
     known = net.gender_codes != _UNKNOWN
     citers, cited = net.edges[:, 0], net.edges[:, 1]
-    k = len(KNOWN_CATEGORIES)
+    bits = 53 - n.bit_length()
 
-    # per selection: per-citer observed counts per category, and the
-    # counted groups' citers, citation counts and member fractions
-    selections = []
-    for to_filter in to_filters:
-        tm = to_filter.mask(net)
+    # per selection, the expected citations of each citer into each
+    # category, and how many limbs cut them
+    masks = [to_filter.mask(net) for to_filter in to_filters]
+    by_citer = [_expected_by_citer(net, ec, fm, tm) for tm in masks]
+    limbs = [_limb_count(rows, bits) for rows in by_citer]
+
+    # the table: per selection, its observed rows, then its limbs' rows,
+    # each selection's expected rows let go once cut; layout holds a
+    # selection's first row and its limbs' exponents
+    table = np.empty((k * (len(masks) + sum(limbs)), n))
+    layout, row = [], 0
+    for tm, count in zip(masks, limbs):
+        rows = table[row:row + k * (1 + count)].reshape(1 + count, k, n)
         keep = fm[citers] & tm[cited] & known[cited]
-        obs = np.zeros((k, net.n))
-        np.add.at(obs, (net.gender_codes[cited[keep]], citers[keep]), 1.0)
-        citing, m_to, counts, sizes = _counted_groups(net, ec, fm, tm)
-        selections.append((obs, citing, m_to, (counts[:, :k] / sizes[:, None]).T))
+        rows[0] = np.bincount(net.gender_codes[cited[keep]] * n + citers[keep],
+                              minlength=k * n).reshape(k, n)
+        exponents = []
+        for limb, exponent in fixed_point_limbs(by_citer.pop(0), bits, count):
+            rows[1 + len(exponents)] = limb
+            exponents.append(exponent)
+        layout.append((row, exponents))
+        row += k * (1 + count)
 
-    values = np.full((len(selections), resamples, k), np.nan)
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):
-        rng = np.random.default_rng(child)
-        mult = np.bincount(rng.integers(0, net.n, net.n), minlength=net.n)
-        for s, (obs, citing, m_to, fractions) in enumerate(selections):
-            observed = obs @ mult
-            expected = fractions @ (mult[citing] * m_to)
-            defined = expected > 0
-            values[s, r, defined] = (observed[defined] - expected[defined]) / expected[defined]
+    values = np.full((len(layout), resamples, k), np.nan)
+    block = np.empty((_BLOCK, n))
+    panel = max(1, _PANEL_WORK // (len(table) * _BLOCK))
+    sequence = np.random.SeedSequence(seed)
+    for start in range(0, resamples, _BLOCK):
+        size = min(_BLOCK, resamples - start)
+        # the children of successive spawns are those of one spawn
+        for r, child in enumerate(sequence.spawn(size)):
+            rng = np.random.default_rng(child)
+            block[r] = np.bincount(rng.integers(0, n, n), minlength=n)
+        # the product over panels of papers, each an exact integer sum
+        product = np.zeros((len(table), size))
+        for a in range(0, n, panel):
+            product += table[:, a:a + panel] @ block[:size, a:a + panel].T
+        for s, (first, exponents) in enumerate(layout):
+            rows = product[first:first + k * (1 + len(exponents))].reshape(-1, k, size)
+            observed, expected = rows[0], np.zeros((k, size))
+            for limb, exponent in zip(rows[1:], exponents):
+                expected += np.ldexp(limb, exponent)
+            ratio = np.full((k, size), np.nan)
+            np.divide(observed - expected, expected, out=ratio, where=expected > 0)
+            values[s, start:start + size] = ratio.T
 
     results = []
     for block in values:

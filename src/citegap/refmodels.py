@@ -225,28 +225,26 @@ class ExpectedCitations:
         """Per paper, the sum of ``mass[g]`` over the groups g that hold
         it, summed exactly in fixed point over :attr:`_runs` and then
         rounded.  Each mass is cut into ``_LIMBS`` integer limbs of
-        ``_LIMB_BITS`` bits at one scale, the largest mass filling the top
-        limb (bits below 2^-150 of it are dropped).  A position's sum of
-        one limb is the prefix sum of that limb over the runs started at
-        or before it less the one over the runs ended there: exact in
-        int64, and exact as a float while fewer than 2^23 runs hold the
-        paper.  The limb sums are added into a float from the top limb
-        down, so the result depends on the groups holding a paper, not on
-        their order, and is within four roundings of the true sum.
+        ``_LIMB_BITS`` bits at one scale by :func:`fixed_point_limbs`
+        (bits below 2^-150 of the largest mass are dropped).  A
+        position's sum of one limb is the prefix sum of that limb over
+        the runs started at or before it less the one over the runs
+        ended there: exact in int64, and exact as a float while fewer
+        than 2^23 runs hold the paper.  The limb sums are added into a
+        float from the top limb down, so the result depends on the
+        groups holding a paper, not on their order, and is within four
+        roundings of the true sum.
         O(R log R + N) per table and O(G + R + N) per call, for R runs."""
         by_start, by_end, started, ended = self._runs
-        scale = _LIMBS * _LIMB_BITS - np.frexp(np.abs(mass).max(initial=0.0))[1]
-        rest, sign = np.ldexp(np.abs(mass), scale), np.sign(mass)
+        sign = np.sign(mass)
         total = np.zeros(self.n_papers)
-        for bits in range(_LIMB_BITS * (_LIMBS - 1), -1, -_LIMB_BITS):
-            limb = np.floor(np.ldexp(rest, -bits))
-            rest -= np.ldexp(limb, bits)
+        for limb, exponent in fixed_point_limbs(np.abs(mass), _LIMB_BITS, _LIMBS):
             limb = (sign * limb).astype(np.int64)
             limb_sum = (np.concatenate(([0], np.cumsum(limb[by_start])))[started]
                         - np.concatenate(([0], np.cumsum(limb[by_end])))[ended])
-            total += np.ldexp(limb_sum.astype(np.float64), bits)
+            total += np.ldexp(limb_sum.astype(np.float64), exponent)
         out = np.empty(self.n_papers)
-        out[self.order] = np.ldexp(total, -scale)
+        out[self.order] = total
         return out
 
     def category_sums(self, codes: np.ndarray, size: int, *, weighted: bool = False
@@ -347,6 +345,21 @@ def _blocks(indptr: np.ndarray, width: int = 1) -> Iterator[tuple[int, int]]:
         b = max(a + 1, min(b, a + rows))
         yield a, b
         a = b
+
+
+def fixed_point_limbs(values: np.ndarray, bits: int, count: int
+                      ) -> Iterator[tuple[np.ndarray, int]]:
+    """Cut the nonnegative ``values`` into ``count`` limbs of ``bits``
+    bits at one scale, the largest value filling the top limb: yields
+    each limb, integer-valued float64 below ``2**bits``, with its
+    exponent e, top limb first.  ``sum(limb * 2**e)`` is each value less
+    its bits below the last limb's ``2**e``; every step is exact."""
+    rest = np.array(values, dtype=np.float64)
+    top = int(np.frexp(rest.max(initial=0.0))[1])
+    for exponent in range(top - bits, top - bits * (count + 1), -bits):
+        limb = np.floor(np.ldexp(rest, -exponent))
+        rest -= np.ldexp(limb, exponent)
+        yield limb, exponent
 
 
 def _spread(indptr: np.ndarray, indices: np.ndarray, mass: np.ndarray,

@@ -322,6 +322,16 @@ class TestImbalance:
         assert {r["stratum"] for r in rows} == {"A*"}
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("resamples", ["-3", "1"])
+    def test_bad_bootstrap_rejected_before_loading(self, tmp_path, capsys, resamples):
+        # the archive and model do not exist: the count is checked first
+        out = tmp_path / "imb"
+        assert run("imbalance", tmp_path / "missing", tmp_path / "rd", out,
+                   f"--bootstrap={resamples}") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --bootstrap must be 0 (no CIs) or at least 2, got {resamples}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("selection", [("--from", "gender=WW"), ("--to", "rank=A*"),
                                            ("--from", "country=XX")])
     def test_stratify_rejects_from_and_to(self, archive, tmp_path, capsys, selection):
