@@ -41,6 +41,7 @@ from .corpus import (
     load_network,
     write_citations,
     write_papers,
+    write_table,
 )
 from .imbalance import (
     ALL_PAPERS,
@@ -218,41 +219,31 @@ def _parse_attrs(text: str | None) -> tuple[str, ...]:
 
 
 def _write_structural(report: StructuralReport, out: Path) -> None:
-    with open(out / "report_degree_hist.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["out_degree", "papers"])
-        for k, c in sorted(report.out_degree_hist.items()):
-            writer.writerow([k, c])
+    hist = sorted(report.out_degree_hist.items())
+    write_table(out / "report_degree_hist.csv", ("out_degree", "papers"),
+                zip(*((str(k), str(c)) for k, c in hist)), ",")
     for attribute, pairs in report.pairwise.items():
-        with open(out / f"report_pairs_{attribute}.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["from_value", "to_value", "observed", "expected"])
-            for a, la in enumerate(pairs.labels):
-                for b, lb in enumerate(pairs.labels):
-                    writer.writerow([la, lb, repr(float(pairs.observed[a, b])),
-                                     repr(float(pairs.expected[a, b]))])
-    with open(out / "report_survival.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "threshold", "fraction"])
-        series = [("observed", report.survival_observed),
-                  ("expected", report.survival_expected)]
-        for g, (obs, exp) in sorted(report.survival_by_gender.items()):
-            series.append((f"observed_{g}", obs))
-            series.append((f"expected_{g}", exp))
-        for name, curve in series:
-            for x, fraction in zip(curve.thresholds, curve.fraction):
-                writer.writerow([name, repr(float(x)), repr(float(fraction))])
+        cells = [(la, lb, repr(float(pairs.observed[a, b])), repr(float(pairs.expected[a, b])))
+                 for a, la in enumerate(pairs.labels) for b, lb in enumerate(pairs.labels)]
+        write_table(out / f"report_pairs_{attribute}.csv",
+                    ("from_value", "to_value", "observed", "expected"), zip(*cells), ",")
+    series = [("observed", report.survival_observed),
+              ("expected", report.survival_expected)]
+    for g, (obs, exp) in sorted(report.survival_by_gender.items()):
+        series.append((f"observed_{g}", obs))
+        series.append((f"expected_{g}", exp))
+    points = [(name, repr(float(x)), repr(float(fraction)))
+              for name, curve in series
+              for x, fraction in zip(curve.thresholds, curve.fraction)]
+    write_table(out / "report_survival.csv", ("series", "threshold", "fraction"),
+                zip(*points), ",")
 
 
 def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
                           archive: Path, out: Path, *, exact: bool,
                           count_tol: float) -> None:
-    with open(out / CBAR_FILE, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(["paper_id", "c_bar"])
-        for pid, c in zip(net.ids.tolist(), ec.c_bar.tolist()):
-            writer.writerow([pid, repr(c)])
+    write_table(out / CBAR_FILE, ("paper_id", "c_bar"),
+                (net.ids.tolist(), list(map(repr, ec.c_bar.tolist()))))
     report = structural_report(net, ec)
     meta = {
         "format": GROUPS_FORMAT,

@@ -8,10 +8,13 @@ rankings) reads this structure and never mutates it.
 
 A network is columnar: a :class:`PaperTable` of ids, ``datetime64[D]``
 dates and integer codes per attribute, plus the edges.  Loading a file
-builds no per-paper record.  Each table is read once and split into one
-array per column; dates, gender/rank tokens and ids are checked and
-encoded as arrays, with a per-row fallback only for non-canonical dates
-and a loop only over the rows that draw a warning.  ``Paper`` records
+builds no per-paper record.  Each table is read once and split into
+fields.  The paper table becomes one array per column; dates,
+gender/rank tokens and ids are checked and encoded as arrays, with a
+per-row fallback only for non-canonical dates and a loop only over the
+rows that draw a warning.  Citation ids stay ``str`` objects and resolve
+to paper rows through one dict.  Every table is written by
+:func:`write_table`, as :mod:`csv` writes it.  ``Paper`` records
 remain where a record is the API (:mod:`citegap.synth`, record matching)
 and as :attr:`PaperTable.papers`, a view built on first use.
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -325,11 +328,11 @@ def _csv_rows(text: str, width: int
 
 
 def _table(stream: TextIO, columns: Sequence[str], what: str
-           ) -> tuple[dict[str, np.ndarray], np.ndarray, Exception | None]:
+           ) -> tuple[list[str], np.ndarray, Exception | None]:
     """Read a tab-delimited table with a ``columns`` header row.
 
-    Returns one array of stripped ``str`` fields per column, the line
-    number of each row, and the error of the first malformed row (the
+    Returns the fields of the rows, row after row and not stripped, the
+    line number of each row, and the error of the first malformed row (the
     rows before it are returned; callers raise it once those rows have
     raised their own errors), ``None`` if there is none.  Text that
     :func:`_split_fields` accepts is split at once; any other goes row by
@@ -347,9 +350,15 @@ def _table(stream: TextIO, columns: Sequence[str], what: str
         lines = range(2, 2 + len(fields) // width)
     if [h.strip() for h in header] != list(columns):
         raise ParseError(f"line 1: expected {what} header {' '.join(columns)!r}")
-    values = {name: np.char.strip(np.array(fields[k::width], dtype=str))
-              for k, name in enumerate(columns)}
-    return values, np.array(lines, dtype=np.int64), error
+    return fields, np.array(lines, dtype=np.int64), error
+
+
+def _columns(fields: list[str], columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """One array of stripped ``str`` fields per column of the rows
+    ``fields``."""
+    width = len(columns)
+    return {name: np.char.strip(np.array(fields[k::width], dtype=str))
+            for k, name in enumerate(columns)}
 
 
 def _parse_dates(texts: np.ndarray) -> tuple[np.ndarray, tuple[int, ValueError] | None]:
@@ -492,7 +501,8 @@ class PaperTable:
 
     @cached_property
     def index_of(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.ids.tolist())}
+        """The row of each id (the last row holding it, if several do)."""
+        return dict(zip(self.ids.tolist(), range(self.n)))
 
     @cached_property
     def window_floors(self) -> np.ndarray:
@@ -563,7 +573,8 @@ def parse_papers(stream: TextIO) -> PaperTable:
     UNKNOWN/Unranked with a logged warning; bad dates or column counts
     raise :class:`ParseError` naming the line (after the warnings of the
     lines before it)."""
-    values, lines, error = _table(stream, PAPER_COLUMNS, "paper")
+    fields, lines, error = _table(stream, PAPER_COLUMNS, "paper")
+    values = _columns(fields, PAPER_COLUMNS)
     dates, failed = _parse_dates(values["pub_date"])
     stop = len(lines) if failed is None else failed[0]
     bad_gender = ~np.isin(values["gender"], _GENDER_TOKENS)
@@ -591,17 +602,22 @@ def parse_papers(stream: TextIO) -> PaperTable:
 
 
 def parse_citations(stream: TextIO) -> np.ndarray:
-    """Parse the citation table into an (M, 2) ``str`` array of
-    (citing_id, cited_id) rows."""
-    values, _, error = _table(stream, CITATION_COLUMNS, "citation")
+    """Parse the citation table into an (M, 2) ``object`` array of
+    stripped (citing_id, cited_id) ``str`` rows."""
+    fields, _, error = _table(stream, CITATION_COLUMNS, "citation")
     if error is not None:
         raise error
-    return np.stack([values[name] for name in CITATION_COLUMNS], axis=1)
+    ids = np.fromiter(map(str.strip, fields), dtype=object, count=len(fields))
+    if "\x00" in "".join(fields):
+        # read as the paper ids are: a str array drops trailing NULs
+        ids = np.char.strip(np.array(fields, dtype=str)).astype(object)
+    return ids.reshape(-1, 2)
 
 
 def parse_publication_records(stream: TextIO) -> list[PublicationRecord]:
     """Parse the record-match table (last names ``;``-joined)."""
-    values, lines, error = _table(stream, RECORD_COLUMNS, "record")
+    fields, lines, error = _table(stream, RECORD_COLUMNS, "record")
+    values = _columns(fields, RECORD_COLUMNS)
     records = []
     for lineno, title, raw_year, raw_names in zip(
             lines.tolist(), *(values[name].tolist() for name in RECORD_COLUMNS)):
@@ -662,11 +678,43 @@ def filter_citations(
     papers: PaperTable | Sequence[Paper],
     raw_edges: np.ndarray | Iterable[tuple[str, str]],
 ) -> CitationNetwork:
-    """Apply the corpus filtering rules and build the network.
+    """Resolve citation ids to paper rows and apply :func:`filter_edges`.
 
     ``papers`` is a :class:`PaperTable` or a sequence of ``Paper``
-    records, ``raw_edges`` an (M, 2) ``str`` array or (citing_id,
-    cited_id) pairs.  Ids are resolved by binary search in the sorted ids.
+    records, ``raw_edges`` an (M, 2) array of ``str`` ids (as
+    :func:`parse_citations` returns it) or (citing_id, cited_id) pairs.
+    Ids are resolved through :attr:`PaperTable.index_of`.  Raises
+    :class:`IngestError` naming the first paper whose id an earlier paper
+    holds, else the first citation with an unknown id (its citing id
+    first).
+    """
+    table = papers if isinstance(papers, PaperTable) else PaperTable.from_papers(papers)
+    if not isinstance(raw_edges, np.ndarray):
+        raw_edges = np.array(list(raw_edges), dtype=str)
+    tokens = raw_edges.ravel().tolist()
+    index = table.index_of
+    if len(index) < table.n:
+        seen = set()
+        for pid in table.ids.tolist():
+            if pid in seen:
+                raise IngestError(f"duplicate paper id {pid!r}")
+            seen.add(pid)
+    try:
+        rows = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    except KeyError:
+        known = np.fromiter(map(index.__contains__, tokens), dtype=bool,
+                            count=len(tokens)).reshape(-1, 2)
+        row = int(np.argmin(known.all(axis=1)))
+        u, v = tokens[2 * row:2 * row + 2]
+        which, bad = ("citing", u) if not known[row, 0] else ("cited", v)
+        raise IngestError(f"citation ({u!r}, {v!r}): unknown {which} id {bad!r}") from None
+    return filter_edges(table, rows.reshape(-1, 2))
+
+
+def filter_edges(table: PaperTable, edges: np.ndarray) -> CitationNetwork:
+    """Apply the corpus filtering rules to the (M, 2) (citing, cited) row
+    pairs ``edges`` of ``table`` and build the network.
+
     De-duplicates edges, removes edges that are not
     :meth:`CitationNetwork.citable`, drops papers left without any
     citation in either direction, and reindexes the survivors (original
@@ -678,28 +726,10 @@ def filter_citations(
     the rules were evaluated on.  Idempotent: re-filtering a network's own
     papers/edges is a no-op.
     """
-    table = papers if isinstance(papers, PaperTable) else PaperTable.from_papers(papers)
-    if not isinstance(raw_edges, np.ndarray):
-        raw_edges = np.array(list(raw_edges), dtype=str)
-    pairs = raw_edges.reshape(-1, 2)
     n = table.n
-    order = np.argsort(table.ids, kind="stable")
-    ids = table.ids[order]
-    repeated = order[1:][ids[1:] == ids[:-1]]
-    if repeated.size:
-        # the first row whose id an earlier row holds
-        raise IngestError(f"duplicate paper id {table.ids[repeated.min()].item()!r}")
-    at = np.minimum(np.searchsorted(ids, pairs), max(n - 1, 0))
-    known = ids[at] == pairs if n else np.zeros(pairs.shape, dtype=bool)
-    if not known.all():
-        row = int(np.argmin(known.all(axis=1)))
-        u, v = pairs[row].tolist()
-        which, bad = ("citing", u) if not known[row, 0] else ("cited", v)
-        raise IngestError(f"citation ({u!r}, {v!r}): unknown {which} id {bad!r}")
-    index = order[at]
-
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     # one key i*N + j per raw pair, sorted by (i, j), each kept once
-    keys = np.sort(index[:, 0] * n + index[:, 1])
+    keys = np.sort(edges[:, 0] * n + edges[:, 1])
     unique = keys[np.diff(keys, prepend=-1) != 0]
     citing, cited = np.divmod(unique, max(n, 1))
     in_window = table.in_window(citing, cited)
@@ -737,20 +767,59 @@ def load_network(papers_path: str | Path, citations_path: str | Path) -> Citatio
     return filter_citations(read_papers(papers_path), read_citations(citations_path))
 
 
+#: rows written per block, so a table's text is never held whole
+_BLOCK_ROWS = 1 << 14
+
+
+def _quoted(fields: Sequence[str], delimiter: str) -> Sequence[str]:
+    """``fields`` as a :mod:`csv` writer with ``delimiter`` writes them.
+
+    The few fields holding the delimiter, a quote, ``\n``, ``\r`` or NUL
+    go through :mod:`csv` itself, whose rules for the last two differ
+    between Python versions (3.11 leaves a ``\r`` bare under a ``\n``
+    line end); the joined fields are searched once, so a list holding none
+    of them is returned as it is.
+    """
+    special = (delimiter, '"', "\n", "\r", "\x00")
+    joined = "".join(fields)
+    if not any(c in joined for c in special):
+        return fields
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
+
+    def field(value: str) -> str:
+        if not any(c in value for c in special):
+            return value
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([value])
+        return buffer.getvalue()[:-1]
+
+    return [field(v) for v in fields]
+
+
+def write_table(path: str | Path, header: Sequence[str],
+                columns: Iterable[Sequence[str]], delimiter: str = "\t") -> None:
+    """Write the ``header`` row and the rows of ``columns`` (one sequence
+    of ``str`` fields per column) as a :mod:`csv` writer with
+    ``delimiter`` and ``\n`` line ends writes them, a block of rows at a
+    time."""
+    rows = map(delimiter.join, zip(*(_quoted(c, delimiter) for c in columns)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(delimiter.join(_quoted(header, delimiter)) + "\n")
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
+
+
 def write_papers(table: PaperTable, path: str | Path) -> None:
     """Write the paper table (dates in ISO format), quoted as :mod:`csv`
     quotes."""
     columns = table._text()
     columns[1] = np.datetime_as_string(table.dates, unit="D").tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(PAPER_COLUMNS)
-        writer.writerows(zip(*columns))
+    write_table(path, PAPER_COLUMNS, columns)
 
 
 def write_citations(net: CitationNetwork, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(CITATION_COLUMNS)
-        ids = net.ids
-        writer.writerows(zip(ids[net.edges[:, 0]].tolist(), ids[net.edges[:, 1]].tolist()))
+    ids = net.ids.tolist()
+    write_table(path, CITATION_COLUMNS,
+                (list(map(ids.__getitem__, end.tolist())) for end in net.edges.T))

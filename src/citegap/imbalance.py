@@ -23,7 +23,6 @@ rows is one ``_BLOCK x N`` block.
 """
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from .corpus import (
     SELECTABLE_FIELDS,
     CitationNetwork,
     GenderCategory,
+    write_table,
 )
 from .refmodels import ExpectedCitations, fixed_point_limbs
 
@@ -470,13 +470,9 @@ def report_rows(reports: Iterable[ImbalanceReport]) -> list[dict[str, object]]:
 
 def write_report_csv(reports: Iterable[ImbalanceReport], path: str | Path) -> None:
     """CSV export; undefined markers become empty fields plus status."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in report_rows(reports):
-            writer.writerow(
-                ["" if row[c] is None else _format(row[c]) for c in _CSV_COLUMNS]
-            )
+    rows = [["" if row[c] is None else _format(row[c]) for c in _CSV_COLUMNS]
+            for row in report_rows(reports)]
+    write_table(path, _CSV_COLUMNS, zip(*rows), ",")
 
 
 def write_report_json(reports: Iterable[ImbalanceReport], path: str | Path) -> None:

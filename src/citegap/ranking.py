@@ -11,7 +11,6 @@ the top d% of papers (from the gender codes), ties broken by paper id.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import GENDER_CODE, W_CATEGORIES, CitationNetwork
+from .corpus import GENDER_CODE, W_CATEGORIES, CitationNetwork, write_table
 from .refmodels import ExpectedCitations
 
 log = logging.getLogger(__name__)
@@ -247,18 +246,12 @@ def write_ranking_csv(result: RankingResult, net: CitationNetwork, path: str | P
     normalized scores (descending, id tiebreak)."""
     position = np.empty(net.n, dtype=np.int64)
     position[ranking_order(result.normalized_score, net)] = np.arange(1, net.n + 1)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["paper_id", "raw", "normalized", "rank"])
-        for pid, raw, normalized, rank in zip(
-                net.ids.tolist(), result.raw_score.tolist(),
-                result.normalized_score.tolist(), position.tolist()):
-            writer.writerow([pid, repr(raw), repr(normalized), rank])
+    write_table(path, ("paper_id", "raw", "normalized", "rank"),
+                (net.ids.tolist(), list(map(repr, result.raw_score.tolist())),
+                 list(map(repr, result.normalized_score.tolist())),
+                 list(map(str, position.tolist()))), ",")
 
 
 def write_share_csv(points: Iterable[SharePoint], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["d", "source", "metric", "ww_share"])
-        for pt in points:
-            writer.writerow([repr(pt.d), pt.source, pt.metric, repr(pt.ww_share)])
+    rows = [(repr(pt.d), pt.source, pt.metric, repr(pt.ww_share)) for pt in points]
+    write_table(path, ("d", "source", "metric", "ww_share"), zip(*rows), ",")

@@ -46,7 +46,7 @@ from .corpus import (
     category_key,
     citation_window_floor,
     citation_window_floors,
-    filter_citations,
+    filter_edges,
 )
 from .refmodels import date_order
 
@@ -361,10 +361,9 @@ def generate_network(cfg: SynthConfig) -> CitationNetwork:
         raise GenerationError("configuration generated no citations")
 
     width = len(str(n))
-    ids = np.array([f"P{i:0{width}d}" for i in range(1, n + 1)])
     authors = np.array([f"a{i}" for i in range(1, 2 * n + 1)])
     values = {
-        "id": ids,
+        "id": np.array([f"P{i:0{width}d}" for i in range(1, n + 1)]),
         "gender": np.array([g.value for g in KNOWN_CATEGORIES])[genders],
         "rank": np.array([r.value for r in RANK_ORDER])[ranks],
         "country": _labels("C", cfg.n_countries)[countries],
@@ -374,7 +373,7 @@ def generate_network(cfg: SynthConfig) -> CitationNetwork:
         "last_author": authors[1::2],
     }
     edges = np.stack((np.repeat(np.arange(n), draws), np.concatenate(targets)), axis=1)
-    return filter_citations(PaperTable.from_columns(values, dates), ids[edges])
+    return filter_edges(PaperTable.from_columns(values, dates), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import io
 import logging
 import random
@@ -346,6 +347,82 @@ class TestFilterCitations:
             assert not (
                 cited.first_author in citers and cited.last_author in citers
             )
+
+
+class TestIdResolution:
+    """Citation ids resolve through ``PaperTable.index_of``; the errors
+    name the first offending paper or citation row."""
+
+    @staticmethod
+    def load(paper_rows, citation_text):
+        return filter_citations(parse_papers(paper_table(*paper_rows)),
+                                parse_citations(io.StringIO(citation_text, newline="")))
+
+    PAPERS = ("A\t2010\tMM\tA\tUS\tT\tS\ta1\ta2", "B\t2011\tWW\tB\tDE\tT\tS\ta3\ta4")
+
+    @pytest.mark.parametrize("text", [
+        "citing_id\tcited_id\n  B \t A\n",
+        'citing_id\tcited_id\r\n" B "\t"A  "\r\n',
+    ], ids=["split", "csv"])
+    def test_padded_citation_ids_resolve_after_the_strip(self, text):
+        net = self.load(self.PAPERS, text)
+        assert net.ids.tolist() == ["A", "B"] and net.edges.tolist() == [[1, 0]]
+
+    def test_ids_equal_after_the_strip_are_duplicates(self):
+        rows = (self.PAPERS[0], " A \t2012\tMM\tA\tUS\tT\tS\ta5\ta6")
+        with pytest.raises(IngestError) as info:
+            self.load(rows, "citing_id\tcited_id\n")
+        assert str(info.value) == "duplicate paper id 'A'"
+
+    def test_duplicate_error_names_the_first_repeated_row(self):
+        # A is held first, but B repeats first
+        papers = [make_paper(pid, date(2010 + k, 1, 1)) for k, pid in enumerate("ABBA")]
+        with pytest.raises(IngestError) as info:
+            filter_citations(papers, [("A", "GHOST")])
+        assert str(info.value) == "duplicate paper id 'B'"
+
+    def test_empty_paper_table_names_the_citing_id(self):
+        with pytest.raises(IngestError) as info:
+            self.load((), "citing_id\tcited_id\nP1\tP2\n")
+        assert str(info.value) == "citation ('P1', 'P2'): unknown citing id 'P1'"
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([("B", "A"), ("X", "Y"), ("B", "Z")], "citation ('X', 'Y'): unknown citing id 'X'"),
+        ([("B", "A"), ("B", "Z"), ("X", "Y")], "citation ('B', 'Z'): unknown cited id 'Z'"),
+        ([("B", "A"), ("X", "A")], "citation ('X', 'A'): unknown citing id 'X'"),
+    ])
+    def test_unknown_id_error_names_the_first_bad_row(self, pairs, message):
+        papers = [make_paper("A", date(2010, 1, 1)), make_paper("B", date(2011, 1, 1))]
+        for raw in (pairs, np.array(pairs, dtype=object)):
+            with pytest.raises(IngestError) as info:
+                filter_citations(papers, raw)
+            assert str(info.value) == message
+
+    def test_array_and_pairs_give_equal_networks(self):
+        rng = random.Random(3)
+        papers = [make_paper(f"P{k}", date(2000 + rng.randrange(15), 1 + k % 12, 1),
+                             first=f"a{rng.randrange(6)}", last=f"a{rng.randrange(6)}")
+                  for k in range(40)]
+        pairs = [(f"P{rng.randrange(40)}", f"P{rng.randrange(40)}") for _ in range(150)]
+        text = "citing_id\tcited_id\n" + "".join(f"{u}\t{v}\n" for u, v in pairs)
+        expected = filter_citations(papers, pairs)
+        assert expected.m > 0
+        for raw in (np.array(pairs, dtype=object), np.array(pairs, dtype=str),
+                    parse_citations(io.StringIO(text)), iter(pairs)):
+            net = filter_citations(papers, raw)
+            assert net.ids.tolist() == expected.ids.tolist()
+            assert net.edges.tolist() == expected.edges.tolist()
+            assert net.filter_counts == expected.filter_counts
+            assert net.window_floors.tolist() == expected.window_floors.tolist()
+
+    def test_trailing_nul_resolves_as_the_paper_ids_hold_it(self):
+        try:
+            list(csv.reader(["a\x00"]))
+        except csv.Error:
+            pytest.skip("this Python's csv reader rejects NUL")
+        rows = ("A\x00\t2010\tMM\tA\tUS\tT\tS\ta1\ta2", self.PAPERS[1])
+        net = self.load(rows, "citing_id\tcited_id\nB\tA\x00 \n")
+        assert net.ids.tolist() == ["A", "B"] and net.m == 1
 
 
 class TestCategoryKey:
