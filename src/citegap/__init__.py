@@ -5,120 +5,58 @@ Pipeline: parse and filter a corpus into a :class:`CitationNetwork`,
 compute expected citations under the random-, homophilic-, or
 preferential-draws model, then compare observed counts and rankings
 against those expectations.
+
+The public names below are imported on first access (PEP 562), so
+``import citegap`` loads neither a submodule nor numpy, and
+``from citegap import load_network`` loads ``citegap.corpus`` alone.
 """
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    ATTRIBUTE_ORDER,
-    CitationNetwork,
-    ConferenceRank,
-    GenderCategory,
-    IngestError,
-    Paper,
-    PaperTable,
-    ParseError,
-    PublicationRecord,
-    category_key,
-    filter_citations,
-    gender_category,
-    levenshtein,
-    load_network,
-    match_records,
-)
-from .imbalance import (
-    ImbalanceReport,
-    PaperFilter,
-    bootstrap_ci,
-    expected_by_gender,
-    imbalance_report,
-    observed_by_gender,
-    over_under,
-    spearman,
-    stratified_imbalance,
-)
-from .ranking import (
-    RankingResult,
-    SharePoint,
-    citation_scores,
-    normalized_scores,
-    pagerank_observed,
-    pagerank_reference,
-    share_curve,
-    top_share,
-)
-from .refmodels import (
-    ContributionGroup,
-    ExpectedCitations,
-    ModelError,
-    citation_probability,
-    compute_model,
-    eligible_set_hd,
-    eligible_set_rd,
-    homophilic_draws,
-    ks_distance,
-    observed_as_expectations,
-    preferential_draws,
-    random_draws,
-    structural_report,
-)
-from .synth import (
-    GenerationError,
-    OracleEstimate,
-    SynthConfig,
-    generate_network,
-    monte_carlo_oracle,
-)
+#: every public name, and the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "corpus": (
+            "ATTRIBUTE_ORDER", "CitationNetwork", "ConferenceRank", "GenderCategory",
+            "IngestError", "Paper", "PaperTable", "ParseError", "PublicationRecord",
+            "category_key", "filter_citations", "gender_category", "levenshtein",
+            "load_network", "match_records",
+        ),
+        "imbalance": (
+            "ImbalanceReport", "PaperFilter", "bootstrap_ci", "expected_by_gender",
+            "imbalance_report", "observed_by_gender", "over_under", "spearman",
+            "stratified_imbalance",
+        ),
+        "ranking": (
+            "RankingResult", "SharePoint", "citation_scores", "normalized_scores",
+            "pagerank_observed", "pagerank_reference", "share_curve", "top_share",
+        ),
+        "refmodels": (
+            "ContributionGroup", "ExpectedCitations", "ModelError",
+            "citation_probability", "compute_model", "eligible_set_hd",
+            "eligible_set_rd", "homophilic_draws", "ks_distance",
+            "observed_as_expectations", "preferential_draws", "random_draws",
+            "structural_report",
+        ),
+        "synth": (
+            "GenerationError", "OracleEstimate", "SynthConfig", "generate_network",
+            "monte_carlo_oracle",
+        ),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "ATTRIBUTE_ORDER",
-    "CitationNetwork",
-    "ConferenceRank",
-    "ContributionGroup",
-    "ExpectedCitations",
-    "GenderCategory",
-    "GenerationError",
-    "ImbalanceReport",
-    "IngestError",
-    "ModelError",
-    "OracleEstimate",
-    "Paper",
-    "PaperFilter",
-    "PaperTable",
-    "ParseError",
-    "PublicationRecord",
-    "RankingResult",
-    "SharePoint",
-    "SynthConfig",
-    "bootstrap_ci",
-    "category_key",
-    "citation_probability",
-    "citation_scores",
-    "compute_model",
-    "eligible_set_hd",
-    "eligible_set_rd",
-    "expected_by_gender",
-    "filter_citations",
-    "gender_category",
-    "generate_network",
-    "homophilic_draws",
-    "imbalance_report",
-    "ks_distance",
-    "levenshtein",
-    "load_network",
-    "match_records",
-    "monte_carlo_oracle",
-    "normalized_scores",
-    "observed_as_expectations",
-    "observed_by_gender",
-    "over_under",
-    "pagerank_observed",
-    "pagerank_reference",
-    "preferential_draws",
-    "random_draws",
-    "share_curve",
-    "spearman",
-    "stratified_imbalance",
-    "structural_report",
-    "top_share",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

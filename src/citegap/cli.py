@@ -36,8 +36,6 @@ from .corpus import (
     CitationNetwork,
     ConferenceRank,
     GenderCategory,
-    IngestError,
-    ParseError,
     load_network,
     write_citations,
     write_papers,
@@ -67,18 +65,19 @@ from .ranking import (
 from .refmodels import (
     DEFAULT_COUNT_TOL,
     ExpectedCitations,
-    ModelError,
     StructuralReport,
     compute_model,
     eligibility_index,
     group_table,
     structural_report,
 )
-from .synth import GenerationError, generate_network, load_config
+from .synth import generate_network, load_config
 
 log = logging.getLogger("citegap")
 
 OUTPUT_DIR_ENV = "CITEGAP_OUTPUT_DIR"
+#: when set, the whole seconds since 1970 that every manifest stamps
+EPOCH_ENV = "SOURCE_DATE_EPOCH"
 
 PAPERS_FILE = "papers.tsv"
 CITATIONS_FILE = "citations.tsv"
@@ -112,25 +111,27 @@ def _sha256(path: Path) -> str:
 
 
 def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
-    return moment.isoformat()
+    """The manifests' timestamp: EPOCH_ENV when set, the time now otherwise."""
+    epoch = os.environ.get(EPOCH_ENV)
+    if epoch is None:
+        return datetime.now(tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise CliError(f"{EPOCH_ENV} must be whole seconds since 1970-01-01 "
+                       f"within the years 1 to 9999, got {epoch!r}") from exc
 
 
-def _write_manifest(out_dir: Path, argv: list[str], inputs: dict[str, Path],
+def _write_manifest(out_dir: Path, header: dict[str, object], inputs: dict[str, Path],
                     seed: int | None, **extra: object) -> None:
+    """``header`` holds the keys every command's manifest shares (see main)."""
     manifest = {
-        "command": argv,
+        **header,
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
                    for name, p in sorted(inputs.items())},
         "seed": seed,
-        "version": __version__,
-        "timestamp": _timestamp(),
+        **extra,
     }
-    manifest.update(extra)
     with open(out_dir / MANIFEST_FILE, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -193,14 +194,14 @@ def _write_archive(net: CitationNetwork, out: Path,
     return summary
 
 
-def cmd_ingest(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_ingest(args: argparse.Namespace, header: dict[str, object]) -> int:
     papers_path, citations_path = Path(args.papers), Path(args.citations)
     net = load_network(papers_path, citations_path)
     if net.m == 0:
         raise CliError("empty network: no citations survived filtering")
     out = _out_dir(args, args.out)
     summary = _write_archive(net, out, filter=net.filter_counts)
-    _write_manifest(out, argv,
+    _write_manifest(out, header,
                     {"papers": papers_path, "citations": citations_path},
                     args.seed)
     print(f"papers: {summary['papers']}")
@@ -286,7 +287,7 @@ def _write_groups(ec: ExpectedCitations, path: Path) -> None:
                 np.lib.format.write_array(fh, getattr(ec, name), allow_pickle=False)
 
 
-def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
     archive = Path(args.archive)
     net, _, inputs = _load_inputs(archive)
     model = args.model.upper()
@@ -302,7 +303,7 @@ def cmd_model(args: argparse.Namespace, argv: list[str]) -> int:
     out = _out_dir(args, args.out)
     _write_model_artifact(net, ec, archive, out, exact=args.exact,
                           count_tol=args.count_tol)
-    _write_manifest(out, argv, inputs, args.seed, model=model,
+    _write_manifest(out, header, inputs, args.seed, model=model,
                     attributes=list(attrs))
     print(f"model {model} on {net.n} papers / {net.m} citations")
     for name, count in _table_counts(ec).items():
@@ -478,7 +479,7 @@ def _load_model_artifact(archive: Path, artifact: Path,
     return replace(ec, c_bar=c_bar)
 
 
-def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_imbalance(args: argparse.Namespace, header: dict[str, object]) -> int:
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise CliError("--bootstrap must be 0 (no CIs) or at least 2, "
                        f"got {args.bootstrap}")
@@ -506,7 +507,7 @@ def cmd_imbalance(args: argparse.Namespace, argv: list[str]) -> int:
     for r in reports:
         block = defined if r.stratum is None else defined.setdefault(r.stratum, {})
         block[r.gender.value] = r.resamples_defined
-    _write_manifest(out, argv, inputs, seed, model=ec.model,
+    _write_manifest(out, header, inputs, seed, model=ec.model,
                     from_filter=from_filter.description,
                     to_filter=to_filter.description,
                     stratify=args.stratify, bootstrap=args.bootstrap,
@@ -533,7 +534,7 @@ def _parse_d_grid(text: str) -> list[float]:
     return grid
 
 
-def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_rank(args: argparse.Namespace, header: dict[str, object]) -> int:
     # checked for either metric, so no bad value is written to a manifest
     check_pagerank_parameters(args.alpha, args.eps, args.t_max)
     grid = _parse_d_grid(args.d_grid)
@@ -553,7 +554,7 @@ def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     write_share_csv(points, out / "share_curve.csv")
     # per ranking, keyed "observed" and "model": how its scores were reached
     roles = dict(zip(("observed", "model"), results))
-    _write_manifest(out, argv, inputs, args.seed, metric=args.metric,
+    _write_manifest(out, header, inputs, args.seed, metric=args.metric,
                     source=result.source, d_grid=grid,
                     iterations={k: r.iterations_used for k, r in roles.items()},
                     final_residual={k: r.final_residual for k, r in roles.items()},
@@ -563,7 +564,7 @@ def cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_synth(args: argparse.Namespace, header: dict[str, object]) -> int:
     config_path = Path(args.config)
     cfg = load_config(config_path)
     if args.seed is not None:
@@ -571,7 +572,7 @@ def cmd_synth(args: argparse.Namespace, argv: list[str]) -> int:
     net = generate_network(cfg)
     out = _out_dir(args, args.out)
     summary = _write_archive(net, out)
-    _write_manifest(out, argv, {"config": config_path}, cfg.seed)
+    _write_manifest(out, header, {"config": config_path}, cfg.seed)
     print(f"papers: {summary['papers']}")
     print(f"citations: {summary['citations']}")
     return 0
@@ -655,8 +656,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, list(argv))
-    except (CliError, ParseError, IngestError, ModelError, GenerationError,
-            OSError, ValueError) as exc:
+        # read before any work, so a bad epoch leaves no output behind
+        header = {"command": list(argv), "version": __version__,
+                  "timestamp": _timestamp()}
+        return args.func(args, header)
+    except (CliError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import citegap
+from citegap.__main__ import BLAS_THREAD_ENV, run as cli_entry
 from citegap.cli import main
 
 TOY4_PAPERS = """id\tpub_date\tgender\trank\tcountry\ttopic\tsubfield\tfirst_author\tlast_author
@@ -332,6 +334,18 @@ class TestImbalance:
             f"error: --bootstrap must be 0 (no CIs) or at least 2, got {resamples}"]
         assert not out.exists()
 
+    def test_unallocatable_bootstrap_exit_code(self, archive, tmp_path, capsys):
+        # numpy refuses the draws' petabytes at once, before anything is
+        # written
+        run("model", archive, tmp_path / "rd", "--model", "rd")
+        capsys.readouterr()
+        out = tmp_path / "imb"
+        assert run("imbalance", archive, tmp_path / "rd", out,
+                   "--bootstrap", str(10**15)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert not out.exists()
+
     @pytest.mark.parametrize("selection", [("--from", "gender=WW"), ("--to", "rank=A*"),
                                            ("--from", "country=XX")])
     def test_stratify_rejects_from_and_to(self, archive, tmp_path, capsys, selection):
@@ -622,6 +636,22 @@ class TestSynth:
         assert run("synth", config, tmp_path / "x") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epoch", ["99999999999999999999", "abc", "1e3",
+                                       "-99999999999999"])
+    def test_bad_source_date_epoch_rejected_before_work(self, tmp_path, capsys,
+                                                        monkeypatch, epoch):
+        # read once before dispatch, so no archive is left without a manifest
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "corpus"
+        assert run("synth", config, out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: SOURCE_DATE_EPOCH must be whole seconds since "
+                                f"1970-01-01 within the years 1 to 9999, got {epoch!r}\n")
+        assert not out.exists()
+
 
 class TestReport:
     def test_report_files(self, archive, tmp_path, capsys):
@@ -707,3 +737,71 @@ def test_pipeline_runs_with_scipy_blocked(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "rank-pd" / "share_curve.csv").is_file()
+
+
+def run_fresh(code, **env):
+    """Run ``code`` in a fresh interpreter on this package, with none of the
+    BLAS thread variables set apart from ``env``; returns its stdout."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
+    base["PYTHONPATH"] = str(Path(citegap.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    # the package's names are resolved on first access, each from the one
+    # submodule that defines it
+    code = (
+        "import sys\n"
+        "import citegap\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('citegap.', 'numpy'))))\n"
+        "from citegap import load_network\n"
+        "print(sorted(m for m in sys.modules if m.startswith('citegap.')))\n"
+        "from citegap import *\n"
+        "print(set(citegap.__all__) <= set(globals()))\n"
+    )
+    assert run_fresh(code).splitlines() == ["[]", "['citegap.corpus']", "True"]
+
+
+def test_every_export_resolves():
+    for name in citegap.__all__:
+        value = getattr(citegap, name)
+        owner = importlib.import_module(f"citegap.{citegap._EXPORTS[name]}")
+        assert value is getattr(owner, name)
+        assert name in dir(citegap)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        citegap.no_such_name
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+    ({"GOTO_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}),
+    ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+], ids=["unset", "openblas", "goto", "omp"])
+def test_cli_entry_starts_one_blas_thread_unless_told(env, expected):
+    # the entry sets OpenBLAS's thread count before numpy loads, and only
+    # when the user has chosen none
+    code = (
+        "import json, os, runpy, sys\n"
+        "sys.argv = ['citegap', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('citegap', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"names = {BLAS_THREAD_ENV!r}\n"
+        "print(json.dumps({k: os.environ[k] for k in names if k in os.environ}))\n"
+    )
+    version, blas = run_fresh(code, **env).splitlines()
+    assert version == citegap.__version__
+    assert json.loads(blas) == expected
+
+
+def test_console_script_is_the_module_entry():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = dict(re.findall(r'^(\S+) = "(\S+)"$', scripts, re.M))["citegap"]
+    module, func = target.split(":")
+    assert getattr(importlib.import_module(module), func) is cli_entry
