@@ -36,14 +36,12 @@ from .corpus import (
     GENDER_CODE,
     KNOWN_CATEGORIES,
     SELECTABLE_FIELDS,
+    STRATIFIERS,
     CitationNetwork,
     GenderCategory,
     write_table,
 )
 from .refmodels import ExpectedCitations, fixed_point_limbs
-
-#: the paper attributes whose values can be the strata of a report
-STRATIFIERS = ("rank", "subfield")
 
 _UNKNOWN = GENDER_CODE[GenderCategory.UNKNOWN]
 
@@ -210,6 +208,29 @@ class BootstrapCIs(dict):
         self.defined = defined
 
 
+def _percentiles(values: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """``np.percentile(values, q)`` of NaN-free values by numpy's default
+    ``linear`` method, to the bit, without the ``np.unique`` call through
+    which ``np.percentile`` imports ``numpy.ma``.  For ``h = (n - 1) * q /
+    100``, the order statistics at ``floor(h)`` and the next index (both
+    the last one when ``h >= n - 1``) come from the partition numpy
+    makes, so of two equal values, 0.0 and -0.0, the one numpy takes is
+    taken; they are interpolated as numpy's ``_lerp`` does, from the
+    upper one when the weight is 0.5 or more."""
+    h = (values.size - 1) * np.true_divide(q, 100)
+    below = np.floor(h)
+    above = below + 1
+    top = h >= values.size - 1
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    weight = h - below
+    ordered = np.array(values, dtype=np.float64)
+    ordered.partition(np.array(sorted({0, -1, *below.tolist(), *above.tolist()})))
+    low, high = ordered[below], ordered[above]
+    step = high - low
+    return np.where(weight >= 0.5, high - step * (1 - weight), low + step * weight)
+
+
 def bootstrap_ci(
     net: CitationNetwork,
     ec: ExpectedCitations,
@@ -303,7 +324,7 @@ def bootstrap_ci(
     results = []
     for block in values:
         columns = [column[~np.isnan(column)] for column in block.T]
-        cis = [tuple(np.percentile(c, [2.5, 97.5]).tolist()) if c.size >= 2 else None
+        cis = [tuple(_percentiles(c, (2.5, 97.5)).tolist()) if c.size >= 2 else None
                for c in columns]
         results.append(BootstrapCIs(dict(zip(KNOWN_CATEGORIES, cis)),
                                     dict(zip(KNOWN_CATEGORIES, [c.size for c in columns]))))

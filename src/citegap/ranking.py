@@ -15,12 +15,14 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import GENDER_CODE, W_CATEGORIES, CitationNetwork, write_table
-from .refmodels import ExpectedCitations
+
+if TYPE_CHECKING:
+    from .refmodels import ExpectedCitations
 
 log = logging.getLogger(__name__)
 
@@ -52,9 +54,10 @@ def normalized_scores(raw: np.ndarray, net: CitationNetwork) -> np.ndarray:
     out = np.zeros(net.n)
     years = net.dates.astype("datetime64[Y]").astype(np.int64) + 1970
     subfields, labels = net.attribute_codes("subfield")
-    keys = np.stack((years, subfields), axis=1)
-    strata, first, inverse, counts = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    # one mixed-radix key per (year, subfield), in the order of the pairs
+    keys = years * len(labels) + subfields
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
     # each stratum's papers in ascending index order, so its mean sums them
     # in that order; strata in the order of their first papers
     members = np.split(np.argsort(inverse.reshape(-1), kind="stable"),
@@ -63,10 +66,9 @@ def normalized_scores(raw: np.ndarray, net: CitationNetwork) -> np.ndarray:
         idx = members[s]
         mean = raw[idx].mean()
         if mean == 0:
-            year, subfield = strata[s]
             log.warning(
                 "stratum (%s, %s) has zero mean score; normalized scores set to 0",
-                year, labels[subfield],
+                years[first[s]], labels[subfields[first[s]]],
             )
             continue
         out[idx] = raw[idx] / mean

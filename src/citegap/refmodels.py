@@ -35,11 +35,13 @@ O(N + M + exclusions), however large the eligible sets are.
 A PD group, narrowed by running counts, and an observed-edge group are
 explicit member lists only.  The *base* a PD citation is narrowed from,
 its HD set, is read from the index as an HD group is: one slice and its
-exclusions, plus the target when that is later-dated.  PD walks the
-citers in date order; a citer's step concatenates the slices of its
-citations, compares their running counts, masks its exclusions, merges
-identical narrowed sets into bundles and adds their mass, in float and
-exact mode alike.  The members are sorted once, after the walk.
+exclusions, plus the target when that is later-dated.  A category's
+counts change only through citations into it, so PD walks the
+categories in lockstep: step t takes the t-th citer of every category in
+date order, concatenates the slices of its citations, compares their
+running counts, masks their exclusions, merges identical narrowed sets
+into bundles and adds their mass, in float and exact mode alike.  The
+members are sorted once, after the walk.
 
 Each downstream sum is one of two reductions over the table, in plain
 numpy, with ``W`` the G x N matrix holding ``weight[g]`` at (g, j) for
@@ -68,6 +70,7 @@ from .corpus import (
     GENDER_CODE,
     CitationNetwork,
     canonical_attributes,
+    date_order,
 )
 
 #: default tolerance when comparing running expected counts in PD
@@ -413,12 +416,17 @@ def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:
     two papers share a code exactly when they agree on every attribute.
 
     An empty attribute set gives every paper the same code, so HD
-    degenerates toward RD grouping.
+    degenerates toward RD grouping.  The codes number the keys in sorted
+    order of their tuples of value codes.  The key is built one attribute
+    at a time as a mixed-radix integer, the code so far times the
+    attribute's number of values plus its value code, which sorts as the
+    tuples do; it is ranked to a code below N after each attribute.
     """
-    if not attributes:
-        return np.zeros(net.n, dtype=np.int64)
-    stacked = np.stack([net.attribute_codes(a)[0] for a in attributes], axis=1)
-    return np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
+    key = np.zeros(net.n, dtype=np.int64)
+    for attribute in attributes:
+        codes, labels = net.attribute_codes(attribute)
+        key = np.unique(key * len(labels) + codes, return_inverse=True)[1].reshape(-1)
+    return key
 
 
 def _index(net: CitationNetwork, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -601,11 +609,6 @@ def homophilic_draws(
                        cited[np.argsort(group, kind="stable")])
 
 
-def date_order(net: CitationNetwork) -> np.ndarray:
-    """Paper indices by ascending publication date, ties broken by id."""
-    return np.lexsort((net.ids, net.dates))
-
-
 def preferential_draws(
     net: CitationNetwork,
     attributes: Iterable[str] = ATTRIBUTE_ORDER,
@@ -624,6 +627,13 @@ def preferential_draws(
     Count equality is ``|a - b| <= count_tol``, a number >= 0, in float
     mode.  With ``exact=True`` the running counts are exact rationals
     compared for true equality: no float drift, at the cost of speed.
+
+    A citation reads and adds to the counts of its target's category
+    only, and two categories never share a paper, so each category is a
+    sequence of its own.  The walk runs them in lockstep: step t handles
+    the t-th citer of every category, in date order, and every paper
+    receives the same additions in the same order as in a walk over the
+    citers one at a time.
     """
     if not count_tol >= 0:
         raise ValueError(f"the count tolerance must be a number >= 0, got {count_tol}")
@@ -631,85 +641,121 @@ def preferential_draws(
     codes = _key_codes(net, attrs)
     citing, cited = net.edges[:, 0], net.edges[:, 1]
     later = net.dates[cited] > net.dates[citing]
+    when = np.empty(net.n, dtype=np.int64)
+    when[date_order(net)] = np.arange(net.n)
     # one unit per distinct base, by citer in date order: a citation's base
     # is fixed by its citer and its target's category, or also by the
     # target itself when that is dated after the citer
     n_codes = int(codes.max(initial=0)) + 1
-    _, lead, unit = np.unique(np.argsort(date_order(net))[citing] * (n_codes + net.n)
+    _, lead, unit = np.unique(when[citing] * (n_codes + net.n)
                               + np.where(later, n_codes + cited, codes[cited]),
                               return_index=True, return_inverse=True)
-    order, lo, hi = _slices(net, codes, citing[lead], codes[cited[lead]])
+    unit = unit.reshape(-1)
+    category = codes[cited[lead]]
+    order, lo, hi = _slices(net, codes, citing[lead], category)
     excluded_ptr, excluded = _exclusions(net, order, citing[lead], lo, hi)
-    unit_ptr = [*np.flatnonzero(np.diff(citing[lead], prepend=-1)).tolist(), lead.size]
-    citers = citing[lead[unit_ptr[:-1]]]
-    # per citer the papers its author rule excludes; per citation its base's
-    # size; per unit its slice and the target its base adds after it, or -1
-    excluded, excluded_ptr = order[excluded], excluded_ptr[unit_ptr].tolist()
-    size = (hi - lo + later[lead])[unit]
-    lo, hi, extra = lo.tolist(), hi.tolist(), np.where(later[lead], cited[lead], -1).tolist()
-    edge_ptr = np.concatenate(([0], np.cumsum(net.out_degree))).tolist()
+    position = np.empty(net.n, dtype=np.int64)
+    position[order] = np.arange(net.n)
 
+    # a unit's step is the rank of its citer among its category's citers
+    pair, pair_of = np.unique(category * net.n + when[citing[lead]], return_inverse=True)
+    pair_cat = pair // net.n
+    step = (np.arange(pair.size) - np.searchsorted(pair_cat, pair_cat))[pair_of.reshape(-1)]
+
+    # the citations by (step, edge), and what each step reads, set up once:
+    # per citation its base's length and its offset in the step's
+    # concatenated bases, whence the shift from offsets to index positions;
+    # per later-dated target the offset and position it is written to; per
+    # exclusion its offset; and the citations of units that hold several
+    by_step = np.argsort(step[unit], kind="stable")
+    u, later_e = unit[by_step], later[by_step]
+    step_ptr = np.searchsorted(step[u], np.arange(int(step.max(initial=-1)) + 2))
+    length = hi[u] - lo[u] + later_e
+    start = np.cumsum(length) - length
+    start -= np.repeat(start[step_ptr[:-1]], np.diff(step_ptr))
+    shift = lo[u] - start
+    target = position[cited[by_step]]
+    extra = np.flatnonzero(later_e)
+    extra_at, extra_to = (start + length - 1)[extra], target[extra]
+    extra_ptr = np.searchsorted(extra, step_ptr)
+    n_excluded = np.diff(excluded_ptr)[u]
+    owned = np.arange(n_excluded.sum())
+    owned += np.repeat(excluded_ptr[u] - (np.cumsum(n_excluded) - n_excluded), n_excluded)
+    excluded_at = excluded[owned] - np.repeat(shift, n_excluded)
+    excluded_at_ptr = np.concatenate(([0], np.cumsum(n_excluded)))[step_ptr]
+    shared = np.flatnonzero(np.bincount(unit)[u] > 1)
+    shared_ptr = np.searchsorted(shared, step_ptr)
+    shared = shared - np.repeat(step_ptr[:-1], np.diff(step_ptr))[shared]
+
+    # the running counts by position in ``order``
     running = np.full(net.n, Fraction(0), dtype=object) if exact else np.zeros(net.n)
-    blocked = np.zeros(net.n, dtype=bool)
-    # per citer, in date order: its bundles' members, sizes, targets and
-    # target counts, each bundle's after the one before
-    rows, member_dtype = [], _index_dtype(0, net.n, 0)
-    for p, x in enumerate(citers.tolist()):
-        e0, e1 = edge_ptr[x], edge_ptr[x + 1]
-        t, n = cited[e0:e1], size[e0:e1]
-        base = np.concatenate([order[lo[k]:hi[k]] if extra[k] < 0
-                               else np.append(order[lo[k]:hi[k]], extra[k])
-                               for k in unit[e0:e1].tolist()])
-        # every citation is narrowed against the state frozen before x; a
-        # target always survives, as its count equals itself
-        values, count = running[base], running[t].repeat(n)
+    one = Fraction(1) if exact else 1.0
+    scratch = np.arange((start + length).max(initial=0))
+    # per bundle, in step order: its members' positions, its size and its
+    # first citation; per citation the first citation of its bundle
+    index_dtype = _index_dtype(0, net.n, 0)
+    members, sizes, firsts = [np.zeros(0, index_dtype)], [np.zeros(0, np.int64)], [by_step[:0]]
+    bundle_of = np.arange(net.m)
+    bounds = [p.tolist() for p in (step_ptr, extra_ptr, excluded_at_ptr, shared_ptr)]
+    for a, b, e0, e1, x0, x1, s0, s1 in zip(*(q for p in bounds for q in (p[:-1], p[1:]))):
+        n = length[a:b]
+        pos = np.repeat(shift[a:b], n)
+        pos += scratch[:pos.size]
+        if e0 < e1:
+            pos[extra_at[e0:e1]] = extra_to[e0:e1]
+        # every citation is narrowed against the state frozen before its
+        # citer; a target always survives, as its count equals itself
+        values, count = running[pos], running[target[a:b]].repeat(n)
         if exact:
             keep = values == count
         else:
             values -= count
             keep = np.abs(values, out=values) <= count_tol
-        # the author rule excludes the same papers from every base of x, and
-        # never a later-dated target
-        own = excluded[excluded_ptr[p]:excluded_ptr[p + 1]]
-        if own.size:
-            blocked[own] = True
-            keep[blocked[base]] = False
-            blocked[own] = False
-        kept = np.add.reduceat(keep, n.cumsum() - n)
-        m, n_t = base[keep], np.ones(e1 - e0, dtype=np.int64)
-        if unit_ptr[p + 1] - unit_ptr[p] < e1 - e0:
-            # citations with identical member sets merge into one bundle,
-            # in the place of the first: only those of one unit can, and they
-            # keep its base's order; the others differ in a category or target
-            merged: dict[bytes, list[int]] = {}
-            end = kept.cumsum()
-            for c, (a, b) in enumerate(zip((end - kept).tolist(), end.tolist())):
-                merged.setdefault(m[a:b].tobytes(), []).append(c)
-            if len(merged) < e1 - e0:
-                first = [c[0] for c in merged.values()]
-                m = m[np.bincount(first, minlength=e1 - e0).astype(bool).repeat(kept)]
-                n_t = np.array([len(c) for c in merged.values()])
-                t, kept = t[[c for cs in merged.values() for c in cs]], kept[first]
-        mass = (np.array([Fraction(a, b) for a, b in zip(n_t.tolist(), kept.tolist())])
-                if exact else n_t / kept)
+        if x0 < x1:
+            # the author rule excludes papers of the slices only
+            keep[excluded_at[x0:x1]] = False
+        kept = np.add.reduceat(keep, start[a:b])
+        m, edges, n_t = pos[keep], by_step[a:b], 1
+        if s0 < s1:
+            # citations of one unit with identical member sets merge into one
+            # bundle, in the place of the first; the sets of two units differ
+            # in a category or a later-dated target
+            end, kept_list = kept.cumsum().tolist(), kept.tolist()
+            bundle, seen = np.arange(b - a), {}
+            for c in shared[s0:s1].tolist():
+                bundle[c] = seen.setdefault(m[end[c] - kept_list[c]:end[c]].tobytes(), c)
+            if len(seen) < s1 - s0:
+                lead_here = bundle == np.arange(b - a)
+                bundle_of[edges] = edges[bundle]
+                n_t = np.bincount(bundle, minlength=b - a)[lead_here]
+                m, kept, edges = m[lead_here.repeat(kept)], kept[lead_here], edges[lead_here]
+        mass = one * n_t / kept
         np.add.at(running, m, mass.repeat(kept))
-        rows.append((m.astype(member_dtype), kept, t, n_t))
+        members.append(m.astype(index_dtype))
+        sizes.append(kept)
+        firsts.append(edges)
 
-    # the rows by citer, each citer's bundles in the order of their first
-    # targets; a leading empty row types the arrays when no paper cites
-    rows = [rows[p] for p in np.argsort(citers).tolist()]
-    citing = np.sort(citers).repeat([row[1].size for row in rows])
-    members, sizes, targets, n_targets = map(np.concatenate, zip(
-        (np.zeros(0, member_dtype), *[np.zeros(0, np.int64)] * 3), *rows))
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    # each row's members ascending, a block of rows at a time
+    # the bundles by first citation: by citer, then by first target; each
+    # one's members ascending, a block of bundles at a time
+    sizes, firsts, members = map(np.concatenate, (sizes, firsts, members))
+    rows = np.argsort(firsts)
+    indptr = np.concatenate(([0], np.cumsum(sizes[rows])))
+    source = (np.cumsum(sizes) - sizes)[rows] - indptr[:-1]
+    sizes = sizes[rows]
+    indices = np.empty(indptr[-1], dtype=index_dtype)
     for a, b in _blocks(indptr):
-        offset = np.repeat(np.arange(b - a) * net.n, sizes[a:b])
-        members[indptr[a]:indptr[b]] = np.sort(members[indptr[a]:indptr[b]] + offset) - offset
-    zeros = np.zeros(citing.size + 1, dtype=np.int64)
-    return group_table("PD", attrs, order, citing, zeros[1:], zeros[1:], zeros, zeros[:0],
-                       indptr, members, np.concatenate(([0], np.cumsum(n_targets))), targets,
-                       running.astype(np.float64))
+        row = np.repeat(np.arange(b - a), sizes[a:b])
+        block = np.arange(indptr[a], indptr[b])
+        offset = row * net.n
+        indices[indptr[a]:indptr[b]] = np.sort(order[members[block + source[a:b][row]]]
+                                               + offset) - offset
+    firsts = firsts[rows]
+    zeros = np.zeros(firsts.size + 1, dtype=np.int64)
+    return group_table("PD", attrs, order, citing[firsts], zeros[1:], zeros[1:], zeros,
+                       zeros[:0], indptr, indices,
+                       np.concatenate(([0], np.cumsum(np.bincount(bundle_of)[firsts]))),
+                       cited[np.argsort(bundle_of, kind="stable")],
+                       running[position].astype(np.float64))
 
 
 def compute_model(

@@ -1,8 +1,8 @@
 """The blocked bootstrap against the per-resample loop it replaced
 (``bootstrap_oracle``), on synth and year-only rawgen corpora, for every
 model and selection the CLI runs; its independence from the block and
-panel sizes; and the exactness of the fixed-point limbs its expectations
-are cut into."""
+panel sizes; the exactness of the fixed-point limbs its expectations
+are cut into; and its percentiles against ``np.percentile``."""
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +13,7 @@ import pytest
 
 from citegap import SynthConfig, bootstrap_ci, compute_model, generate_network, load_network
 from citegap import imbalance
-from citegap.imbalance import ALL_PAPERS, PaperFilter, _limb_count
+from citegap.imbalance import ALL_PAPERS, PaperFilter, _limb_count, _percentiles
 from citegap.refmodels import fixed_point_limbs
 from bootstrap_oracle import assert_matches_oracle, per_resample_bootstrap
 
@@ -131,3 +131,21 @@ def test_limbs_cut_without_loss(values):
         assert count >= 1
     else:
         assert count == 0
+
+
+@pytest.mark.parametrize("kind", ["spread", "ties", "signed-zeros"])
+def test_percentiles_match_numpy_bit_for_bit(kind):
+    # the CI bounds, both ends of the range and points in between, on
+    # values of both signs; equal values of opposite zero sign tell which
+    # element the partition put at an index
+    rng = np.random.default_rng(["spread", "ties", "signed-zeros"].index(kind))
+    for n in range(2, 501):
+        if kind == "spread":
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
+        elif kind == "ties":
+            values = rng.integers(-3, 4, n) / 4
+        else:
+            values = np.round(rng.normal(size=n), 1)
+        for q in ((2.5, 97.5), (0, 50, 100), (100, 33.3, 99.9, 0.1)):
+            got, want = _percentiles(values, q), np.percentile(values, list(q))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, q)

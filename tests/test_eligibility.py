@@ -5,7 +5,9 @@ sorted eligibility index against the per-citer mask path it replaced:
 pd bit for bit, the interval-coded rd/hd tables through
 ``explicit_tables.assert_matches_explicit``, once the explicit rd/hd
 tables of ``explicit_tables`` are checked bit for bit against the mask
-path.
+path; the lockstep pd against the per-citer walk of ``pd_oracle``, bit
+for bit; and the 1-D category and stratum keys against the
+``np.unique(axis=0)`` rows they replaced.
 
 Each corpus has year-only dates (many ties), a Feb 29 citer whose window
 floor falls on Feb 28, citations to later-dated papers, papers sharing
@@ -55,6 +57,7 @@ from explicit_tables import (
     explicit_model,
     table_from_rows,
 )
+from pd_oracle import assert_same_pd, per_citer_preferential_draws
 from row_parser import filter_rows
 
 SEEDS = range(25)
@@ -286,6 +289,18 @@ def test_models_match_mask_path(seed, block, monkeypatch):
                               mask_model(net, "PD", attrs, exact=exact))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pd_lockstep_matches_per_citer_walk(seed):
+    # a tolerance of 0.5 makes overlapping narrowed sets, and identical ones
+    # from unequal target counts
+    net = filter_citations(*random_corpus(seed))
+    for attrs in SUBSETS:
+        for exact, count_tol in ((False, 1e-9), (False, 0.5), (True, 1e-9)):
+            assert_same_pd(
+                refmodels.preferential_draws(net, attrs, count_tol=count_tol, exact=exact),
+                per_citer_preferential_draws(net, attrs, count_tol=count_tol, exact=exact))
+
+
 # ---------------------------------------------------------------------------
 # the attribute columns every layer reads, against per-paper oracles
 
@@ -370,6 +385,55 @@ def test_normalized_scores_match_dict_loop(seed, caplog):
         f"stratum ({year}, {subfield}) has zero mean score; normalized scores set to 0"
         for year, subfield in zero
     ]
+
+
+def row_unique_normalized_scores(raw, net):
+    """``normalized_scores`` with its strata from ``np.unique(axis=0)`` over
+    the stacked (year, subfield) rows, the form the 1-D keys replaced:
+    the scores, and the (year, label) of each zero-mean stratum in the
+    order it warns of them."""
+    out = np.zeros(net.n)
+    years = net.dates.astype("datetime64[Y]").astype(np.int64) + 1970
+    subfields, labels = net.attribute_codes("subfield")
+    strata, first, inverse, counts = np.unique(
+        np.stack((years, subfields), axis=1), axis=0, return_index=True,
+        return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    zero = []
+    for s in np.argsort(first):
+        mean = raw[members[s]].mean()
+        if mean == 0:
+            zero.append((strata[s][0], labels[strata[s][1]]))
+            continue
+        out[members[s]] = raw[members[s]] / mean
+    return out, zero
+
+
+@pytest.mark.parametrize("seed", [*SEEDS, "wide"])
+def test_normalized_scores_match_row_unique(seed, caplog):
+    net = wide_network() if seed == "wide" else filter_citations(*random_corpus(seed))
+    rng = np.random.default_rng(7 if seed == "wide" else seed)
+    raw = rng.random(net.n) * (rng.random(net.n) < 0.6)
+    expected, zero = row_unique_normalized_scores(raw, net)
+    with caplog.at_level(logging.WARNING, logger="citegap.ranking"):
+        assert normalized_scores(raw, net).tobytes() == expected.tobytes()
+    assert [r.getMessage() for r in caplog.records] == [
+        f"stratum ({year}, {subfield}) has zero mean score; normalized scores set to 0"
+        for year, subfield in zero
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_key_codes_match_row_unique(seed):
+    # one mixed-radix key per paper numbers the categories as the unique
+    # rows of the stacked value codes did
+    net = filter_citations(*random_corpus(seed))
+    for attrs in SUBSETS:
+        rows = np.stack([net.attribute_codes(a)[0] for a in attrs]
+                        or [np.zeros(net.n, dtype=np.int64)], axis=1)
+        expected = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+        codes = _key_codes(net, attrs)
+        assert codes.dtype == expected.dtype and codes.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -2,8 +2,8 @@
 the rd-dense synth corpus (N=5,000 over 40 years of daily dates) and the
 pd-ties rawgen corpus (N=5,000 over 30 years, year-only dates), at seeds
 1 and 7, against the explicit tables of ``explicit_tables``; the PD
-tables of the pd-ties corpora against the mask path bit for bit; and the
-memory a model and its reductions take, which grows with N + M and not
+tables of the pd-ties corpora against the mask path and the per-citer
+walk of ``pd_oracle`` bit for bit; and the memory a model and its reductions take, which grows with N + M and not
 with the member lists' N^2 entries."""
 import sys
 import tracemalloc
@@ -15,7 +15,9 @@ import pytest
 
 from citegap import SynthConfig, compute_model, generate_network, load_network
 from citegap.corpus import ATTRIBUTE_ORDER, GenderCategory
+from citegap.refmodels import preferential_draws
 from explicit_tables import assert_matches_explicit, explicit_model
+from pd_oracle import assert_same_pd, per_citer_preferential_draws
 from test_eligibility import assert_same_table, mask_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -69,6 +71,21 @@ def test_interval_tables_match_explicit(corpus, model, attrs):
 def test_pd_matches_mask_path(corpus, attrs, exact):
     assert_same_table(compute_model(corpus, "PD", attrs, exact=exact),
                       mask_model(corpus, "PD", attrs, exact=exact))
+
+
+LOCKSTEP_CASES = [(("pd-ties", seed), attrs, False) for seed in (1, 7)
+                  for attrs in (ATTRIBUTE_ORDER, ("rank",), ("topic",), ("country",))]
+LOCKSTEP_CASES.append((("pd-ties", 1), ATTRIBUTE_ORDER, True))
+
+
+@pytest.mark.parametrize("corpus, attrs, exact", LOCKSTEP_CASES, indirect=["corpus"],
+                         ids=[f"pd-ties-{c[1]}-{'+'.join(a)}" + ("-exact" if e else "")
+                              for c, a, e in LOCKSTEP_CASES])
+def test_pd_lockstep_matches_per_citer_walk(corpus, attrs, exact):
+    # all attributes take about 80 lockstep steps for 4,970 citers, rank
+    # alone about 4,100
+    assert_same_pd(preferential_draws(corpus, attrs, exact=exact),
+                   per_citer_preferential_draws(corpus, attrs, exact=exact))
 
 
 def traced_peak(fn):
