@@ -5,9 +5,8 @@ The commands keep every BLAS product small enough that OpenBLAS runs it
 on the calling thread (``imbalance._PANEL_WORK``), so its thread pool
 is start-up work that buys nothing: one thread is the CLI's default.
 OpenBLAS reads its thread count from the first of ``BLAS_THREAD_ENV``
-that is set, so a user who sets any of them keeps that choice.  The
-entry also has ``citegap.cli`` import each layer with the command that
-runs it, not all of them up front.  Library callers are not touched.
+that is set, so a user who sets any of them keeps that choice.  Library
+callers are not touched.
 """
 import os
 import sys
@@ -19,8 +18,6 @@ def run() -> int:
     if not any(name in os.environ for name in BLAS_THREAD_ENV):
         # before numpy is first imported, which is when OpenBLAS starts
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    # read by citegap.cli when it is first imported
-    sys.modules[__package__]._command_line = True
     from .cli import main
     return main()
 

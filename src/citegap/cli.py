@@ -12,11 +12,7 @@ a pure function of its inputs, flags, and seed; reruns produce identical
 outputs (manifests stamp SOURCE_DATE_EPOCH when set, wall-clock time
 otherwise).
 
-Subcommands: ingest, model, imbalance, rank, synth.  Each imports the
-layers it runs when it runs, so a ``citegap`` process loads no layer
-its command does not use: ``ingest`` loads ``citegap.corpus`` alone.
-Imported in-process, this module loads every layer up front, and a
-layer function is found here under its own name.
+Subcommands: ingest, model, imbalance, rank, synth.
 """
 from __future__ import annotations
 
@@ -31,16 +27,13 @@ import sys
 import zipfile
 from dataclasses import replace
 from datetime import datetime, timezone
-from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .corpus import (
     ATTRIBUTE_ORDER,
-    STRATIFIERS,
     CitationNetwork,
     ConferenceRank,
     GenderCategory,
@@ -49,12 +42,37 @@ from .corpus import (
     write_papers,
     write_table,
 )
-
-if TYPE_CHECKING:
-    from .refmodels import ExpectedCitations, StructuralReport
-
-#: the layers the commands import as they run, besides ``corpus``
-LAYERS = ("imbalance", "ranking", "refmodels", "synth")
+from .imbalance import (
+    ALL_PAPERS,
+    STRATIFIERS,
+    PaperFilter,
+    imbalance_report,
+    stratified_imbalance,
+    write_report_csv,
+    write_report_json,
+)
+from .ranking import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPS,
+    DEFAULT_T_MAX,
+    check_pagerank_parameters,
+    citation_scores,
+    pagerank_observed,
+    pagerank_reference,
+    share_points,
+    write_ranking_csv,
+    write_share_csv,
+)
+from .refmodels import (
+    DEFAULT_COUNT_TOL,
+    ExpectedCitations,
+    StructuralReport,
+    compute_model,
+    eligibility_index,
+    group_table,
+    structural_report,
+)
+from .synth import generate_network, load_config
 
 log = logging.getLogger("citegap")
 
@@ -229,8 +247,6 @@ def _write_structural(report: StructuralReport, out: Path) -> None:
 def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
                           archive: Path, out: Path, *, exact: bool,
                           count_tol: float) -> None:
-    from .refmodels import structural_report
-
     write_table(out / CBAR_FILE, ("paper_id", "c_bar"),
                 (net.ids.tolist(), list(map(repr, ec.c_bar.tolist()))))
     report = structural_report(net, ec)
@@ -276,23 +292,21 @@ def _write_groups(ec: ExpectedCitations, path: Path) -> None:
 
 
 def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
-    from .refmodels import DEFAULT_COUNT_TOL, compute_model
-
     archive = Path(args.archive)
     net, _, inputs = _load_inputs(archive)
     model = args.model.upper()
-    count_tol = DEFAULT_COUNT_TOL if args.count_tol is None else args.count_tol
     # model.json records every flag, also those this model does not read
     ignored = [flag for flag, unread in (
         ("--attrs", model == "RD" and args.attrs is not None),
         ("--exact", model != "PD" and args.exact),
-        ("--count-tol", model != "PD" and count_tol != DEFAULT_COUNT_TOL)) if unread]
+        ("--count-tol", model != "PD" and args.count_tol != DEFAULT_COUNT_TOL)) if unread]
     if ignored:
         log.warning("%s ignored by the %s model", " and ".join(ignored), model)
     attrs = () if model == "RD" else _parse_attrs(args.attrs)
-    ec = compute_model(net, model, attrs, count_tol=count_tol, exact=args.exact)
+    ec = compute_model(net, model, attrs, count_tol=args.count_tol, exact=args.exact)
     out = _out_dir(args, args.out)
-    _write_model_artifact(net, ec, archive, out, exact=args.exact, count_tol=count_tol)
+    _write_model_artifact(net, ec, archive, out, exact=args.exact,
+                          count_tol=args.count_tol)
     _write_manifest(out, header, inputs, args.seed, model=model,
                     attributes=list(attrs))
     print(f"model {model} on {net.n} papers / {net.m} citations")
@@ -318,7 +332,7 @@ def _read_model_meta(path: Path) -> dict:
                        "was written by another citegap version; rerun model")
     archive = fields.get("archive")
     attributes = fields.get("attributes")
-    count_tol = fields.get("count_tol", 0.0)
+    count_tol = fields.get("count_tol", DEFAULT_COUNT_TOL)
     if not (
         isinstance(archive, dict)
         and all(isinstance(archive.get(f"{name}_sha256"), str)
@@ -442,8 +456,6 @@ def _load_model_artifact(archive: Path, artifact: Path,
                          net: CitationNetwork) -> ExpectedCitations:
     """Load the group table of a model artifact, verified against the
     archive and against the stored c_bar, which it then carries."""
-    from .refmodels import eligibility_index, group_table
-
     for name in (MODEL_META_FILE, GROUPS_FILE, CBAR_FILE):
         if not (artifact / name).is_file():
             raise CliError(f"model artifact {artifact} is missing {name}")
@@ -472,15 +484,6 @@ def _load_model_artifact(archive: Path, artifact: Path,
 
 
 def cmd_imbalance(args: argparse.Namespace, header: dict[str, object]) -> int:
-    from .imbalance import (
-        ALL_PAPERS,
-        PaperFilter,
-        imbalance_report,
-        stratified_imbalance,
-        write_report_csv,
-        write_report_json,
-    )
-
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise CliError("--bootstrap must be 0 (no CIs) or at least 2, "
                        f"got {args.bootstrap}")
@@ -536,32 +539,16 @@ def _parse_d_grid(text: str) -> list[float]:
 
 
 def cmd_rank(args: argparse.Namespace, header: dict[str, object]) -> int:
-    from .ranking import (
-        DEFAULT_ALPHA,
-        DEFAULT_EPS,
-        DEFAULT_T_MAX,
-        check_pagerank_parameters,
-        citation_scores,
-        pagerank_observed,
-        pagerank_reference,
-        share_points,
-        write_ranking_csv,
-        write_share_csv,
-    )
-
-    alpha, eps, t_max = (DEFAULT_ALPHA if args.alpha is None else args.alpha,
-                         DEFAULT_EPS if args.eps is None else args.eps,
-                         DEFAULT_T_MAX if args.t_max is None else args.t_max)
     # checked for either metric, so no bad value is written to a manifest
-    check_pagerank_parameters(alpha, eps, t_max)
+    check_pagerank_parameters(args.alpha, args.eps, args.t_max)
     grid = _parse_d_grid(args.d_grid)
     artifact = None if args.model_artifact is None else Path(args.model_artifact)
     net, ec, inputs = _load_inputs(Path(args.archive), artifact)
     # the observed ranking, then the model's; rankings.csv holds the last
     if args.metric == "pagerank":
-        results = [pagerank_observed(net, alpha, eps, t_max)]
+        results = [pagerank_observed(net, args.alpha, args.eps, args.t_max)]
         if ec is not None:
-            results.append(pagerank_reference(ec, net, alpha, eps, t_max))
+            results.append(pagerank_reference(ec, net, args.alpha, args.eps, args.t_max))
     else:
         results = [citation_scores(net)] + ([] if ec is None else [citation_scores(net, ec)])
     result = results[-1]
@@ -582,8 +569,6 @@ def cmd_rank(args: argparse.Namespace, header: dict[str, object]) -> int:
 
 
 def cmd_synth(args: argparse.Namespace, header: dict[str, object]) -> int:
-    from .synth import generate_network, load_config
-
     config_path = Path(args.config)
     cfg = load_config(config_path)
     if args.seed is not None:
@@ -629,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {','.join(ATTRIBUTE_ORDER)})")
     p.add_argument("--exact", action="store_true",
                    help="exact-rational running counts for pd")
-    # numeric defaults are None here and the layer's own when the command runs
-    p.add_argument("--count-tol", type=float,
+    p.add_argument("--count-tol", type=float, default=DEFAULT_COUNT_TOL,
                    help="pd count-equality tolerance in float mode")
     p.set_defaults(func=cmd_model)
 
@@ -655,9 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["citations", "pagerank"],
                    default="citations")
     p.add_argument("--d-grid", default="1,5,10,20,50,100")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--t-max", type=int)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--t-max", type=int, default=DEFAULT_T_MAX)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -683,18 +667,3 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def __getattr__(name: str) -> object:
-    """A layer's public function or constant, found here under its own name."""
-    for layer in () if name.startswith("_") else LAYERS:
-        module = import_module(f".{layer}", __package__)
-        if hasattr(module, name):
-            return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-if not getattr(sys.modules[__package__], "_command_line", False):
-    # imported in-process rather than by the command-line entry
-    for _layer in LAYERS:
-        import_module(f".{_layer}", __package__)

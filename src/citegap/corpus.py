@@ -71,9 +71,6 @@ ATTRIBUTE_ORDER = ("rank", "country", "topic")
 #: :meth:`CitationNetwork.attribute_codes`
 SELECTABLE_FIELDS = ("gender", "rank", "country", "topic", "subfield")
 
-#: the paper attributes whose values can be the strata of a report
-STRATIFIERS = ("rank", "subfield")
-
 #: citations reaching more than this many calendar years into the past are dropped
 CITATION_WINDOW_YEARS = 10
 
@@ -675,11 +672,6 @@ class CitationNetwork(PaperTable):
         """Per paper, the cited indices in edge order (read-only views
         into ``edges``, which are sorted by citer)."""
         return tuple(np.split(self.edges[:, 1], np.cumsum(self.out_degree))[:-1])
-
-
-def date_order(net: PaperTable) -> np.ndarray:
-    """Paper indices by ascending publication date, ties broken by id."""
-    return np.lexsort((net.ids, net.dates))
 
 
 def filter_citations(

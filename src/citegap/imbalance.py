@@ -36,12 +36,14 @@ from .corpus import (
     GENDER_CODE,
     KNOWN_CATEGORIES,
     SELECTABLE_FIELDS,
-    STRATIFIERS,
     CitationNetwork,
     GenderCategory,
     write_table,
 )
 from .refmodels import ExpectedCitations, fixed_point_limbs
+
+#: the paper attributes whose values can be the strata of a report
+STRATIFIERS = ("rank", "subfield")
 
 _UNKNOWN = GENDER_CODE[GenderCategory.UNKNOWN]
 

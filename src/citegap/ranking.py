@@ -15,14 +15,12 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import GENDER_CODE, W_CATEGORIES, CitationNetwork, write_table
-
-if TYPE_CHECKING:
-    from .refmodels import ExpectedCitations
+from .refmodels import ExpectedCitations
 
 log = logging.getLogger(__name__)
 

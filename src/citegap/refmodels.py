@@ -70,7 +70,6 @@ from .corpus import (
     GENDER_CODE,
     CitationNetwork,
     canonical_attributes,
-    date_order,
 )
 
 #: default tolerance when comparing running expected counts in PD
@@ -607,6 +606,11 @@ def homophilic_draws(
                        np.concatenate(([0], np.cumsum(forced))), cited[lead][forced],
                        np.concatenate(([0], np.cumsum(n_targets))),
                        cited[np.argsort(group, kind="stable")])
+
+
+def date_order(net: CitationNetwork) -> np.ndarray:
+    """Paper indices by ascending publication date, ties broken by id."""
+    return np.lexsort((net.ids, net.dates))
 
 
 def preferential_draws(

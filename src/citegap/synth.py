@@ -46,9 +46,9 @@ from .corpus import (
     category_key,
     citation_window_floor,
     citation_window_floors,
-    date_order,
     filter_edges,
 )
+from .refmodels import date_order
 
 #: hard cap for the sampling oracle; it tabulates dense N x N frequencies
 ORACLE_MAX_PAPERS = 200

@@ -766,24 +766,21 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert run_fresh(code).splitlines() == ["[]", "['citegap.corpus']", "True"]
 
 
-#: per command line, the citegap modules a fresh process running it loads
-COMMAND_MODULES = [
-    (["--version"], []),
-    (["synth", "synth.cfg", "synth-out"], ["synth"]),
-    (["ingest", "corpus/papers.tsv", "corpus/citations.tsv", "ingest-out"], []),
-    (["model", "archive", "model-out", "--model", "pd"], ["refmodels"]),
-    (["imbalance", "archive", "pd", "imbalance-out", "--bootstrap", "20"],
-     ["imbalance", "refmodels"]),
-    (["imbalance", "archive", "pd", "strata-out", "--bootstrap", "20", "--stratify", "rank"],
-     ["imbalance", "refmodels"]),
-    (["rank", "archive", "rank-out", "--metric", "pagerank"], ["ranking"]),
-    (["rank", "archive", "rank-pd-out", "--model-artifact", "pd"], ["ranking", "refmodels"]),
+#: command lines that cover every command and every bootstrap path
+COMMAND_LINES = [
+    ["synth", "synth.cfg", "synth-out"],
+    ["ingest", "corpus/papers.tsv", "corpus/citations.tsv", "ingest-out"],
+    ["model", "archive", "model-out", "--model", "pd"],
+    ["imbalance", "archive", "pd", "imbalance-out", "--bootstrap", "20"],
+    ["imbalance", "archive", "pd", "strata-out", "--bootstrap", "20", "--stratify", "rank"],
+    ["rank", "archive", "rank-out", "--metric", "pagerank"],
+    ["rank", "archive", "rank-pd-out", "--model-artifact", "pd"],
 ]
 
 
-def test_each_command_loads_only_the_layers_it_runs(tmp_path):
-    # a fresh interpreter per command, all started at once; none loads
-    # numpy.ma, which np.percentile and a bare np.unique import
+def test_no_command_loads_numpy_ma(tmp_path):
+    # a fresh interpreter per command, all started at once; np.percentile
+    # and a bare np.unique import numpy.ma, which costs each process time
     (tmp_path / "synth.cfg").write_text(SYNTH_CONFIG)
     assert run("--output-dir", tmp_path, "synth", tmp_path / "synth.cfg", "corpus") == 0
     assert run("--output-dir", tmp_path, "ingest", tmp_path / "corpus" / "papers.tsv",
@@ -797,32 +794,16 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "    runpy.run_module('citegap', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code in (None, 0), exc.code\n"
-        "print(sorted(m for m in sys.modules if m.startswith('citegap.')),\n"
-        "      'numpy.ma' in sys.modules, file=sys.stderr)\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(citegap.__file__).resolve().parents[1])}
     procs = [subprocess.Popen([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-             for argv, _ in COMMAND_MODULES]
-    for proc, (argv, layers) in zip(procs, COMMAND_MODULES):
+             for argv in COMMAND_LINES]
+    for proc, argv in zip(procs, COMMAND_LINES):
         err = proc.communicate()[1]
         assert proc.returncode == 0, (argv, err)
-        expected = sorted(f"citegap.{m}" for m in ["cli", "corpus", *layers])
-        assert err.splitlines()[-1] == f"{expected} False", argv
-
-
-def test_an_in_process_import_loads_every_layer():
-    # callers that import the CLI in-process find every layer loaded, and
-    # a layer's functions under their own names
-    code = (
-        "import sys\n"
-        "import citegap.cli, citegap.ranking\n"
-        "print(sorted(m for m in sys.modules if m.startswith('citegap.')))\n"
-        "print(citegap.cli.pagerank_reference is citegap.ranking.pagerank_reference)\n"
-    )
-    assert run_fresh(code).splitlines() == [
-        "['citegap.cli', 'citegap.corpus', 'citegap.imbalance', 'citegap.ranking', "
-        "'citegap.refmodels', 'citegap.synth']", "True"]
+        assert err.splitlines()[-1] == "False", argv
 
 
 def test_every_export_resolves():
