@@ -8,15 +8,21 @@ rankings) reads this structure and never mutates it.
 
 A network is columnar: a :class:`PaperTable` of ids, ``datetime64[D]``
 dates and integer codes per attribute, plus the edges.  Loading a file
-builds no per-paper record.  Each table is read once and split into
-fields.  The paper table becomes one array per column; dates,
-gender/rank tokens and ids are checked and encoded as arrays, with a
-per-row fallback only for non-canonical dates and a loop only over the
-rows that draw a warning.  Citation ids stay ``str`` objects and resolve
-to paper rows through one dict.  Every table is written by
-:func:`write_table`, as :mod:`csv` writes it.  ``Paper`` records
-remain where a record is the API (:mod:`citegap.synth`, record matching)
-and as :attr:`PaperTable.papers`, a view built on first use.
+builds no per-paper record and no ``str`` per field.  Each table is read
+once into one array of its code points, and every field is a
+``[start, end)`` range of it (:class:`_Fields`): a plain table is cut at
+its tabs and newlines at once, any other is read by :mod:`csv` and its
+fields joined into one text.  Columns are coded by integer keys packed
+big-endian from each field's characters, whose order is code-point order
+(:func:`_codes`); dates are parsed as arrays, with a per-row fallback
+only for non-canonical dates, and a loop runs only over the rows that
+draw a warning.  Citation ids stay ranges of their table's text
+(:class:`CitationIds`) and resolve to paper rows through codes taken
+over the paper ids and the citation ids together (:func:`_find`).  Every
+table is written by :func:`write_table`, as :mod:`csv` writes it.
+``Paper`` records remain where a record is the API
+(:mod:`citegap.synth`, record matching) and as
+:attr:`PaperTable.papers`, a view built on first use.
 
 Input formats (UTF-8, tab-delimited, header row):
 
@@ -26,7 +32,8 @@ Input formats (UTF-8, tab-delimited, header row):
 * citation table: ``citing_id cited_id``;
 * record-match table: ``title year last_names`` with ``;``-joined last names.
 
-Fields are stripped of surrounding whitespace.  Fields may be quoted as
+Fields are stripped of whitespace on the left and of whitespace and NUL
+on the right, as numpy 2 strips a ``str`` array.  Fields may be quoted as
 :mod:`csv` quotes them (holding tabs, quotes or newlines); CRLF line
 endings and blank lines are accepted.  A row :mod:`csv` rejects (a
 quoted field past its 131,072-character limit) raises
@@ -44,7 +51,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -273,25 +280,203 @@ def parse_pub_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _split_fields(text: str, width: int) -> list[str] | None:
-    """Every field of ``text``, row after row, split at each tab and
-    newline; ``None`` unless each line holds exactly ``width`` fields (so
-    no line is blank) and the text holds no quote, carriage return or NUL,
-    the characters :mod:`csv` treats specially."""
-    body = text[:-1] if text.endswith("\n") else text
-    if not body or '"' in body or "\r" in body or "\x00" in body:
+#: the text codec of each code-point array dtype :func:`_chars` makes
+_CODECS = {np.dtype(np.uint8): "latin-1", np.dtype(">u4"): "utf-32-be"}
+
+#: per number of characters in a 64-bit word, the mask that keeps the
+#: first r characters of a word, at index r
+_MASKS = {per: np.array([(1 << 64) - (1 << (64 - 64 // per * r)) for r in range(per + 1)],
+                        dtype=np.uint64)
+          for per in (2, 8)}
+
+#: whether str.isspace() holds for each code point below 256 (255, which
+#: is not a space, stands for any code point above it)
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0]] = True
+#: the characters stripped from the right of a field: whitespace and NUL
+_SPACE_OR_NUL = _SPACE.copy()
+_SPACE_OR_NUL[0] = True
+#: the code points from 256 up for which str.isspace() holds
+_WIDE_SPACES = np.array([0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F,
+                         0x3000], dtype=np.uint32)
+
+
+def _chars(text: str) -> np.ndarray:
+    """The code points of ``text``: one byte each when all are below 256,
+    else four big-endian bytes each; followed by one word (8 bytes) of
+    zeros, so a word can be read at any character.  A lone surrogate, which
+    a ``str`` given by a caller may hold, is a code point like any other."""
+    try:
+        data, dtype = text.encode("latin-1"), np.uint8
+    except UnicodeEncodeError:
+        data, dtype = text.encode("utf-32-be", "surrogatepass"), ">u4"
+    return np.frombuffer(data + bytes(8), dtype=dtype)
+
+
+@dataclass(frozen=True, eq=False)
+class _Fields:
+    """Text fields as ``[start, end)`` ranges of one :func:`_chars` array.
+
+    A table is read into one such array, and its columns, the paper ids
+    and the citation ids are ranges of it: no ``str`` is built per field.
+    Fields read from a numpy ``str`` array keep it as ``source``, one
+    value per field, so :meth:`strings` gives its values back uncopied.
+    """
+
+    chars: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    source: np.ndarray | None = None
+
+    @classmethod
+    def joined(cls, values: Sequence[str]) -> _Fields:
+        """The fields ``values``, as ranges of their concatenation."""
+        lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+        ends = np.cumsum(lengths)
+        return cls(_chars("".join(values)), ends - lengths, ends)
+
+    @classmethod
+    def of_array(cls, values: np.ndarray) -> _Fields:
+        """The values of a numpy ``str`` array, as ranges of its rows."""
+        values = np.ascontiguousarray(values, dtype=str).reshape(-1)
+        width = values.itemsize // 4
+        matrix = values.view(np.uint32).reshape(values.size, width)
+        # the rows are padded with NULs: a value ends at its last other character
+        lengths = np.zeros(values.size, dtype=np.int64)
+        for k in range(width):
+            lengths[matrix[:, k] != 0] = k + 1
+        dtype = np.dtype(np.uint8 if matrix.max(initial=0) < 256 else ">u4")
+        chars = np.zeros(matrix.size + 8 // dtype.itemsize, dtype=dtype)
+        chars[:matrix.size] = matrix.reshape(-1)
+        starts = np.arange(values.size, dtype=np.int64) * width
+        return cls(chars, starts, starts + lengths, values)
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __getitem__(self, rows) -> _Fields:
+        return _Fields(self.chars, self.starts[rows], self.ends[rows],
+                       None if self.source is None else self.source[rows])
+
+    def text(self, k: int) -> str:
+        """Field ``k`` as a ``str``."""
+        return self.chars[self.starts[k]:self.ends[k]].tobytes().decode(
+            _CODECS[self.chars.dtype], "surrogatepass")
+
+    def tolist(self) -> list[str]:
+        """Every field as a ``str``."""
+        if not len(self):
+            return []
+        lo = int(self.starts.min())
+        text = self.chars[lo:self.ends.max()].tobytes().decode(_CODECS[self.chars.dtype],
+                                                                "surrogatepass")
+        return [text[s:e] for s, e in zip((self.starts - lo).tolist(), (self.ends - lo).tolist())]
+
+    def strings(self) -> np.ndarray:
+        """The fields as a numpy ``str`` array."""
+        if self.source is not None:
+            return self.source
+        lengths = self.ends - self.starts
+        width = max(int(lengths.max(initial=0)), 1)
+        chars, size = self.chars, self.chars.itemsize
+        if self.starts.max(initial=0) + width > chars.size:
+            chars = np.concatenate((chars, np.zeros(width, dtype=chars.dtype)))
+        # the width characters from each start, zeroed past the field's end
+        rows = np.ndarray((chars.size - width + 1, width), chars.dtype, chars,
+                          strides=(size, size))[self.starts]
+        rows[np.arange(width) >= lengths[:, None]] = 0
+        return rows.astype(np.uint32).view(f"U{width}").reshape(-1)
+
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each field's characters packed big-endian into 64-bit words, the
+        last one padded with zeros (at least one word per field, so the
+        empty field is the word 0), and the index of each field's first
+        word followed by their number.  A field ends in a character other
+        than NUL (see :func:`_strip`), so two fields hold the same value
+        exactly when their words are equal, and their words compare as
+        their values do in code-point order."""
+        size = self.chars.itemsize
+        per = 8 // size
+        first, left, ptr = self.starts, self.ends - self.starts, np.arange(len(self) + 1)
+        if left.max(initial=0) > per:
+            count = np.maximum(-(-left // per), 1)
+            ptr = np.concatenate(([0], np.cumsum(count)))
+            # the k-th word of a field starts k * per characters into it
+            first = np.repeat(self.starts - ptr[:-1] * per, count)
+            first += np.arange(0, ptr[-1] * per, per)
+            left = np.repeat(self.ends, count)
+            left -= first
+            np.minimum(left, per, out=left)
+        # the word at each character, read from the bytes as they lie
+        at = np.ndarray((self.chars.size - per + 1,), ">u8", self.chars, strides=(size,))
+        words = at[first].astype(np.uint64)
+        words &= _MASKS[per][left]
+        return words, ptr
+
+
+def _concat(a: _Fields, b: _Fields) -> _Fields:
+    """The fields of ``a``, then those of ``b``, as ranges of one array."""
+    if a.chars is b.chars:
+        chars, shift = a.chars, 0
+    else:
+        dtype = a.chars.dtype if a.chars.dtype == b.chars.dtype else np.dtype(">u4")
+        chars, shift = np.concatenate((a.chars, b.chars)).astype(dtype, copy=False), a.chars.size
+    return _Fields(chars, np.concatenate((a.starts, b.starts + shift)),
+                   np.concatenate((a.ends, b.ends + shift)))
+
+
+def _stripped(chars: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each code point of ``chars`` is one that ``table``
+    (:data:`_SPACE` or :data:`_SPACE_OR_NUL`) strips."""
+    found = table[np.minimum(chars, 255)]
+    if chars.dtype.itemsize > 1:
+        found |= np.isin(chars, _WIDE_SPACES)
+    return found
+
+
+def _strip(fields: _Fields) -> _Fields:
+    """``fields`` stripped as numpy 2 strips a ``str`` array: whitespace
+    (as ``str.isspace`` tells it) from the left, whitespace and NUL from
+    the right, one character of every field still holding one at a time;
+    only the fields with such a character at an edge are visited."""
+    chars, starts, ends = fields.chars, fields.starts.copy(), fields.ends.copy()
+    rows = np.flatnonzero((starts < ends) & (_stripped(chars[starts], _SPACE)
+                                             | _stripped(chars[ends - 1], _SPACE_OR_NUL)))
+    for edge, step, table in ((starts, 1, _SPACE), (ends, -1, _SPACE_OR_NUL)):
+        todo = rows
+        while todo.size:
+            todo = todo[starts[todo] < ends[todo]]
+            todo = todo[_stripped(chars[edge[todo] - (step < 0)], table)]
+            edge[todo] += step
+    return _Fields(chars, starts, ends)
+
+
+def _split(text: str, width: int) -> _Fields | None:
+    """Every field of ``text``, row after row, cut at each tab and newline;
+    ``None`` unless each line holds exactly ``width`` fields (so no line is
+    blank) and the text holds no quote, carriage return or NUL, the
+    characters :mod:`csv` treats specially."""
+    size = len(text) - text.endswith("\n")
+    if not size or '"' in text or "\r" in text or "\x00" in text:
         return None
-    # tabs and newlines are single bytes in UTF-8, never part of another
-    # character; row by row, the separators must read width - 1 tabs and
-    # a newline (the last line's newline appended)
-    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    separators = np.append(raw[(raw == 9) | (raw == 10)], 10)
+    chars = _chars(text)
+    body = chars[:size]
+    # row by row, the separators must read width - 1 tabs and a newline
+    # (the last line's newline appended)
+    at = np.flatnonzero((body == 9) | (body == 10))
+    separators = np.append(chars[at], 10)
     if separators.size % width:
         return None
-    expected = np.array([9] * (width - 1) + [10], dtype=np.uint8)
+    expected = np.array([9] * (width - 1) + [10], dtype=chars.dtype)
     if not (separators.reshape(-1, width) == expected).all():
         return None
-    return body.replace("\n", "\t").split("\t")
+    return _Fields(chars, np.append(0, at + 1), np.append(at, size))
+
+
+def _split_fields(text: str, width: int) -> list[str] | None:
+    """The fields :func:`_split` cuts ``text`` into, as ``str`` values."""
+    fields = _split(text, width)
+    return None if fields is None else fields.tolist()
 
 
 def _csv_rows(text: str, width: int
@@ -328,37 +513,36 @@ def _csv_rows(text: str, width: int
 
 
 def _table(stream: TextIO, columns: Sequence[str], what: str
-           ) -> tuple[list[str], np.ndarray, Exception | None]:
+           ) -> tuple[_Fields, np.ndarray, Exception | None]:
     """Read a tab-delimited table with a ``columns`` header row.
 
-    Returns the fields of the rows, row after row and not stripped, the
-    line number of each row, and the error of the first malformed row (the
+    Returns the stripped fields of the rows, row after row, the line
+    number of each row, and the error of the first malformed row (the
     rows before it are returned; callers raise it once those rows have
     raised their own errors), ``None`` if there is none.  Text that
-    :func:`_split_fields` accepts is split at once; any other goes row by
-    row through :mod:`csv`, which names a malformed line.  The stream is
-    read as a file opened with ``newline=""`` presents it.
+    :func:`_split` accepts is cut at once; any other goes row by row
+    through :mod:`csv`, which names a malformed line, and the fields it
+    reads are joined into one text, so both give ranges of one array.
+    The stream is read as a file opened with ``newline=""`` presents it.
     """
     text = stream.read()
     width = len(columns)
-    fields = _split_fields(text, width)
+    fields = _split(text, width)
     if fields is None:
         header, rows, lines, error = _csv_rows(text, width)
-        fields = [f for row in rows for f in row]
+        fields = _Fields.joined([f for row in rows for f in row])
     else:
-        header, fields, error = fields[:width], fields[width:], None
-        lines = range(2, 2 + len(fields) // width)
+        header, fields, error = fields[:width].tolist(), fields[width:], None
+        lines = np.arange(2, 2 + len(fields) // width)
     if [h.strip() for h in header] != list(columns):
         raise ParseError(f"line 1: expected {what} header {' '.join(columns)!r}")
-    return fields, np.array(lines, dtype=np.int64), error
+    return _strip(fields), np.asarray(lines, dtype=np.int64), error
 
 
-def _columns(fields: list[str], columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """One array of stripped ``str`` fields per column of the rows
-    ``fields``."""
+def _columns(fields: _Fields, columns: Sequence[str]) -> dict[str, _Fields]:
+    """The fields of each column of the rows ``fields``."""
     width = len(columns)
-    return {name: np.char.strip(np.array(fields[k::width], dtype=str))
-            for k, name in enumerate(columns)}
+    return {name: fields[k::width] for k, name in enumerate(columns)}
 
 
 def _parse_dates(texts: np.ndarray) -> tuple[np.ndarray, tuple[int, ValueError] | None]:
@@ -392,6 +576,94 @@ def _parse_dates(texts: np.ndarray) -> tuple[np.ndarray, tuple[int, ValueError] 
     return dates, None
 
 
+def _sort(words: np.ndarray, ptr: np.ndarray, rows: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The fields ``rows`` in the code-point order of their values, and
+    whether each holds another value than the one before it.
+
+    The fields are sorted by their first words, then the runs still tied
+    by their second words (zero past a field's end), and so on, so the
+    work follows the length of the prefixes that values share."""
+    rows = rows[np.argsort(words[ptr[rows]])]
+    key = words[ptr[rows]]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    # the places still tied: at first all, then those of runs of more than one field
+    tied = np.arange(rows.size)
+    for k in range(1, int((ptr[rows + 1] - ptr[rows]).max(initial=1))):
+        run = np.cumsum(new[tied])
+        keep = np.bincount(run)[run] > 1
+        tied, run = tied[keep], run[keep]
+        if not tied.size:
+            break
+        at = ptr[rows[tied]] + k
+        key = np.where(at < ptr[rows[tied] + 1], words[np.minimum(at, words.size - 1)], 0)
+        # runs of equal values, as most citation ids are, are already in order
+        if not ((key[1:] >= key[:-1]) | (run[1:] != run[:-1])).all():
+            # by run, then by key: each key's rank, offset by its run's
+            rank = np.empty(tied.size, dtype=np.int64)
+            rank[np.argsort(key)] = np.arange(tied.size)
+            order = np.argsort(run * tied.size + rank)
+            rows[tied], key = rows[tied][order], key[order]
+        new[tied[1:]] |= key[1:] != key[:-1]
+    return rows, new
+
+
+def _words(parts: Sequence[_Fields]) -> tuple[np.ndarray, np.ndarray]:
+    """The :meth:`_Fields.words` of the fields of every part in turn, and
+    the index of each field's first word followed by their number; parts
+    of one- and four-byte characters are all read with four."""
+    if len({part.chars.itemsize for part in parts}) > 1:
+        parts = [_Fields(part.chars.astype(">u4"), part.starts, part.ends) for part in parts]
+    words, ptrs = zip(*(part.words() for part in parts))
+    shift = np.cumsum([0, *(w.size for w in words)])
+    return (np.concatenate(words),
+            np.concatenate([p[:-1] + s for p, s in zip(ptrs, shift)] + [shift[-1:]]))
+
+
+def _codes(words: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The code of each field's value (0..K-1, in the values' code-point
+    order, as ``sorted`` orders ``str`` values), from the fields' words
+    (see :func:`_words`): fields of at most one word are coded by that
+    word, longer ones by :func:`_sort`."""
+    n = ptr.size - 1
+    if words.size == n:
+        return np.unique(words, return_inverse=True)[1].reshape(-1)
+    rows, new = _sort(words, ptr, np.arange(n))
+    codes = np.empty(n, dtype=np.int64)
+    codes[rows] = np.cumsum(new) - 1
+    return codes
+
+
+def _find(fields: _Fields, needles: _Fields) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``needles``, the first field of ``fields`` holding its
+    value (-1 if none does), and for each of ``fields`` the first field
+    holding its value; values are matched by their :func:`_codes`."""
+    codes = _codes(*_words((fields, needles)))
+    n = len(fields)
+    held, first = np.unique(codes[:n], return_index=True)
+    row = np.full(codes.max(initial=-1) + 1, -1, dtype=np.int64)
+    row[held] = first
+    return row[codes[n:]], row[codes[:n]]
+
+
+def _token_codes(fields: _Fields, tokens: _Fields, default: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per field, the index of its value among ``tokens`` (``default`` if
+    none holds it), and whether one does."""
+    found, _ = _find(tokens, fields)
+    return np.where(found >= 0, found, default), found >= 0
+
+
+def _labelled(fields: _Fields) -> tuple[np.ndarray, np.ndarray]:
+    """The code of each field's value in sorted order, and the value of
+    each code (a ``str`` array)."""
+    codes = _codes(*fields.words())
+    held = np.empty(codes.max(initial=-1) + 1, dtype=np.int64)
+    held[codes] = np.arange(codes.size)
+    return codes, fields[held].strings()
+
+
 #: the gender tokens, each at its :data:`GENDER_CODE`
 _GENDER_TOKENS = np.array([g.value for g in GenderCategory])
 #: the rank tokens in prestige order
@@ -400,44 +672,33 @@ _RANK_TOKENS = np.array([r.value for r in RANK_ORDER])
 _PRESENT_LABELS = ("rank", "country", "topic", "subfield")
 
 
-def _lookup(values: np.ndarray, tokens: np.ndarray, default: int) -> np.ndarray:
-    """Index of each value in ``tokens``, ``default`` where it is absent;
-    one dict lookup per distinct value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    index = {token: code for code, token in enumerate(tokens.tolist())}
-    found = [index.get(v, default) for v in distinct.tolist()]
-    return np.array(found, dtype=np.int64)[inverse.reshape(-1)]
-
-
 def _present(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``codes`` renumbered over the labels that occur, in label order."""
     used, inverse = np.unique(codes, return_inverse=True)
     return inverse.reshape(-1), labels[used]
 
 
-def _encode(values: dict[str, np.ndarray], dates: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The :class:`PaperTable` columns of the str ``values`` of each
-    :data:`PAPER_COLUMNS` entry but the date; unknown gender and rank
-    tokens become UNKNOWN and Unranked."""
-    unknown = GENDER_CODE[GenderCategory.UNKNOWN]
-    unranked = RANK_ORDER.index(ConferenceRank.UNRANKED)
-    codes = {
-        "gender": (_lookup(values["gender"], _GENDER_TOKENS, unknown), _GENDER_TOKENS),
-        "rank": _present(_lookup(values["rank"], _RANK_TOKENS, unranked), _RANK_TOKENS),
-    }
+def _encode(column: Callable[[str], _Fields], dates: np.ndarray
+            ) -> tuple[tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]],
+                       dict[str, np.ndarray]]:
+    """The :class:`PaperTable` columns of the fields ``column(name)`` of
+    each :data:`PAPER_COLUMNS` entry but the date, and for gender and rank
+    the rows whose token is unknown; those become UNKNOWN and Unranked.
+    Each column is asked for when it is coded, so it may be built then."""
+    gender, known_gender = _token_codes(column("gender"), _Fields.of_array(_GENDER_TOKENS),
+                                        GENDER_CODE[GenderCategory.UNKNOWN])
+    rank, known_rank = _token_codes(column("rank"), _Fields.of_array(_RANK_TOKENS),
+                                    RANK_ORDER.index(ConferenceRank.UNRANKED))
+    codes = {"gender": (gender, _GENDER_TOKENS), "rank": _present(rank, _RANK_TOKENS)}
     for name in ("country", "topic", "subfield"):
-        labels, inverse = np.unique(values[name], return_inverse=True)
-        codes[name] = inverse.reshape(-1), labels
+        codes[name] = _labelled(column(name))
     # one vocabulary for both roles, so the author rule compares codes
     n = dates.size
-    authors, inverse = np.unique(
-        np.concatenate((values["first_author"], values["last_author"])),
-        return_inverse=True)
-    inverse = inverse.reshape(-1)
-    codes["first_author"] = inverse[:n], authors
-    codes["last_author"] = inverse[n:], authors
-    return values["id"], dates, codes
+    authors, labels = _labelled(_concat(column("first_author"), column("last_author")))
+    codes["first_author"] = authors[:n], labels
+    codes["last_author"] = authors[n:], labels
+    return ((column("id").strings(), dates, codes),
+            {"gender": ~known_gender, "rank": ~known_rank})
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,6 +714,9 @@ class PaperTable:
       present, ranks in prestige order and the others sorted;
     * first_author and last_author share one sorted vocabulary of names.
 
+    "Sorted" is code-point order, as ``sorted`` orders ``str`` values.
+    Loading a table builds ``ids`` and the labels from ranges of its text
+    and the codes from integer keys of those ranges (:func:`_codes`).
     Every array is read-only.  The corpus rules (:meth:`in_window`,
     :meth:`citable`) read these columns.
     """
@@ -471,7 +735,8 @@ class PaperTable:
         """The table of one ``str`` array per :data:`PAPER_COLUMNS` entry
         but the date, and the ``datetime64[D]`` dates; further arguments
         go to the constructor."""
-        return cls(*_encode(values, dates), *args, **kwargs)
+        columns, _ = _encode(lambda name: _Fields.of_array(values[name]), dates)
+        return cls(*columns, *args, **kwargs)
 
     @classmethod
     def from_papers(cls, papers: Sequence[Paper], *args, **kwargs):
@@ -501,7 +766,8 @@ class PaperTable:
 
     @cached_property
     def index_of(self) -> dict[str, int]:
-        """The row of each id (the last row holding it, if several do)."""
+        """The row of each id (the last row holding it, if several do);
+        :func:`filter_citations` resolves ids without it."""
         return dict(zip(self.ids.tolist(), range(self.n)))
 
     @cached_property
@@ -542,10 +808,11 @@ class PaperTable:
         codes, labels = self.codes[field]
         return codes, tuple(labels.tolist())
 
-    def _text(self) -> list[list]:
-        """Per column of :data:`PAPER_COLUMNS`, its values (dates as
-        ``date`` objects)."""
-        return [self.ids.tolist(), self.dates.tolist(),
+    def _text(self, iso: bool = False) -> list[list]:
+        """Per column of :data:`PAPER_COLUMNS`, its values: dates as
+        ``date`` objects, or as ISO strings with ``iso``."""
+        dates = np.datetime_as_string(self.dates, unit="D") if iso else self.dates
+        return [self.ids.tolist(), dates.tolist(),
                 *(labels[codes].tolist() for codes, labels in self.codes.values())]
 
     @cached_property
@@ -575,43 +842,56 @@ def parse_papers(stream: TextIO) -> PaperTable:
     lines before it)."""
     fields, lines, error = _table(stream, PAPER_COLUMNS, "paper")
     values = _columns(fields, PAPER_COLUMNS)
-    dates, failed = _parse_dates(values["pub_date"])
+    dates, failed = _parse_dates(values["pub_date"].strings())
+    columns, unknown = _encode(values.__getitem__, dates)
     stop = len(lines) if failed is None else failed[0]
-    bad_gender = ~np.isin(values["gender"], _GENDER_TOKENS)
-    bad_rank = ~np.isin(values["rank"], _RANK_TOKENS)
     # only the rows with an unknown token are visited
-    for k in np.flatnonzero((bad_gender | bad_rank)[:stop]).tolist():
-        lineno, pid = int(lines[k]), values["id"][k].item()
-        if bad_gender[k]:
+    for k in np.flatnonzero((unknown["gender"] | unknown["rank"])[:stop]).tolist():
+        lineno, pid = int(lines[k]), values["id"].text(k)
+        if unknown["gender"][k]:
             log.warning(
                 "line %d: unknown gender token %r for paper %s, using UNKNOWN",
-                lineno, values["gender"][k].item(), pid,
+                lineno, values["gender"].text(k), pid,
             )
-        if bad_rank[k]:
+        if unknown["rank"][k]:
             log.warning(
                 "line %d: unknown rank token %r for paper %s, using Unranked",
-                lineno, values["rank"][k].item(), pid,
+                lineno, values["rank"].text(k), pid,
             )
     if failed is not None:
         k, exc = failed
-        raw_date = values["pub_date"][k].item()
+        raw_date = values["pub_date"].text(k)
         raise ParseError(f"line {lines[k]}: bad pub_date {raw_date!r}: {exc}") from exc
     if error is not None:
         raise error
-    return PaperTable.from_columns(values, dates)
+    return PaperTable(*columns)
 
 
-def parse_citations(stream: TextIO) -> np.ndarray:
-    """Parse the citation table into an (M, 2) ``object`` array of
-    stripped (citing_id, cited_id) ``str`` rows."""
+@dataclass(frozen=True, eq=False)
+class CitationIds:
+    """The (citing_id, cited_id) rows of a citation table, held as ranges
+    of its text; :func:`filter_citations` resolves them without a ``str``
+    per id."""
+
+    fields: _Fields
+
+    def __len__(self) -> int:
+        return len(self.fields) // 2
+
+    def tolist(self) -> list[list[str]]:
+        """The rows as ``[citing_id, cited_id]`` lists of ``str``."""
+        ids = self.fields.tolist()
+        return [ids[k:k + 2] for k in range(0, len(ids), 2)]
+
+
+def parse_citations(stream: TextIO) -> CitationIds:
+    """Parse the citation table into its rows of stripped (citing_id,
+    cited_id) fields; ``len`` counts the rows and ``tolist()`` gives them
+    as ``str`` pairs."""
     fields, _, error = _table(stream, CITATION_COLUMNS, "citation")
     if error is not None:
         raise error
-    ids = np.fromiter(map(str.strip, fields), dtype=object, count=len(fields))
-    if "\x00" in "".join(fields):
-        # read as the paper ids are: a str array drops trailing NULs
-        ids = np.char.strip(np.array(fields, dtype=str)).astype(object)
-    return ids.reshape(-1, 2)
+    return CitationIds(fields)
 
 
 def parse_publication_records(stream: TextIO) -> list[PublicationRecord]:
@@ -676,39 +956,41 @@ class CitationNetwork(PaperTable):
 
 def filter_citations(
     papers: PaperTable | Sequence[Paper],
-    raw_edges: np.ndarray | Iterable[tuple[str, str]],
+    raw_edges: CitationIds | np.ndarray | Iterable[tuple[str, str]],
 ) -> CitationNetwork:
     """Resolve citation ids to paper rows and apply :func:`filter_edges`.
 
     ``papers`` is a :class:`PaperTable` or a sequence of ``Paper``
-    records, ``raw_edges`` an (M, 2) array of ``str`` ids (as
-    :func:`parse_citations` returns it) or (citing_id, cited_id) pairs.
-    Ids are resolved through :attr:`PaperTable.index_of`.  Raises
-    :class:`IngestError` naming the first paper whose id an earlier paper
-    holds, else the first citation with an unknown id (its citing id
-    first).
+    records, ``raw_edges`` the :class:`CitationIds` of
+    :func:`parse_citations`, an (M, 2) array of ``str`` ids or any
+    iterable of (citing_id, cited_id) pairs.  Ids given as ``str`` objects
+    lose their trailing NULs (as a numpy ``str`` array drops them) and are
+    joined into one text.  The citation ids are coded together with the
+    paper ids, and each resolves to the first paper with its code
+    (:func:`_find`), with no dict and, for ids read from a file, no
+    ``str`` per id.  Raises :class:`IngestError` naming the first paper
+    whose id an earlier paper holds, else the first citation with an
+    unknown id (its citing id first).
     """
     table = papers if isinstance(papers, PaperTable) else PaperTable.from_papers(papers)
-    if not isinstance(raw_edges, np.ndarray):
-        raw_edges = np.array(list(raw_edges), dtype=str)
-    tokens = raw_edges.ravel().tolist()
-    index = table.index_of
-    if len(index) < table.n:
-        seen = set()
-        for pid in table.ids.tolist():
-            if pid in seen:
-                raise IngestError(f"duplicate paper id {pid!r}")
-            seen.add(pid)
-    try:
-        rows = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    except KeyError:
-        known = np.fromiter(map(index.__contains__, tokens), dtype=bool,
-                            count=len(tokens)).reshape(-1, 2)
-        row = int(np.argmin(known.all(axis=1)))
-        u, v = tokens[2 * row:2 * row + 2]
-        which, bad = ("citing", u) if not known[row, 0] else ("cited", v)
-        raise IngestError(f"citation ({u!r}, {v!r}): unknown {which} id {bad!r}") from None
-    return filter_edges(table, rows.reshape(-1, 2))
+    if isinstance(raw_edges, CitationIds):
+        tokens = raw_edges.fields
+    else:
+        pairs = (raw_edges.ravel().tolist() if isinstance(raw_edges, np.ndarray)
+                 else [pid for pair in raw_edges for pid in pair])
+        tokens = _Fields.joined([pid.rstrip("\x00") for pid in pairs])
+    rows, first = _find(_Fields.of_array(table.ids), tokens)
+    repeated = np.flatnonzero(first != np.arange(table.n))
+    if repeated.size:
+        raise IngestError(f"duplicate paper id {table.ids[repeated[0]].item()!r}")
+    rows = rows.reshape(-1, 2)
+    unknown = rows < 0
+    if unknown.any():
+        k = int(np.argmax(unknown.any(axis=1)))
+        u, v = tokens.text(2 * k), tokens.text(2 * k + 1)
+        which, bad = ("citing", u) if unknown[k, 0] else ("cited", v)
+        raise IngestError(f"citation ({u!r}, {v!r}): unknown {which} id {bad!r}")
+    return filter_edges(table, rows)
 
 
 def filter_edges(table: PaperTable, edges: np.ndarray) -> CitationNetwork:
@@ -757,7 +1039,7 @@ def read_papers(path: str | Path) -> PaperTable:
         return parse_papers(fh)
 
 
-def read_citations(path: str | Path) -> np.ndarray:
+def read_citations(path: str | Path) -> CitationIds:
     with open(path, encoding="utf-8", newline="") as fh:
         return parse_citations(fh)
 
@@ -814,9 +1096,7 @@ def write_table(path: str | Path, header: Sequence[str],
 def write_papers(table: PaperTable, path: str | Path) -> None:
     """Write the paper table (dates in ISO format), quoted as :mod:`csv`
     quotes."""
-    columns = table._text()
-    columns[1] = np.datetime_as_string(table.dates, unit="D").tolist()
-    write_table(path, PAPER_COLUMNS, columns)
+    write_table(path, PAPER_COLUMNS, table._text(iso=True))
 
 
 def write_citations(net: CitationNetwork, path: str | Path) -> None:

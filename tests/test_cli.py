@@ -806,6 +806,29 @@ def test_no_command_loads_numpy_ma(tmp_path):
         assert err.splitlines()[-1] == "False", argv
 
 
+def test_archive_commands_load_no_numpy_char(tmp_path):
+    # the loader reads tables as ranges of code points, not as numpy str
+    # arrays stripped by numpy.char
+    (tmp_path / "synth.cfg").write_text(SYNTH_CONFIG)
+    assert run("--output-dir", tmp_path, "synth", tmp_path / "synth.cfg", "corpus") == 0
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['citegap', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('citegap', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (None, 0), exc.code\n"
+        "print('numpy.char' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(citegap.__file__).resolve().parents[1])}
+    for argv in (["ingest", "corpus/papers.tsv", "corpus/citations.tsv", "archive"],
+                 ["rank", "archive", "rank-out", "--metric", "pagerank"]):
+        result = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 0, (argv, result.stderr)
+        assert result.stderr.splitlines()[-1] == "False", argv
+
+
 def test_every_export_resolves():
     for name in citegap.__all__:
         value = getattr(citegap, name)
