@@ -5,10 +5,11 @@ text formats plus a manifest, so every intermediate stays inspectable.
 The one binary file is a model artifact's group table, ``groups.npz``
 (numpy's uncompressed array archive, read with ``numpy.load``): ``model``
 computes the table once, with its structural report, and ``imbalance``
-and ``rank`` load it instead of recomputing it.  Its intervals are
-positions in the model's eligibility index, which the loader rebuilds
-from the archive and the attributes in ``model.json``.  Every command is
-a pure function of its inputs, flags, and seed; reruns produce identical
+and ``rank`` load it instead of recomputing it.  Its format and checks
+belong to :mod:`citegap.refmodels` (``write_groups``, ``read_groups``);
+this module owns the artifact's file names, ``model.json`` (its schema
+and archive digests) and the check of ``c_bar.tsv``.  Every command is a
+pure function of its inputs, flags, and seed; reruns produce identical
 outputs (manifests stamp SOURCE_DATE_EPOCH when set, wall-clock time
 otherwise).
 
@@ -24,7 +25,6 @@ import logging
 import os
 import re
 import sys
-import zipfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,12 +65,14 @@ from .ranking import (
 )
 from .refmodels import (
     DEFAULT_COUNT_TOL,
+    GROUPS_FORMAT,
+    TABLE_COUNTS,
     ExpectedCitations,
     StructuralReport,
     compute_model,
-    eligibility_index,
-    group_table,
+    read_groups,
     structural_report,
+    write_groups,
 )
 from .synth import generate_network, load_config
 
@@ -87,16 +89,6 @@ MANIFEST_FILE = "manifest.json"
 CBAR_FILE = "c_bar.tsv"
 MODEL_META_FILE = "model.json"
 GROUPS_FILE = "groups.npz"
-#: the arrays stored in GROUPS_FILE, one ``<name>.npy`` entry each
-GROUP_ARRAYS = ("citing", "lo", "hi", "excluded_ptr", "excluded", "indptr", "indices",
-                "target_ptr", "targets")
-#: the arrays of the interval parts, left out of a table that has none
-INTERVAL_ARRAYS = ("lo", "hi", "excluded_ptr", "excluded")
-#: model.json ``format`` of the interval-coded GROUPS_FILE; artifacts
-#: without the key hold explicit member lists only
-GROUPS_FORMAT = 2
-#: the table sizes model.json records, each checked against GROUPS_FILE
-TABLE_COUNTS = ("groups", "member_entries", "intervals", "exclusions", "stored_entries")
 
 
 class CliError(Exception):
@@ -258,7 +250,7 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
         "count_tol": count_tol,
         "n_papers": ec.n_papers,
         "n_citations": ec.n_citations,
-        **_table_counts(ec),
+        **ec.table_counts,
         "ks_in_degree": report.ks_in_degree,
         "archive": {
             "papers_sha256": _sha256(archive / PAPERS_FILE),
@@ -269,26 +261,7 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_structural(report, out)
-    _write_groups(ec, out / GROUPS_FILE)
-
-
-def _table_counts(ec: ExpectedCitations) -> dict[str, int]:
-    """The TABLE_COUNTS of a group table."""
-    return {"groups": len(ec.citing), "member_entries": ec.member_entries,
-            "intervals": ec.intervals, "exclusions": ec.excluded.size,
-            "stored_entries": ec.stored_entries}
-
-
-def _write_groups(ec: ExpectedCitations, path: Path) -> None:
-    """Store the table's arrays uncompressed, each zip entry with the same
-    fixed date, so the bytes depend on the arrays alone; without intervals
-    the INTERVAL_ARRAYS, all zeros, are left out."""
-    with zipfile.ZipFile(path, "w") as zf:
-        for name in GROUP_ARRAYS:
-            if name in INTERVAL_ARRAYS and not ec.intervals:
-                continue
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, getattr(ec, name), allow_pickle=False)
+    write_groups(ec, out / GROUPS_FILE)
 
 
 def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
@@ -310,7 +283,7 @@ def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
     _write_manifest(out, header, inputs, args.seed, model=model,
                     attributes=list(attrs))
     print(f"model {model} on {net.n} papers / {net.m} citations")
-    for name, count in _table_counts(ec).items():
+    for name, count in ec.table_counts.items():
         print(f"{name.replace('_', ' ')}: {count}")
     return 0
 
@@ -352,90 +325,6 @@ def _read_model_meta(path: Path) -> dict:
     return meta
 
 
-def _rising(values: np.ndarray, ptr: np.ndarray) -> bool:
-    """Whether ``values`` strictly increase within each group of ``ptr``."""
-    rising = values[1:] > values[:-1]
-    # a new group may start lower
-    starts = ptr[1:-1]
-    rising[starts[(starts > 0) & (starts < values.size)] - 1] = True
-    return bool(rising.all())
-
-
-def _read_groups(path: Path, net: CitationNetwork, order: np.ndarray,
-                 categories: np.ndarray) -> list[np.ndarray]:
-    """The arrays of a stored group table, checked to form a table over
-    the archive's papers and the eligibility index ``order`` (whose
-    category codes are ``categories``), and whose (citer, target) pairs
-    are the archive's edges."""
-    try:
-        # np.load leaks its own handle when a zip turns out to be broken
-        with open(path, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with npz:
-                intervals = not set(INTERVAL_ARRAYS).isdisjoint(npz.files)
-                stored = {name: npz[name] for name in GROUP_ARRAYS
-                          if intervals or name not in INTERVAL_ARRAYS}
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise CliError(f"{path} is not a readable group table: {exc}") from exc
-    if not intervals:
-        groups = len(stored["citing"])
-        stored.update(lo=np.zeros(groups, np.int64), hi=np.zeros(groups, np.int64),
-                      excluded_ptr=np.zeros(groups + 1, np.int64),
-                      excluded=np.zeros(0, np.int64))
-    arrays = [stored[name] for name in GROUP_ARRAYS]
-    citing, lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr, targets = arrays
-
-    def check(ok: bool, what: str) -> None:
-        if not ok:
-            raise CliError(f"{path}: {what}")
-
-    check(all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays),
-          f"{', '.join(GROUP_ARRAYS)} must be 1-D signed integer arrays")
-    groups = len(citing)
-    check(len(lo) == len(hi) == groups
-          and len(excluded_ptr) == len(indptr) == len(target_ptr) == groups + 1,
-          "lo and hi need one entry per group, excluded_ptr, indptr and target_ptr "
-          "one more")
-    # comparisons rather than differences, which could overflow
-    for name, ptr, data, what in (("excluded_ptr", excluded_ptr, excluded, "exclusions"),
-                                  ("indptr", indptr, indices, "members"),
-                                  ("target_ptr", target_ptr, targets, "targets")):
-        check(ptr[0] == 0 and ptr[-1] == data.size and (ptr[1:] >= ptr[:-1]).all(),
-              f"{name} must start at 0, never decrease and end at the number "
-              f"of {what}")
-    check((target_ptr[1:] > target_ptr[:-1]).all(), "a group has no targets")
-    n = net.n
-    check(((lo >= 0) & (lo <= hi) & (hi <= n)).all(),
-          f"intervals must satisfy 0 <= lo <= hi <= {n}")
-    n_excluded = np.diff(excluded_ptr)
-    check((hi - lo - n_excluded + np.diff(indptr) > 0).all(), "a group has no members")
-    spans = hi > lo
-    check((categories[lo[spans]] == categories[hi[spans] - 1]).all(),
-          "an interval spans more than one category of the eligibility index")
-    owner = np.repeat(np.arange(groups), n_excluded)
-    check(((excluded >= lo[owner]) & (excluded < hi[owner])).all(),
-          "every exclusion must lie inside its group's interval")
-    check(_rising(excluded, excluded_ptr),
-          "exclusions must be strictly increasing within each group")
-    check(indices.size == 0 or (indices.min() >= 0 and indices.max() < n
-                                and _rising(indices, indptr)),
-          f"members must be paper indices below {n}, strictly increasing "
-          "within each group")
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    owner = np.repeat(np.arange(groups), np.diff(indptr))
-    check(not ((position[indices] >= lo[owner]) & (position[indices] < hi[owner])).any(),
-          "explicit members must lie outside their group's interval")
-    check((citing[1:] >= citing[:-1]).all(), "citing must be ascending")
-    citers = np.repeat(citing, np.diff(target_ptr))
-    sort = np.lexsort((targets, citers))
-    check(np.array_equal(np.column_stack((citers, targets))[sort], net.edges),
-          "its (citer, target) pairs are not the archive's citations")
-    return arrays
-
-
 def _read_c_bar(path: Path) -> dict[str, float]:
     stored = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -468,10 +357,8 @@ def _load_model_artifact(archive: Path, artifact: Path,
                 f"model artifact {artifact} was built from a different archive "
                 f"({name}.tsv digest mismatch)"
             )
-    order, categories = eligibility_index(net, meta["attributes"])
-    ec = group_table(meta["model"], tuple(meta["attributes"]), order,
-                     *_read_groups(artifact / GROUPS_FILE, net, order, categories))
-    for name, count in _table_counts(ec).items():
+    ec = read_groups(artifact / GROUPS_FILE, net, meta["model"], meta["attributes"])
+    for name, count in ec.table_counts.items():
         if meta[name] != count:
             raise CliError(f"model artifact {artifact}: {MODEL_META_FILE} records "
                            f"{meta[name]} {name}, {GROUPS_FILE} holds {count}")

@@ -583,16 +583,18 @@ def _sort(words: np.ndarray, ptr: np.ndarray, rows: np.ndarray
 
     The fields are sorted by their first words, then the runs still tied
     by their second words (zero past a field's end), and so on, so the
-    work follows the length of the prefixes that values share."""
+    work follows the length of the prefixes that values share: a run
+    whose fields have all ended holds one value and is not read again."""
     rows = rows[np.argsort(words[ptr[rows]])]
     key = words[ptr[rows]]
     new = np.ones(rows.size, dtype=bool)
     new[1:] = key[1:] != key[:-1]
-    # the places still tied: at first all, then those of runs of more than one field
+    # the places still tied: at first all, then runs of several fields not all ended
     tied = np.arange(rows.size)
     for k in range(1, int((ptr[rows + 1] - ptr[rows]).max(initial=1))):
         run = np.cumsum(new[tied])
-        keep = np.bincount(run)[run] > 1
+        going_on = ptr[rows[tied] + 1] - ptr[rows[tied]] > k
+        keep = (np.bincount(run)[run] > 1) & (np.bincount(run, going_on)[run] > 0)
         tied, run = tied[keep], run[keep]
         if not tied.size:
             break

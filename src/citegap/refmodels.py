@@ -55,9 +55,14 @@ the same expected count.  The package needs numpy only; the tests check
 the tables against the explicit member lists RD and HD once stored, PD
 against a per-citer mask path, and the reductions against
 ``scipy.sparse``.
+
+This module also owns the stored table: :func:`write_groups` writes it
+and :func:`read_groups` reads it back, checked against its network.
 """
 from __future__ import annotations
 
+import os
+import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,6 +87,16 @@ DEFAULT_COUNT_TOL = 1e-9
 BLOCK_ENTRIES = 1 << 16
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: the arrays :func:`write_groups` stores, one ``<name>.npy`` entry each
+TABLE_ARRAYS = ("citing", "lo", "hi", "excluded_ptr", "excluded", "indptr", "indices",
+                "target_ptr", "targets")
+#: the arrays of the interval parts, left out of a table that has none
+INTERVAL_ARRAYS = ("lo", "hi", "excluded_ptr", "excluded")
+#: the format number of the interval-coded tables :func:`write_groups` stores
+GROUPS_FORMAT = 2
+#: the sizes of a table, as :attr:`ExpectedCitations.table_counts` names them
+TABLE_COUNTS = ("groups", "member_entries", "intervals", "exclusions", "stored_entries")
 
 #: the fixed point of the exact sums of ``spread``: limbs of 30 bits, so a
 #: prefix sum of up to 2^32 of them fits in int64, and five of them, 150
@@ -181,6 +196,12 @@ class ExpectedCitations:
         """Integers the table stores for its members: two bounds per
         interval, the exclusions and the explicit members."""
         return 2 * self.intervals + self.excluded.size + self.indices.size
+
+    @property
+    def table_counts(self) -> dict[str, int]:
+        """The table's sizes, by their :data:`TABLE_COUNTS` names."""
+        return dict(zip(TABLE_COUNTS, (len(self.citing), self.member_entries, self.intervals,
+                                       self.excluded.size, self.stored_entries)))
 
     def spread(self, y: np.ndarray) -> np.ndarray:
         """``W.T @ y``: per paper, the sum of ``weight[g] * y[g]`` over the
@@ -408,6 +429,96 @@ def group_table(model: str, attributes: tuple[str, ...], order: np.ndarray,
     return ExpectedCitations(model, attributes, order, citing, np.diff(target_ptr) / sizes,
                              lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr,
                              targets, c_bar)
+
+
+def write_groups(ec: ExpectedCitations, path: str | os.PathLike) -> None:
+    """Store the table's :data:`TABLE_ARRAYS` at ``path`` as numpy's
+    uncompressed array archive, each zip entry with the same fixed date,
+    so the bytes depend on the arrays alone; without intervals the
+    :data:`INTERVAL_ARRAYS`, all zeros, are left out."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name in TABLE_ARRAYS:
+            if name in INTERVAL_ARRAYS and not ec.intervals:
+                continue
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, getattr(ec, name), allow_pickle=False)
+
+
+def read_groups(path: str | os.PathLike, net: CitationNetwork, model: str,
+                attributes: Sequence[str]) -> ExpectedCitations:
+    """The table of ``model`` over ``attributes`` that :func:`write_groups`
+    stored at ``path``, checked to form a table over the papers of ``net``
+    and its eligibility index, and whose (citer, target) pairs are the
+    edges of ``net``; raises :class:`ModelError`, naming ``path``, if it
+    does not."""
+    order, categories = eligibility_index(net, attributes)
+    try:
+        # np.load leaks its own handle when a zip turns out to be broken
+        with open(path, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with npz:
+                intervals = not set(INTERVAL_ARRAYS).isdisjoint(npz.files)
+                stored = {name: npz[name] for name in TABLE_ARRAYS
+                          if intervals or name not in INTERVAL_ARRAYS}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{path} is not a readable group table: {exc}") from exc
+    # a 0-d citing has a size too, and fails the 1-D check below
+    groups = stored["citing"].size
+    if not intervals:
+        zeros = np.zeros(groups + 1, np.int64)
+        stored.update(lo=zeros[1:], hi=zeros[1:], excluded_ptr=zeros, excluded=zeros[:0])
+    arrays = [stored[name] for name in TABLE_ARRAYS]
+    citing, lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr, targets = arrays
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise ModelError(f"{path}: {what}")
+
+    check(all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays),
+          f"{', '.join(TABLE_ARRAYS)} must be 1-D signed integer arrays")
+    check(len(lo) == len(hi) == groups
+          and len(excluded_ptr) == len(indptr) == len(target_ptr) == groups + 1,
+          "lo and hi need one entry per group, excluded_ptr, indptr and target_ptr "
+          "one more")
+    # comparisons rather than differences, which could overflow
+    for name, ptr, data, what in (("excluded_ptr", excluded_ptr, excluded, "exclusions"),
+                                  ("indptr", indptr, indices, "members"),
+                                  ("target_ptr", target_ptr, targets, "targets")):
+        check(ptr[0] == 0 and ptr[-1] == data.size and (ptr[1:] >= ptr[:-1]).all(),
+              f"{name} must start at 0, never decrease and end at the number "
+              f"of {what}")
+    check((target_ptr[1:] > target_ptr[:-1]).all(), "a group has no targets")
+    n = net.n
+    check(((lo >= 0) & (lo <= hi) & (hi <= n)).all(),
+          f"intervals must satisfy 0 <= lo <= hi <= {n}")
+    check((_sizes(lo, hi, excluded_ptr, indptr) > 0).all(), "a group has no members")
+    spans = hi > lo
+    check((categories[lo[spans]] == categories[hi[spans] - 1]).all(),
+          "an interval spans more than one category of the eligibility index")
+    # values below n rise within each group iff ``owner * n + value`` rises
+    owner = np.repeat(np.arange(groups), np.diff(excluded_ptr))
+    check(((excluded >= lo[owner]) & (excluded < hi[owner])).all(),
+          "every exclusion must lie inside its group's interval")
+    check((np.diff(owner * n + excluded) > 0).all(),
+          "exclusions must be strictly increasing within each group")
+    owner = np.repeat(np.arange(groups), np.diff(indptr))
+    check(indices.size == 0 or (indices.min() >= 0 and indices.max() < n
+                                and (np.diff(owner * n + indices) > 0).all()),
+          f"members must be paper indices below {n}, strictly increasing "
+          "within each group")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    check(not ((position[indices] >= lo[owner]) & (position[indices] < hi[owner])).any(),
+          "explicit members must lie outside their group's interval")
+    check((citing[1:] >= citing[:-1]).all(), "citing must be ascending")
+    citers = np.repeat(citing, np.diff(target_ptr))
+    sort = np.lexsort((targets, citers))
+    check(np.array_equal(citers[sort], net.edges[:, 0])
+          and np.array_equal(targets[sort], net.edges[:, 1]),
+          "its (citer, target) pairs are not the archive's citations")
+    return group_table(model, tuple(attributes), order, *arrays)
 
 
 def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:

@@ -64,6 +64,29 @@ def tree_hashes(root: Path) -> dict[str, str]:
     }
 
 
+# integers past every range of the toy tables, written over the first entry
+# of one array of groups.npz: the values int64 holds, and int32's extremes
+# with the array stored as int32; each row names the check that rejects it
+OVERSIZED = [(np.int64, 2**31, "2**31"), (np.int64, 2**62, "2**62"),
+             (np.int64, -2**63, "-2**63"), (np.int32, 2**31 - 1, "int32-max"),
+             (np.int32, -2**31, "int32-min")]
+OVERSIZED_ARRAYS = [
+    ("rd", "lo", "0 <= lo <= hi <= 4", "0 <= lo <= hi <= 4"),
+    ("pd", "indptr", "end at the number of members", "end at the number of members"),
+    ("pd", "indices", "below 4", "below 4"),
+    ("rd", "excluded", "inside its group's interval", "inside its group's interval"),
+    # citing is checked ascending before its pairs are compared
+    ("rd", "citing", "citing must be ascending", "archive's citations"),
+    ("rd", "targets", "archive's citations", "archive's citations"),
+]
+OVERSIZED_GROUPS = [
+    (model, lambda path, name=name, value=value, dtype=dtype:
+     rewrite_groups(path, name, 0, value, dtype), above if value > 0 else below)
+    for model, name, above, below in OVERSIZED_ARRAYS for dtype, value, _ in OVERSIZED]
+OVERSIZED_IDS = [f"oversized-{name}-{label}"
+                 for _, name, _, _ in OVERSIZED_ARRAYS for _, _, label in OVERSIZED]
+
+
 class TestIngest:
     def test_summary_counts(self, toy_inputs, tmp_path, capsys):
         papers, citations = toy_inputs
@@ -458,19 +481,23 @@ class TestImbalance:
          "exclusions must be strictly increasing"),
         ("pd", lambda path: add_interval(path, 0, 1), "outside their group's interval"),
         ("rd", lambda path: drop_array(path, "lo"), "not a readable group table"),
+        ("rd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
+        ("pd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
         ("rd", lambda path: rewrite_meta(path.with_name("model.json"), intervals=1),
          "records 1 intervals"),
         ("rd", lambda path: rewrite_meta(path.with_name("model.json"), exclusions=0),
          "records 0 exclusions"),
         ("rd", lambda path: rewrite_meta(path.with_name("model.json"), stored_entries=9),
          "records 9 stored_entries"),
+        *OVERSIZED_GROUPS,
     ], ids=["missing", "truncated", "object-array", "member-out-of-range",
             "member-repeated", "indptr-short", "empty-group", "target-not-an-edge",
             "member-moved", "group-count-mismatch", "interval-past-end",
             "interval-reversed", "interval-across-categories", "interval-moved",
             "excluded-ptr-short", "exclusion-outside-interval", "exclusion-twice",
-            "member-inside-interval", "interval-array-missing", "interval-count-mismatch",
-            "exclusion-count-mismatch", "stored-count-mismatch"])
+            "member-inside-interval", "interval-array-missing", "citing-0-d",
+            "citing-0-d-no-intervals", "interval-count-mismatch",
+            "exclusion-count-mismatch", "stored-count-mismatch", *OVERSIZED_IDS])
     def test_tampered_groups_rejected(self, archive, tmp_path, capsys,
                                       model, tamper, message):
         model_dir = tmp_path / model
@@ -496,6 +523,14 @@ def rewrite_groups(path, name, index, value, dtype=None):
 def drop_array(path, name):
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files if k != name}
+    np.savez(path, **arrays)
+
+
+def scalar_array(path, name):
+    """Rewrite groups.npz with ``arrays[name]`` the 0-d array of its first entry."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays[name] = np.array(arrays[name][0])
     np.savez(path, **arrays)
 
 

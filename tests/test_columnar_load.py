@@ -333,6 +333,6 @@ def test_key_codes_once_per_pd_call(toy_pd, monkeypatch):
     monkeypatch.setattr(refmodels, "_key_codes", counting)
     ec = refmodels.compute_model(toy_pd, "PD", ("rank", "topic"))
     assert calls == [("rank", "topic")]
-    for name in ("order", "c_bar", *cli.GROUP_ARRAYS):
+    for name in ("order", "c_bar", *refmodels.TABLE_ARRAYS):
         a, b = getattr(ec, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -261,6 +261,39 @@ def test_long_id_loads_in_memory_that_follows_the_text():
         assert peak < bound * len(source), peak / len(source)
 
 
+class CountingNumpy:
+    """numpy, counting the calls of ``cumsum``."""
+
+    def __init__(self):
+        self.cumsums = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, *args, **kwargs):
+        self.cumsums += 1
+        return np.cumsum(*args, **kwargs)
+
+
+def test_sort_passes_follow_the_longest_shared_prefix(monkeypatch):
+    # each pass of _sort numbers its tied runs with one cumsum.  Values
+    # held by several fields are read to their end, distinct values to
+    # the word that tells them apart; a long value no other field shares
+    # costs no pass of its own
+    values = ["X" * 100_000, "Q" * 40 + "a", "Q" * 40 + "b", "R" * 60, "R" * 60,
+              *(f"P{k % 10}" for k in range(50))]
+    words, ptr = _Fields.joined(values).words()
+    counting = CountingNumpy()
+    monkeypatch.setattr(corpus, "np", counting)
+    rows, new = corpus._sort(words, ptr, np.arange(len(values)))
+    monkeypatch.undo()
+    assert [values[r] for r in rows] == sorted(values)
+    assert new.sum() == len(set(values))
+    # the longest prefix two fields share is "R" * 60: 8 words of 8
+    # characters, and one more pass finds every run ended
+    assert counting.cumsums <= 8 + 1
+
+
 def test_from_columns_gives_back_the_arrays_it_was_given():
     # a table built from str arrays reads its ids and labels from them
     values = {name: np.array([f"{name[0]}{k % 3}" for k in range(6)]) for name in PAPER_COLUMNS}
