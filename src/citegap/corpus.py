@@ -473,12 +473,6 @@ def _split(text: str, width: int) -> _Fields | None:
     return _Fields(chars, np.append(0, at + 1), np.append(at, size))
 
 
-def _split_fields(text: str, width: int) -> list[str] | None:
-    """The fields :func:`_split` cuts ``text`` into, as ``str`` values."""
-    fields = _split(text, width)
-    return None if fields is None else fields.tolist()
-
-
 def _csv_rows(text: str, width: int
               ) -> tuple[list[str], list[list[str]], list[int], Exception | None]:
     """The header, the rows and their line numbers, read with :mod:`csv`

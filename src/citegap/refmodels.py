@@ -64,7 +64,6 @@ from __future__ import annotations
 import os
 import zipfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -803,8 +802,12 @@ def preferential_draws(
     shared = shared - np.repeat(step_ptr[:-1], np.diff(step_ptr))[shared]
 
     # the running counts by position in ``order``
-    running = np.full(net.n, Fraction(0), dtype=object) if exact else np.zeros(net.n)
-    one = Fraction(1) if exact else 1.0
+    if exact:
+        # imported here: every other path runs in float
+        from fractions import Fraction
+        running, one = np.full(net.n, Fraction(0), dtype=object), Fraction(1)
+    else:
+        running, one = np.zeros(net.n), 1.0
     scratch = np.arange((start + length).max(initial=0))
     # per bundle, in step order: its members' positions, its size and its
     # first citation; per citation the first citation of its bundle

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -813,9 +814,11 @@ COMMAND_LINES = [
 ]
 
 
-def test_no_command_loads_numpy_ma(tmp_path):
-    # a fresh interpreter per command, all started at once; np.percentile
-    # and a bare np.unique import numpy.ma, which costs each process time
+def run_commands_fresh(tmp_path, check):
+    """Run each of ``COMMAND_LINES`` as ``citegap`` does, in a fresh
+    interpreter per command, all started at once, on inputs built in
+    ``tmp_path``; ``check`` is code run once the command has returned.
+    Returns the last line each run wrote to stderr."""
     (tmp_path / "synth.cfg").write_text(SYNTH_CONFIG)
     assert run("--output-dir", tmp_path, "synth", tmp_path / "synth.cfg", "corpus") == 0
     assert run("--output-dir", tmp_path, "ingest", tmp_path / "corpus" / "papers.tsv",
@@ -829,16 +832,52 @@ def test_no_command_loads_numpy_ma(tmp_path):
         "    runpy.run_module('citegap', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code in (None, 0), exc.code\n"
-        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
-    )
+    ) + check
     env = {**os.environ, "PYTHONPATH": str(Path(citegap.__file__).resolve().parents[1])}
     procs = [subprocess.Popen([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
              for argv in COMMAND_LINES]
+    lines = []
     for proc, argv in zip(procs, COMMAND_LINES):
         err = proc.communicate()[1]
         assert proc.returncode == 0, (argv, err)
-        assert err.splitlines()[-1] == "False", argv
+        lines.append(err.splitlines()[-1])
+    return lines
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.percentile and a bare np.unique import numpy.ma, and a module-level
+    # Fraction imports fractions and decimal, which costs each process time;
+    # only PD's --exact counts in Fractions
+    check = "print([m for m in ('numpy.ma', 'fractions') if m in sys.modules], file=sys.stderr)\n"
+    for argv, loaded in zip(COMMAND_LINES, run_commands_fresh(tmp_path, check)):
+        assert loaded == "[]", argv
+
+
+#: the most objects a command may leave in reference cycles: its argument
+#: parser and closures, 684-772 for ``COMMAND_LINES``
+CYCLIC_GARBAGE_BOUND = 1500
+
+
+def test_commands_leave_no_array_in_reference_cycles(tmp_path):
+    # the entry runs each command without the cyclic collector, which costs
+    # no memory only while what a command leaves in reference cycles is
+    # small and holds no array; the collector does not track numpy arrays,
+    # so what the cyclic garbage refers to is searched too
+    check = (
+        "import gc\n"
+        "import numpy as np\n"
+        "gc.unfreeze()\n"
+        "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+        "gc.collect()\n"
+        "held = gc.garbage + gc.get_referents(*gc.garbage)\n"
+        "arrays = sum(isinstance(o, np.ndarray) for o in held)\n"
+        "print(len(gc.garbage), arrays, file=sys.stderr)\n"
+    )
+    for argv, line in zip(COMMAND_LINES, run_commands_fresh(tmp_path, check)):
+        garbage, arrays = map(int, line.split())
+        assert arrays == 0, argv
+        assert 0 < garbage < CYCLIC_GARBAGE_BOUND, (argv, garbage)
 
 
 def test_archive_commands_load_no_numpy_char(tmp_path):
@@ -896,6 +935,74 @@ def test_cli_entry_starts_one_blas_thread_unless_told(env, expected):
     version, blas = run_fresh(code, **env).splitlines()
     assert version == citegap.__version__
     assert json.loads(blas) == expected
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["synth", "synth.cfg", "corpus"]],
+                         ids=["exit", "return"])
+def test_cli_entry_runs_without_the_cyclic_collector_and_freezes_at_exit(tmp_path, argv):
+    # whether the command returns or exits, it leaves the heap frozen, so the
+    # collection at shutdown has nothing to traverse
+    (tmp_path / "synth.cfg").write_text(SYNTH_CONFIG)
+    code = (
+        "import gc, os, runpy, sys\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"sys.argv = ['citegap', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('citegap', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (None, 0), exc.code\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    assert run_fresh(code).splitlines()[-1] == "False True"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # the entry's policy is the process's; a library caller keeps its own
+    (tmp_path / "synth.cfg").write_text(SYNTH_CONFIG)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        assert run("--output-dir", tmp_path, "synth", tmp_path / "synth.cfg", "corpus") == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_freezing_at_exit_loses_no_output(tmp_path, monkeypatch, capsys):
+    # the toy pipeline through the entry, a fresh interpreter per command,
+    # writes the same files and stdout as through cli.main in-process
+    steps = [["synth", "synth.cfg", "corpus"],
+             ["ingest", "corpus/papers.tsv", "corpus/citations.tsv", "archive"],
+             ["model", "archive", "pd", "--model", "pd"],
+             ["imbalance", "archive", "pd", "imb", "--bootstrap", "20"],
+             ["rank", "archive", "rank", "--model-artifact", "pd", "--metric", "pagerank"]]
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    entry, in_process = tmp_path / "entry", tmp_path / "in-process"
+    for root in (entry, in_process):
+        root.mkdir()
+        (root / "synth.cfg").write_text(SYNTH_CONFIG)
+    # stdout buffered, as a pipe's is by default, so an exit that skipped
+    # the final flush would lose it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(citegap.__file__).resolve().parents[1])
+    entry_out = []
+    for argv in steps:
+        result = subprocess.run([sys.executable, "-m", "citegap", *argv], cwd=entry, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, (argv, result.stderr)
+        entry_out.append(result.stdout)
+    monkeypatch.chdir(in_process)
+    capsys.readouterr()
+    in_process_out = []
+    for argv in steps:
+        assert main(argv) == 0, argv
+        in_process_out.append(capsys.readouterr().out)
+    assert (in_process / "rank" / "share_curve.csv").is_file()
+    assert tree_hashes(entry) == tree_hashes(in_process)
+    assert entry_out == in_process_out
+    assert all(entry_out)
 
 
 def test_console_script_is_the_module_entry():

@@ -30,7 +30,7 @@ from citegap.corpus import (
     ParseError,
     _csv_rows,
     _parse_dates,
-    _split_fields,
+    _split,
     filter_citations,
     parse_citations,
     parse_papers,
@@ -53,6 +53,13 @@ ODD_DATES = ("2011-02-29", "0000", "20100105", "２０１０", "2010-13-01", "20
              "0001-01-01", "١٩٩٩")
 VALUES = ("US", "DE", "Zürich", "東京", "x,y", " padded ", "　wide　")
 QUOTED = ('say "hi"', "tab\there", "line\nbreak", '"', '""', "a,b")
+
+
+def _split_fields(text, width):
+    """The fields :func:`citegap.corpus._split` cuts ``text`` into, as
+    ``str`` values."""
+    fields = _split(text, width)
+    return None if fields is None else fields.tolist()
 
 
 def _text(header, rows, rng, messy):
