@@ -118,13 +118,21 @@ def _timestamp() -> str:
                        f"within the years 1 to 9999, got {epoch!r}") from exc
 
 
-def _write_manifest(out_dir: Path, header: dict[str, object], inputs: dict[str, Path],
-                    seed: int | None, **extra: object) -> None:
-    """``header`` holds the keys every command's manifest shares (see main)."""
+def _inputs(**paths: Path) -> dict[str, dict[str, str]]:
+    """The manifest's record of each input file: its path and SHA-256.  A
+    command hashes each of its inputs once, here, and reads the digests of
+    its archive from these records."""
+    return {name: {"path": str(p), "sha256": _sha256(p)} for name, p in paths.items()}
+
+
+def _write_manifest(out_dir: Path, header: dict[str, object],
+                    inputs: dict[str, dict[str, str]], seed: int | None,
+                    **extra: object) -> None:
+    """``header`` holds the keys every command's manifest shares (see main);
+    ``inputs`` are the records of :func:`_inputs`."""
     manifest = {
         **header,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in sorted(inputs.items())},
+        "inputs": dict(sorted(inputs.items())),
         "seed": seed,
         **extra,
     }
@@ -153,15 +161,16 @@ def _load_archive(path: str | Path) -> CitationNetwork:
 
 
 def _load_inputs(archive: Path, artifact: Path | None = None
-                 ) -> tuple[CitationNetwork, ExpectedCitations | None, dict[str, Path]]:
+                 ) -> tuple[CitationNetwork, ExpectedCitations | None, dict[str, dict[str, str]]]:
     """The archive's network, the model artifact's expectations if an
-    artifact is given, and the files both were read from (manifest inputs)."""
+    artifact is given, and the records of the files both were read from
+    (manifest inputs, see :func:`_inputs`)."""
     net = _load_archive(archive)
-    inputs = {"papers": archive / PAPERS_FILE, "citations": archive / CITATIONS_FILE}
+    inputs = _inputs(papers=archive / PAPERS_FILE, citations=archive / CITATIONS_FILE)
     if artifact is None:
         return net, None, inputs
-    ec = _load_model_artifact(archive, artifact, net)
-    inputs.update(c_bar=artifact / CBAR_FILE, groups=artifact / GROUPS_FILE)
+    ec = _load_model_artifact(inputs, artifact, net)
+    inputs.update(_inputs(c_bar=artifact / CBAR_FILE, groups=artifact / GROUPS_FILE))
     return net, ec, inputs
 
 
@@ -197,8 +206,7 @@ def cmd_ingest(args: argparse.Namespace, header: dict[str, object]) -> int:
         raise CliError("empty network: no citations survived filtering")
     out = _out_dir(args, args.out)
     summary = _write_archive(net, out, filter=net.filter_counts)
-    _write_manifest(out, header,
-                    {"papers": papers_path, "citations": citations_path},
+    _write_manifest(out, header, _inputs(papers=papers_path, citations=citations_path),
                     args.seed)
     print(f"papers: {summary['papers']}")
     print(f"citations: {summary['citations']}")
@@ -237,8 +245,11 @@ def _write_structural(report: StructuralReport, out: Path) -> None:
 
 
 def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
-                          archive: Path, out: Path, *, exact: bool,
+                          archive: dict[str, dict[str, str]], out: Path, *, exact: bool,
                           count_tol: float) -> None:
+    """Write the artifact of ``ec``; ``archive`` holds the :func:`_inputs`
+    records of the archive's papers and citations, whose digests
+    ``model.json`` keeps."""
     write_table(out / CBAR_FILE, ("paper_id", "c_bar"),
                 (net.ids.tolist(), list(map(repr, ec.c_bar.tolist()))))
     report = structural_report(net, ec)
@@ -252,10 +263,8 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
         "n_citations": ec.n_citations,
         **ec.table_counts,
         "ks_in_degree": report.ks_in_degree,
-        "archive": {
-            "papers_sha256": _sha256(archive / PAPERS_FILE),
-            "citations_sha256": _sha256(archive / CITATIONS_FILE),
-        },
+        "archive": {f"{name}_sha256": archive[name]["sha256"]
+                    for name in ("papers", "citations")},
     }
     with open(out / MODEL_META_FILE, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -265,8 +274,7 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
 
 
 def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
-    archive = Path(args.archive)
-    net, _, inputs = _load_inputs(archive)
+    net, _, inputs = _load_inputs(Path(args.archive))
     model = args.model.upper()
     # model.json records every flag, also those this model does not read
     ignored = [flag for flag, unread in (
@@ -278,7 +286,7 @@ def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
     attrs = () if model == "RD" else _parse_attrs(args.attrs)
     ec = compute_model(net, model, attrs, count_tol=args.count_tol, exact=args.exact)
     out = _out_dir(args, args.out)
-    _write_model_artifact(net, ec, archive, out, exact=args.exact,
+    _write_model_artifact(net, ec, inputs, out, exact=args.exact,
                           count_tol=args.count_tol)
     _write_manifest(out, header, inputs, args.seed, model=model,
                     attributes=list(attrs))
@@ -341,18 +349,18 @@ def _read_c_bar(path: Path) -> dict[str, float]:
     return stored
 
 
-def _load_model_artifact(archive: Path, artifact: Path,
+def _load_model_artifact(archive: dict[str, dict[str, str]], artifact: Path,
                          net: CitationNetwork) -> ExpectedCitations:
     """Load the group table of a model artifact, verified against the
-    archive and against the stored c_bar, which it then carries."""
+    archive (the :func:`_inputs` records of its papers and citations) and
+    against the stored c_bar, which it then carries."""
     for name in (MODEL_META_FILE, GROUPS_FILE, CBAR_FILE):
         if not (artifact / name).is_file():
             raise CliError(f"model artifact {artifact} is missing {name}")
     meta = _read_model_meta(artifact / MODEL_META_FILE)
     for name, digest in (("papers", meta["archive"]["papers_sha256"]),
                          ("citations", meta["archive"]["citations_sha256"])):
-        actual = _sha256(archive / f"{name}.tsv")
-        if actual != digest:
+        if archive[name]["sha256"] != digest:
             raise CliError(
                 f"model artifact {artifact} was built from a different archive "
                 f"({name}.tsv digest mismatch)"
@@ -463,7 +471,7 @@ def cmd_synth(args: argparse.Namespace, header: dict[str, object]) -> int:
     net = generate_network(cfg)
     out = _out_dir(args, args.out)
     summary = _write_archive(net, out)
-    _write_manifest(out, header, {"config": config_path}, cfg.seed)
+    _write_manifest(out, header, _inputs(config=config_path), cfg.seed)
     print(f"papers: {summary['papers']}")
     print(f"citations: {summary['citations']}")
     return 0

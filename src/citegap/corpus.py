@@ -8,18 +8,22 @@ rankings) reads this structure and never mutates it.
 
 A network is columnar: a :class:`PaperTable` of ids, ``datetime64[D]``
 dates and integer codes per attribute, plus the edges.  Loading a file
-builds no per-paper record and no ``str`` per field.  Each table is read
-once into one array of its code points, and every field is a
-``[start, end)`` range of it (:class:`_Fields`): a plain table is cut at
-its tabs and newlines at once, any other is read by :mod:`csv` and its
-fields joined into one text.  Columns are coded by integer keys packed
-big-endian from each field's characters, whose order is code-point order
-(:func:`_codes`); dates are parsed as arrays, with a per-row fallback
-only for non-canonical dates, and a loop runs only over the rows that
-draw a warning.  Citation ids stay ranges of their table's text
+builds no per-paper record and no ``str`` per field, and keeps no
+table-sized copy it does not use.  Each table is read once into one
+array of its code points, and every field is a ``[start, end)`` range
+of it (:class:`_Fields`): a plain table is cut at its tabs and newlines
+at once, any other is read by :mod:`csv` and its fields joined into one
+text.  Columns are coded by integer keys packed big-endian from each
+field's characters, whose order is code-point order (:func:`_codes`);
+dates are parsed as arrays from the fields' characters, with a per-row
+fallback only for non-canonical dates, and a loop runs only over the
+rows that draw a warning.  Citation ids stay ranges of their table's text
 (:class:`CitationIds`) and resolve to paper rows through codes taken
 over the paper ids and the citation ids together (:func:`_find`).  Every
-table is written by :func:`write_table`, as :mod:`csv` writes it.
+table is written by :func:`write_table`, as :mod:`csv` writes it, with
+one quoting rule (:func:`_quoted`): a column is given as its fields or
+as codes and labels, each label is quoted once, and the archive's rows
+are gathered from the network's codes and edges a block at a time.
 ``Paper`` records remain where a record is the API
 (:mod:`citegap.synth`, record matching) and as
 :attr:`PaperTable.papers`, a view built on first use.
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -302,15 +306,16 @@ _WIDE_SPACES = np.array([0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
 
 
 def _chars(text: str) -> np.ndarray:
-    """The code points of ``text``: one byte each when all are below 256,
-    else four big-endian bytes each; followed by one word (8 bytes) of
-    zeros, so a word can be read at any character.  A lone surrogate, which
-    a ``str`` given by a caller may hold, is a code point like any other."""
+    """The code points of ``text``, read-only: one byte each when all are
+    below 256, else four big-endian bytes each.  A text shorter than a word
+    (8 bytes) is followed by a word of zeros; a longer one is not copied to
+    pad it (see :meth:`_Fields.words`).  A lone surrogate, which a ``str``
+    given by a caller may hold, is a code point like any other."""
     try:
         data, dtype = text.encode("latin-1"), np.uint8
     except UnicodeEncodeError:
         data, dtype = text.encode("utf-32-be", "surrogatepass"), ">u4"
-    return np.frombuffer(data + bytes(8), dtype=dtype)
+    return np.frombuffer(data if len(data) >= 8 else data + bytes(8), dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,17 +392,18 @@ class _Fields:
         rows[np.arange(width) >= lengths[:, None]] = 0
         return rows.astype(np.uint32).view(f"U{width}").reshape(-1)
 
-    def words(self) -> tuple[np.ndarray, np.ndarray]:
+    def words(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Each field's characters packed big-endian into 64-bit words, the
         last one padded with zeros (at least one word per field, so the
         empty field is the word 0), and the index of each field's first
-        word followed by their number.  A field ends in a character other
-        than NUL (see :func:`_strip`), so two fields hold the same value
-        exactly when their words are equal, and their words compare as
-        their values do in code-point order."""
+        word followed by their number (``None`` when every field is one
+        word).  A field ends in a character other than NUL (see
+        :func:`_strip`), so two fields hold the same value exactly when
+        their words are equal, and their words compare as their values do
+        in code-point order."""
         size = self.chars.itemsize
         per = 8 // size
-        first, left, ptr = self.starts, self.ends - self.starts, np.arange(len(self) + 1)
+        first, left, ptr = self.starts, self.ends - self.starts, None
         if left.max(initial=0) > per:
             count = np.maximum(-(-left // per), 1)
             ptr = np.concatenate(([0], np.cumsum(count)))
@@ -407,10 +413,18 @@ class _Fields:
             left = np.repeat(self.ends, count)
             left -= first
             np.minimum(left, per, out=left)
-        # the word at each character, read from the bytes as they lie
-        at = np.ndarray((self.chars.size - per + 1,), ">u8", self.chars, strides=(size,))
-        words = at[first].astype(np.uint64)
-        words &= _MASKS[per][left]
+        # the word at each character, read from the bytes as they lie, in
+        # native byte order; a word starting less than a word from the end
+        # is read from the last one and shifted into place
+        last = self.chars.size - per
+        at = np.ndarray((last + 1,), ">u8", self.chars, strides=(size,))
+        index = np.minimum(first, last)
+        words = at[index]
+        words = words.byteswap(inplace=True).view(words.dtype.newbyteorder())
+        late = np.flatnonzero(first > last)
+        words[late] <<= ((first[late] - last) * (64 // per)).astype(np.uint64)
+        # each word's first `left` characters; the masks reuse the spent index
+        words &= np.take(_MASKS[per], left, out=index.view(np.uint64), mode="clip")
         return words, ptr
 
 
@@ -438,10 +452,20 @@ def _strip(fields: _Fields) -> _Fields:
     """``fields`` stripped as numpy 2 strips a ``str`` array: whitespace
     (as ``str.isspace`` tells it) from the left, whitespace and NUL from
     the right, one character of every field still holding one at a time;
-    only the fields with such a character at an edge are visited."""
-    chars, starts, ends = fields.chars, fields.starts.copy(), fields.ends.copy()
-    rows = np.flatnonzero((starts < ends) & (_stripped(chars[starts], _SPACE)
-                                             | _stripped(chars[ends - 1], _SPACE_OR_NUL)))
+    only the fields with such a character at an edge are visited, and
+    ``fields`` is returned as it is when there are none."""
+    chars, starts, ends = fields.chars, fields.starts, fields.ends
+    # each field's first and last characters less 33, in their unsigned
+    # type: the characters below 33 wrap past those from 0x85 up, and only
+    # these may be stripped (an empty field may start at the end of the text)
+    edge = chars.take(starts, mode="clip") - 33
+    np.maximum(edge, chars[ends - 1] - 33, out=edge)
+    rows = np.flatnonzero((edge >= 0x85 - 33) & (starts < ends))
+    rows = rows[_stripped(chars[starts[rows]], _SPACE)
+                | _stripped(chars[ends[rows] - 1], _SPACE_OR_NUL)]
+    if not rows.size:
+        return fields
+    starts, ends = starts.copy(), ends.copy()
     for edge, step, table in ((starts, 1, _SPACE), (ends, -1, _SPACE_OR_NUL)):
         todo = rows
         while todo.size:
@@ -456,21 +480,25 @@ def _split(text: str, width: int) -> _Fields | None:
     ``None`` unless each line holds exactly ``width`` fields (so no line is
     blank) and the text holds no quote, carriage return or NUL, the
     characters :mod:`csv` treats specially."""
-    size = len(text) - text.endswith("\n")
-    if not size or '"' in text or "\r" in text or "\x00" in text:
+    if not text.endswith("\n"):
+        text += "\n"
+    if len(text) == 1 or '"' in text or "\r" in text or "\x00" in text:
         return None
     chars = _chars(text)
-    body = chars[:size]
+    # each field ends at the tab or newline that follows it; another
+    # control character below the newline fails the check below, and such
+    # a text goes through csv
+    ends = np.flatnonzero(chars[:len(text)] <= 10)
+    if ends.size % width:
+        return None
     # row by row, the separators must read width - 1 tabs and a newline
-    # (the last line's newline appended)
-    at = np.flatnonzero((body == 9) | (body == 10))
-    separators = np.append(chars[at], 10)
-    if separators.size % width:
+    separators = chars[ends].reshape(-1, width)
+    if not ((separators[:, :-1] == 9).all() and (separators[:, -1] == 10).all()):
         return None
-    expected = np.array([9] * (width - 1) + [10], dtype=chars.dtype)
-    if not (separators.reshape(-1, width) == expected).all():
-        return None
-    return _Fields(chars, np.append(0, at + 1), np.append(at, size))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    return _Fields(chars, starts, ends)
 
 
 def _csv_rows(text: str, width: int
@@ -539,22 +567,26 @@ def _columns(fields: _Fields, columns: Sequence[str]) -> dict[str, _Fields]:
     return {name: fields[k::width] for k, name in enumerate(columns)}
 
 
-def _parse_dates(texts: np.ndarray) -> tuple[np.ndarray, tuple[int, ValueError] | None]:
+def _parse_dates(fields: _Fields) -> tuple[np.ndarray, tuple[int, ValueError] | None]:
     """:func:`parse_pub_date` of each field as ``datetime64[D]``, and the
     row and error of the first that does not parse (``None`` if all do).
 
     ``YYYY-MM-DD`` and ``YYYY`` in ASCII digits with a year of at least 1
-    are read as arrays; any other text (``0000``, ``20100105``, non-ASCII
-    digits, a day past the month's end) goes to :func:`parse_pub_date`.
+    are read as arrays, from the first ten characters of each field; any
+    other text (``0000``, ``20100105``, non-ASCII digits, a day past the
+    month's end) goes to :func:`parse_pub_date`.
     """
-    width = max(texts.dtype.itemsize // 4, 10)
-    chars = texts.astype(f"U{width}").view(np.uint32).reshape(texts.size, width)
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    d = chars[:, :10].astype(np.int64) - ord("0")
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    bare_year = digit[:, :4].all(axis=1) & ~chars[:, 4:].any(axis=1)
-    iso = (digit[:, [0, 1, 2, 3, 5, 6, 8, 9]].all(axis=1) & (chars[:, 4] == ord("-"))
-           & (chars[:, 7] == ord("-")) & ~chars[:, 10:].any(axis=1))
+    lengths = fields.ends - fields.starts
+    d = np.empty((len(fields), 10), dtype=np.int32)
+    for k in range(10):
+        d[:, k] = fields.chars.take(fields.starts + k, mode="clip")
+    d[np.arange(10) >= lengths[:, None]] = 0
+    d -= ord("0")
+    digit = (d >= 0) & (d <= 9)
+    year = d[:, 0].astype(np.int64) * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    bare_year = digit[:, :4].all(axis=1) & (lengths == 4)
+    iso = (digit[:, [0, 1, 2, 3, 5, 6, 8, 9]].all(axis=1) & (d[:, 4] == ord("-") - ord("0"))
+           & (d[:, 7] == ord("-") - ord("0")) & (lengths == 10))
     month = np.where(iso, d[:, 5] * 10 + d[:, 6], 1)
     day = np.where(iso, d[:, 8] * 10 + d[:, 9], 1)
     months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
@@ -564,7 +596,7 @@ def _parse_dates(texts: np.ndarray) -> tuple[np.ndarray, tuple[int, ValueError] 
              & (dates.astype("datetime64[M]") == months))
     for k in np.flatnonzero(~valid).tolist():
         try:
-            dates[k] = parse_pub_date(texts[k].item())
+            dates[k] = parse_pub_date(fields.text(k))
         except ValueError as exc:
             return dates, (k, exc)
     return dates, None
@@ -580,9 +612,7 @@ def _sort(words: np.ndarray, ptr: np.ndarray, rows: np.ndarray
     work follows the length of the prefixes that values share: a run
     whose fields have all ended holds one value and is not read again."""
     rows = rows[np.argsort(words[ptr[rows]])]
-    key = words[ptr[rows]]
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
+    new = _new(words[ptr[rows]])
     # the places still tied: at first all, then runs of several fields not all ended
     tied = np.arange(rows.size)
     for k in range(1, int((ptr[rows + 1] - ptr[rows]).max(initial=1))):
@@ -605,29 +635,45 @@ def _sort(words: np.ndarray, ptr: np.ndarray, rows: np.ndarray
     return rows, new
 
 
-def _words(parts: Sequence[_Fields]) -> tuple[np.ndarray, np.ndarray]:
+def _words(parts: Sequence[_Fields]) -> tuple[np.ndarray, np.ndarray | None]:
     """The :meth:`_Fields.words` of the fields of every part in turn, and
-    the index of each field's first word followed by their number; parts
-    of one- and four-byte characters are all read with four."""
+    the index of each field's first word followed by their number (``None``
+    when every field is one word); parts of one- and four-byte characters
+    are all read with four."""
     if len({part.chars.itemsize for part in parts}) > 1:
         parts = [_Fields(part.chars.astype(">u4"), part.starts, part.ends) for part in parts]
     words, ptrs = zip(*(part.words() for part in parts))
+    if all(p is None for p in ptrs):
+        return np.concatenate(words), None
     shift = np.cumsum([0, *(w.size for w in words)])
+    ptrs = [np.arange(w.size + 1) if p is None else p for p, w in zip(ptrs, words)]
     return (np.concatenate(words),
             np.concatenate([p[:-1] + s for p, s in zip(ptrs, shift)] + [shift[-1:]]))
 
 
-def _codes(words: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+def _new(key: np.ndarray) -> np.ndarray:
+    """Whether each value of the sorted ``key`` differs from the one before
+    it (the first always does)."""
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return new
+
+
+def _codes(words: np.ndarray, ptr: np.ndarray | None) -> np.ndarray:
     """The code of each field's value (0..K-1, in the values' code-point
     order, as ``sorted`` orders ``str`` values), from the fields' words
-    (see :func:`_words`): fields of at most one word are coded by that
-    word, longer ones by :func:`_sort`."""
-    n = ptr.size - 1
-    if words.size == n:
-        return np.unique(words, return_inverse=True)[1].reshape(-1)
-    rows, new = _sort(words, ptr, np.arange(n))
-    codes = np.empty(n, dtype=np.int64)
-    codes[rows] = np.cumsum(new) - 1
+    (see :func:`_words`): fields of one word each are sorted by it, longer
+    ones by :func:`_sort`."""
+    if ptr is None:
+        rows = words.argsort()
+        new = _new(words[rows])
+    else:
+        rows, new = _sort(words, ptr, np.arange(ptr.size - 1))
+    run = np.cumsum(new)
+    run -= 1
+    codes = np.empty(rows.size, dtype=np.int64)
+    codes[rows] = run
     return codes
 
 
@@ -761,12 +807,6 @@ class PaperTable:
         return self.codes["first_author"][0], self.codes["last_author"][0]
 
     @cached_property
-    def index_of(self) -> dict[str, int]:
-        """The row of each id (the last row holding it, if several do);
-        :func:`filter_citations` resolves ids without it."""
-        return dict(zip(self.ids.tolist(), range(self.n)))
-
-    @cached_property
     def window_floors(self) -> np.ndarray:
         return citation_window_floors(self.dates)
 
@@ -804,11 +844,10 @@ class PaperTable:
         codes, labels = self.codes[field]
         return codes, tuple(labels.tolist())
 
-    def _text(self, iso: bool = False) -> list[list]:
-        """Per column of :data:`PAPER_COLUMNS`, its values: dates as
-        ``date`` objects, or as ISO strings with ``iso``."""
-        dates = np.datetime_as_string(self.dates, unit="D") if iso else self.dates
-        return [self.ids.tolist(), dates.tolist(),
+    def _text(self) -> list[list]:
+        """Per column of :data:`PAPER_COLUMNS`, its values, dates as
+        ``date`` objects."""
+        return [self.ids.tolist(), self.dates.tolist(),
                 *(labels[codes].tolist() for codes, labels in self.codes.values())]
 
     @cached_property
@@ -838,7 +877,7 @@ def parse_papers(stream: TextIO) -> PaperTable:
     lines before it)."""
     fields, lines, error = _table(stream, PAPER_COLUMNS, "paper")
     values = _columns(fields, PAPER_COLUMNS)
-    dates, failed = _parse_dates(values["pub_date"].strings())
+    dates, failed = _parse_dates(values["pub_date"])
     columns, unknown = _encode(values.__getitem__, dates)
     stop = len(lines) if failed is None else failed[0]
     # only the rows with an unknown token are visited
@@ -980,12 +1019,14 @@ def filter_citations(
     if repeated.size:
         raise IngestError(f"duplicate paper id {table.ids[repeated[0]].item()!r}")
     rows = rows.reshape(-1, 2)
-    unknown = rows < 0
-    if unknown.any():
+    if rows.min(initial=0) < 0:
+        unknown = rows < 0
         k = int(np.argmax(unknown.any(axis=1)))
         u, v = tokens.text(2 * k), tokens.text(2 * k + 1)
         which, bad = ("citing", u) if unknown[k, 0] else ("cited", v)
         raise IngestError(f"citation ({u!r}, {v!r}): unknown {which} id {bad!r}")
+    # the ids' text is not read again: the filter need not hold it
+    del raw_edges, tokens
     return filter_edges(table, rows)
 
 
@@ -1006,25 +1047,32 @@ def filter_edges(table: PaperTable, edges: np.ndarray) -> CitationNetwork:
     """
     n = table.n
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    # one key i*N + j per raw pair, sorted by (i, j), each kept once
-    keys = np.sort(edges[:, 0] * n + edges[:, 1])
-    unique = keys[np.diff(keys, prepend=-1) != 0]
+    # one key i*N + j per raw pair, sorted by (i, j), each kept once; the
+    # keys are let go before the rules run
+    keys = edges[:, 0] * n
+    keys += edges[:, 1]
+    keys.sort()
+    unique = keys[_new(keys)]
+    duplicates = keys.size - unique.size
     citing, cited = np.divmod(unique, max(n, 1))
+    del keys, unique
     in_window = table.in_window(citing, cited)
     keep = table.citable(citing, cited)
-    kept = np.stack((citing[keep], cited[keep]), axis=1)
+    citing, cited = citing[keep], cited[keep]
     cites = np.zeros(n, dtype=bool)
-    cites[kept] = True
+    cites[citing] = True
+    cites[cited] = True
     survivors = np.flatnonzero(cites)
     counts = {
-        "duplicates": int(keys.size - unique.size),
+        "duplicates": duplicates,
         "out_of_window": int(np.count_nonzero(~in_window)),
-        "self_citations": int(np.count_nonzero(in_window & ~keep)),
+        "self_citations": int(np.count_nonzero(in_window) - citing.size),
         "isolated_papers": int(n - survivors.size),
-        "later_dated_kept": int(np.count_nonzero(
-            table.dates[kept[:, 1]] > table.dates[kept[:, 0]])),
+        "later_dated_kept": int(np.count_nonzero(table.dates[cited] > table.dates[citing])),
     }
-    net = CitationNetwork(*table._subset(survivors), (np.cumsum(cites) - 1)[kept], counts)
+    position = np.cumsum(cites) - 1
+    kept = np.stack((position[citing], position[cited]), axis=1)
+    net = CitationNetwork(*table._subset(survivors), kept, counts)
     # the survivors' floors are rows of the ones the rules just read
     vars(net)["window_floors"] = table.window_floors[survivors]
     return net
@@ -1077,25 +1125,52 @@ def _quoted(fields: Sequence[str], delimiter: str) -> Sequence[str]:
 
 
 def write_table(path: str | Path, header: Sequence[str],
-                columns: Iterable[Sequence[str]], delimiter: str = "\t") -> None:
-    """Write the ``header`` row and the rows of ``columns`` (one sequence
-    of ``str`` fields per column) as a :mod:`csv` writer with
-    ``delimiter`` and ``\n`` line ends writes them, a block of rows at a
-    time."""
-    rows = map(delimiter.join, zip(*(_quoted(c, delimiter) for c in columns)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(delimiter.join(_quoted(header, delimiter)) + "\n")
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            fh.write("\n".join(block) + "\n")
+                columns: Iterable[Sequence[str] | tuple[np.ndarray, Sequence[str]]],
+                delimiter: str = "\t") -> None:
+    """Write the ``header`` row and the rows of ``columns`` as a :mod:`csv`
+    writer with ``delimiter`` and ``\n`` line ends writes them.
+
+    A column is a sequence of ``str`` fields, one per row, or a pair
+    ``(codes, labels)``: an integer array holding a code per row, and the
+    ``str`` label of each code.  Each label, and each field of a plain
+    column, is quoted by :func:`_quoted` once.  The rows are then joined
+    :data:`_BLOCK_ROWS` at a time, a coded column's fields gathered from
+    its codes as references to its quoted labels, and each block is
+    encoded as UTF-8 and written: no ``str`` is built per field of a coded
+    column, and the text of the table is never held whole.
+    """
+    cells, coded = [], {}
+    for column in columns:
+        if isinstance(column, tuple) and len(column) == 2 and isinstance(column[0], np.ndarray):
+            codes, labels = column
+            # columns sharing their labels, as a table's two author columns
+            # do, quote them once
+            if id(labels) not in coded:
+                quoted = _quoted(np.asarray(labels, dtype=object), delimiter)
+                coded[id(labels)] = np.asarray(quoted, dtype=object)
+            cells.append((codes, coded[id(labels)]))
+        else:
+            cells.append((None, _quoted(column, delimiter)))
+    rows = min((len(quoted if codes is None else codes) for codes, quoted in cells), default=0)
+    with open(path, "wb") as fh:
+        fh.write((delimiter.join(_quoted(header, delimiter)) + "\n").encode())
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            block = [quoted[start:stop] if codes is None else quoted[codes[start:stop]].tolist()
+                     for codes, quoted in cells]
+            fh.write(("\n".join(map(delimiter.join, zip(*block))) + "\n").encode())
 
 
 def write_papers(table: PaperTable, path: str | Path) -> None:
     """Write the paper table (dates in ISO format), quoted as :mod:`csv`
-    quotes."""
-    write_table(path, PAPER_COLUMNS, table._text(iso=True))
+    quotes, from its codes: each distinct id, date and label is quoted once."""
+    dates, day = np.unique(table.dates, return_inverse=True)
+    write_table(path, PAPER_COLUMNS, (table.ids.tolist(),
+                                      (day.reshape(-1), np.datetime_as_string(dates, unit="D")),
+                                      *table.codes.values()))
 
 
 def write_citations(net: CitationNetwork, path: str | Path) -> None:
+    """Write the citation table from the edges; each id is quoted once."""
     ids = net.ids.tolist()
-    write_table(path, CITATION_COLUMNS,
-                (list(map(ids.__getitem__, end.tolist())) for end in net.edges.T))
+    write_table(path, CITATION_COLUMNS, ((net.edges[:, 0], ids), (net.edges[:, 1], ids)))

@@ -11,6 +11,12 @@ from citegap import (
 )
 
 
+def index_of(table):
+    """The row of each id of a paper table (the last row holding it, if
+    several do); the corpus resolves ids without such a dict."""
+    return dict(zip(table.ids.tolist(), range(table.n)))
+
+
 def make_paper(
     pid,
     pub_date,

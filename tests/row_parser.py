@@ -2,9 +2,10 @@
 
 The corpus layer once read each table row by row with :mod:`csv` into
 ``Paper`` records, resolved citation ids through a dict and wrote the
-archive paper by paper.  :func:`parse_papers`, :func:`parse_citations`,
-:func:`filter_rows` and :func:`write_papers` keep that path, written out
-per row and per edge, to check the columnar load against.
+archive paper by paper and edge by edge.  :func:`parse_papers`,
+:func:`parse_citations`, :func:`filter_rows`, :func:`write_papers` and
+:func:`write_citations` keep that path, written out per row and per edge,
+to check the columnar load and the archive writer against.
 """
 import csv
 import logging
@@ -140,3 +141,12 @@ def write_papers(papers, path):
                     p.last_author,
                 ]
             )
+
+
+def write_citations(papers, edges, path):
+    """The citation table of the (citing, cited) index pairs ``edges``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
+        writer.writerow(CITATION_COLUMNS)
+        for i, j in edges:
+            writer.writerow([papers[i].id, papers[j].id])

@@ -29,7 +29,7 @@ from citegap import (
 )
 from citegap.cli import main
 from citegap.refmodels import compute_model, expected_out, ks_distance, structural_report
-from conftest import build_toy4, build_toy_pd
+from conftest import build_toy4, build_toy_pd, index_of
 
 ATTRS = ("rank", "country", "topic")
 KNOWN = (
@@ -346,7 +346,7 @@ def test_criterion_09_hand_traced_fixtures():
     np.testing.assert_allclose(hd, [1.5, 1.5, 0.0, 0.0], atol=1e-12)
 
     toy_pd = build_toy_pd()
-    p1, p2 = toy_pd.index_of["P1"], toy_pd.index_of["P2"]
+    p1, p2 = index_of(toy_pd)["P1"], index_of(toy_pd)["P2"]
     hd_pd = homophilic_draws(toy_pd, ATTRS).c_bar
     exact = preferential_draws(toy_pd, ATTRS, exact=True).c_bar
     assert abs(hd_pd[p1] - 1.5) <= 1e-12 and abs(hd_pd[p2] - 0.5) <= 1e-12

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import citegap
+from citegap import cli
 from citegap.__main__ import BLAS_THREAD_ENV, run as cli_entry
 from citegap.cli import main
 
@@ -745,6 +746,35 @@ class TestDeterminism:
         second = pipeline()
         assert first == second
         assert len(first) > 10
+
+    def test_each_input_is_hashed_once_per_command(self, archive, tmp_path, monkeypatch):
+        # model.json's archive digests and the manifest read one record per
+        # input file
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(str(path)) or sha256(path))
+        model_dir = tmp_path / "pd"
+        archive_files = {"papers": archive / "papers.tsv", "citations": archive / "citations.tsv"}
+        model_files = {**archive_files, "c_bar": model_dir / "c_bar.tsv",
+                       "groups": model_dir / "groups.npz"}
+        commands = [
+            (("model", archive, model_dir, "--model", "pd"), model_dir, archive_files),
+            (("imbalance", archive, model_dir, tmp_path / "imb", "--bootstrap", "10"),
+             tmp_path / "imb", model_files),
+            (("rank", archive, tmp_path / "rank", "--model-artifact", model_dir),
+             tmp_path / "rank", model_files),
+            (("rank", archive, tmp_path / "observed"), tmp_path / "observed", archive_files),
+        ]
+        for argv, out, inputs in commands:
+            hashed.clear()
+            assert run(*argv) == 0
+            assert sorted(hashed) == sorted(map(str, inputs.values())), argv[0]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert {name: record["path"] for name, record in manifest["inputs"].items()} == {
+                name: str(path) for name, path in inputs.items()}
+        meta = json.loads((model_dir / "model.json").read_text())
+        assert meta["archive"] == {f"{name}_sha256": manifest["inputs"][name]["sha256"]
+                                   for name in archive_files}
 
 
 def test_pipeline_runs_with_scipy_blocked(tmp_path):

@@ -350,7 +350,7 @@ class TestFilterCitations:
 
 
 class TestIdResolution:
-    """Citation ids resolve through ``PaperTable.index_of``; the errors
+    """Citation ids resolve to the first paper holding them; the errors
     name the first offending paper or citation row."""
 
     @staticmethod

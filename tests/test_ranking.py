@@ -21,7 +21,7 @@ from citegap import (
     top_share,
 )
 from citegap.ranking import ranking_order, write_ranking_csv, write_share_csv
-from conftest import make_paper
+from conftest import index_of, make_paper
 
 MM, WW = GenderCategory.MM, GenderCategory.WW
 
@@ -69,9 +69,9 @@ class TestNormalizedScores:
         net = filter_citations(papers, [("C", "A"), ("C", "B")])
         scored = normalized_scores(np.array([4.0, 0.0, 1.0]), net)
         # A and B share (2010, S1) with mean 2; C is alone
-        assert scored[net.index_of["A"]] == pytest.approx(2.0)
-        assert scored[net.index_of["B"]] == pytest.approx(0.0)
-        assert scored[net.index_of["C"]] == pytest.approx(1.0)
+        assert scored[index_of(net)["A"]] == pytest.approx(2.0)
+        assert scored[index_of(net)["B"]] == pytest.approx(0.0)
+        assert scored[index_of(net)["C"]] == pytest.approx(1.0)
 
     def test_singleton_stratum_normalizes_to_one(self):
         net = two_paper_chain()

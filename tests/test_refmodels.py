@@ -47,7 +47,7 @@ from citegap.refmodels import (
     ks_distance,
     survival_points,
 )
-from conftest import build_toy_pd, make_paper
+from conftest import build_toy_pd, index_of, make_paper
 from explicit_tables import table_from_rows
 
 ATTRS = ("rank", "country", "topic")
@@ -55,7 +55,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def ids(net, *names):
-    return [net.index_of[name] for name in names]
+    rows = index_of(net)
+    return [rows[name] for name in names]
 
 
 def assert_group_invariants(net, ec: ExpectedCitations):
@@ -78,8 +79,8 @@ class TestEligibleSets:
         assert list(eligible_set_rd(toy4, p4)) == [p1, p2, p3]
 
     def test_author_sharing_candidate_excluded(self, toy_pd):
-        p3 = toy_pd.index_of["P3"]
-        p2 = toy_pd.index_of["P2"]
+        p3 = index_of(toy_pd)["P3"]
+        p2 = index_of(toy_pd)["P2"]
         assert p2 not in eligible_set_rd(toy_pd, p3)
 
     def test_same_date_papers_are_mutually_eligible(self):
@@ -89,7 +90,7 @@ class TestEligibleSets:
             make_paper("C", date(2011, 1, 1)),
         ]
         net = filter_citations(papers, [("C", "A"), ("C", "B")])
-        a, b = net.index_of["A"], net.index_of["B"]
+        a, b = index_of(net)["A"], index_of(net)["B"]
         assert b in eligible_set_rd(net, a)
         assert a in eligible_set_rd(net, b)
 
@@ -112,7 +113,7 @@ class TestEligibleSets:
             make_paper("B", date(2012, 1, 1), topic="T2"),
         ]
         net = filter_citations(papers, [("A", "B")])
-        a, b = net.index_of["A"], net.index_of["B"]
+        a, b = index_of(net)["A"], index_of(net)["B"]
         assert b not in eligible_set_rd(net, a)
         assert list(eligible_set_hd(net, a, b, ATTRS)) == [b]
 
@@ -134,14 +135,14 @@ class TestRandomDraws:
     def test_no_citations_no_group(self, toy4):
         ec = random_draws(toy4)
         citers = {g.citing for g in ec.groups}
-        assert toy4.index_of["P1"] not in citers
-        assert toy4.index_of["P2"] not in citers
+        assert index_of(toy4)["P1"] not in citers
+        assert index_of(toy4)["P2"] not in citers
 
     def test_singleton_eligible_set_forces_unit_mass(self):
         papers = [make_paper("A", date(2010, 1, 1)), make_paper("B", date(2011, 1, 1))]
         net = filter_citations(papers, [("B", "A")])
         ec = random_draws(net)
-        assert citation_probability(ec, net.index_of["B"], net.index_of["A"]) == 1.0
+        assert citation_probability(ec, index_of(net)["B"], index_of(net)["A"]) == 1.0
 
     def test_empty_eligible_set_raises(self):
         # the only citation goes to a later-dated paper, so the citer's
@@ -159,7 +160,7 @@ class TestHomophilicDraws:
         assert_group_invariants(toy4, ec)
 
     def test_same_member_set_citations_merge(self, toy4):
-        p4 = toy4.index_of["P4"]
+        p4 = index_of(toy4)["P4"]
         ec = homophilic_draws(toy4, ATTRS)
         p4_groups = [g for g in ec.groups if g.citing == p4]
         assert len(p4_groups) == 1
@@ -170,7 +171,7 @@ class TestHomophilicDraws:
 
     def test_singleton_group_gets_full_unit(self, toy_pd):
         ec = homophilic_draws(toy_pd, ATTRS)
-        p0 = toy_pd.index_of["P0"]
+        p0 = index_of(toy_pd)["P0"]
         assert ec.c_bar[p0] == pytest.approx(1.0)
 
     def test_empty_attribute_set_matches_rd_for_single_citation_citers(self, toy_pd):
@@ -632,7 +633,8 @@ def test_table_reductions_match_group_loops(seed, corpus, model, tmp_path):
     archive.mkdir()
     artifact.mkdir()
     cli._write_archive(net, archive)
-    cli._write_model_artifact(net, ec, archive, artifact, exact=model == "PD-exact",
+    inputs = cli._inputs(papers=archive / cli.PAPERS_FILE, citations=archive / cli.CITATIONS_FILE)
+    cli._write_model_artifact(net, ec, inputs, artifact, exact=model == "PD-exact",
                               count_tol=DEFAULT_COUNT_TOL)
     reloaded_net, loaded, _ = cli._load_inputs(archive, artifact)
     np.testing.assert_array_equal(reloaded_net.edges, net.edges)

@@ -29,6 +29,7 @@ from citegap import (
 from citegap.cli import main
 from citegap.corpus import KNOWN_CATEGORIES, Paper, citation_window_floor
 from citegap.synth import _choice, load_config
+from conftest import index_of
 import synth_oracle
 
 ATTRS = ("rank", "country", "topic")
@@ -88,7 +89,7 @@ class TestGenerateNetwork:
                 date_end=date(2000, 12, 31),
             )
             net = generate_network(cfg)
-            last = net.index_of.get("P25")
+            last = index_of(net).get("P25")
             if last is None or net.out_degree[last] == 0:
                 continue
             target_id = net.papers[int(net.out_targets[last][0])].id
@@ -224,19 +225,19 @@ class TestLoadConfig:
 class TestMonteCarloOracle:
     def test_rd_matches_hand_value_within_three_ses(self, toy4):
         est = monte_carlo_oracle(toy4, "RD", samples=100_000, seed=5)
-        p4, p3 = toy4.index_of["P4"], toy4.index_of["P3"]
+        p4, p3 = index_of(toy4)["P4"], index_of(toy4)["P3"]
         k, size = 2, 3  # P4 makes two draws over three eligible papers
         se = k * np.sqrt((1 / size) * (1 - 1 / size) / (est.samples * k))
         assert abs(est.w_mean[p4, p3] - 2 / 3) <= 3 * se
 
     def test_hd_expected_citations_within_three_ses(self, toy4):
         est = monte_carlo_oracle(toy4, "HD", ATTRS, samples=100_000, seed=5)
-        p1 = toy4.index_of["P1"]
+        p1 = index_of(toy4)["P1"]
         assert abs(est.c_mean[p1] - 1.5) <= 3 * max(est.c_se[p1], 1e-12)
 
     def test_singleton_group_frequency_is_exact(self, toy_pd):
         est = monte_carlo_oracle(toy_pd, "PD", ATTRS, samples=2_000, seed=5)
-        p3, p1 = toy_pd.index_of["P3"], toy_pd.index_of["P1"]
+        p3, p1 = index_of(toy_pd)["P3"], index_of(toy_pd)["P1"]
         assert est.w_mean[p3, p1] == 1.0
 
     def test_pd_is_deterministic_on_the_contrast_fixture(self, toy_pd):
