@@ -2,13 +2,22 @@
 
 Archives and model artifacts are plain directories of the documented
 text formats plus a manifest, so every intermediate stays inspectable.
-The one binary file is a model artifact's group table, ``groups.npz``
-(numpy's uncompressed array archive, read with ``numpy.load``): ``model``
-computes the table once, with its structural report, and ``imbalance``
-and ``rank`` load it instead of recomputing it.  Its format and checks
-belong to :mod:`citegap.refmodels` (``write_groups``, ``read_groups``);
-this module owns the artifact's file names, ``model.json`` (its schema
-and archive digests) and the check of ``c_bar.tsv``.  Every command is a
+Two files are binary, numpy's uncompressed array archives (read with
+``numpy.load``), each written once and loaded by the later commands:
+
+* an archive's ``network.npz``, the network parsed from its tables with
+  their digests: ``model``, ``imbalance`` and ``rank`` load it instead of
+  parsing the tables when it holds the digests the tables have now, and
+  read the tables otherwise (after one warning when it cannot be read);
+  its format and checks belong to :mod:`citegap.corpus`
+  (``write_network``, ``read_network``);
+* a model artifact's group table, ``groups.npz``: ``model`` computes the
+  table once, with its structural report, and ``imbalance`` and ``rank``
+  load it instead of recomputing it; its format and checks belong to
+  :mod:`citegap.refmodels` (``write_groups``, ``read_groups``).
+
+This module owns the file names, ``model.json`` (its schema and archive
+digests) and the check of ``c_bar.tsv``.  Every command is a
 pure function of its inputs, flags, and seed; reruns produce identical
 outputs (manifests stamp SOURCE_DATE_EPOCH when set, wall-clock time
 otherwise).
@@ -37,8 +46,11 @@ from .corpus import (
     CitationNetwork,
     ConferenceRank,
     GenderCategory,
+    NetworkFileError,
     load_network,
+    read_network,
     write_citations,
+    write_network,
     write_papers,
     write_table,
 )
@@ -89,6 +101,7 @@ MANIFEST_FILE = "manifest.json"
 CBAR_FILE = "c_bar.tsv"
 MODEL_META_FILE = "model.json"
 GROUPS_FILE = "groups.npz"
+NETWORK_FILE = "network.npz"
 
 
 class CliError(Exception):
@@ -150,14 +163,30 @@ def _out_dir(args: argparse.Namespace, out: str) -> Path:
     return path
 
 
-def _load_archive(path: str | Path) -> CitationNetwork:
-    archive = Path(path)
-    papers = archive / PAPERS_FILE
-    citations = archive / CITATIONS_FILE
-    for p in (papers, citations):
+def _archive_inputs(archive: Path) -> dict[str, dict[str, str]]:
+    """The :func:`_inputs` records of the archive's tables, which must exist."""
+    tables = {"papers": archive / PAPERS_FILE, "citations": archive / CITATIONS_FILE}
+    for p in tables.values():
         if not p.is_file():
             raise CliError(f"archive {archive} is missing {p.name}")
-    return load_network(papers, citations)
+    return _inputs(**tables)
+
+
+def _load_archive(archive: Path, inputs: dict[str, dict[str, str]]) -> CitationNetwork:
+    """The archive's network: the one its ``network.npz`` stores when that
+    was stored for the tables the records ``inputs`` (of
+    :func:`_archive_inputs`) digest, else the tables parsed.  A
+    ``network.npz`` that cannot be read draws a warning."""
+    if (archive / NETWORK_FILE).is_file():
+        try:
+            net = read_network(archive / NETWORK_FILE, inputs["papers"]["sha256"],
+                               inputs["citations"]["sha256"])
+        except NetworkFileError as exc:
+            log.warning("%s; reading the tables instead", exc)
+        else:
+            if net is not None:
+                return net
+    return load_network(archive / PAPERS_FILE, archive / CITATIONS_FILE)
 
 
 def _load_inputs(archive: Path, artifact: Path | None = None
@@ -165,8 +194,8 @@ def _load_inputs(archive: Path, artifact: Path | None = None
     """The archive's network, the model artifact's expectations if an
     artifact is given, and the records of the files both were read from
     (manifest inputs, see :func:`_inputs`)."""
-    net = _load_archive(archive)
-    inputs = _inputs(papers=archive / PAPERS_FILE, citations=archive / CITATIONS_FILE)
+    inputs = _archive_inputs(archive)
+    net = _load_archive(archive, inputs)
     if artifact is None:
         return net, None, inputs
     ec = _load_model_artifact(inputs, artifact, net)
@@ -190,8 +219,12 @@ def _network_summary(net: CitationNetwork) -> dict[str, object]:
 
 def _write_archive(net: CitationNetwork, out: Path,
                    **extra: object) -> dict[str, object]:
+    """Write the archive's tables, ``network.npz`` (the network parsed
+    from them, with their digests) and ``summary.json``."""
     write_papers(net, out / PAPERS_FILE)
     write_citations(net, out / CITATIONS_FILE)
+    write_network(net, out / NETWORK_FILE, _sha256(out / PAPERS_FILE),
+                  _sha256(out / CITATIONS_FILE))
     summary = {**_network_summary(net), **extra}
     with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

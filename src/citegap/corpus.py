@@ -24,6 +24,9 @@ table is written by :func:`write_table`, as :mod:`csv` writes it, with
 one quoting rule (:func:`_quoted`): a column is given as its fields or
 as codes and labels, each label is quoted once, and the archive's rows
 are gathered from the network's codes and edges a block at a time.
+An archive also stores the network parsed from its tables
+(:func:`write_network`), which :func:`read_network` loads and filters
+again without parsing the text, when the tables' digests still match.
 ``Paper`` records remain where a record is the API
 (:mod:`citegap.synth`, record matching) and as
 :attr:`PaperTable.papers`, a view built on first use.
@@ -48,14 +51,18 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import lzma
+import zipfile
+import zlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -714,10 +721,18 @@ _RANK_TOKENS = np.array([r.value for r in RANK_ORDER])
 _PRESENT_LABELS = ("rank", "country", "topic", "subfield")
 
 
-def _present(codes: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``codes`` renumbered over the labels that occur, in label order."""
-    used, inverse = np.unique(codes, return_inverse=True)
-    return inverse.reshape(-1), labels[used]
+def _present(labels: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each column's codes renumbered over the labels some column holds,
+    then those labels, in label order; all returned as they are when
+    every label is held."""
+    used = np.zeros(len(labels), dtype=bool)
+    for codes in columns:
+        used[codes] = True
+    if used.all():
+        return (*columns, labels)
+    position = np.cumsum(used)
+    position -= 1
+    return (*(position[codes] for codes in columns), labels[used])
 
 
 def _encode(column: Callable[[str], _Fields], dates: np.ndarray
@@ -731,7 +746,7 @@ def _encode(column: Callable[[str], _Fields], dates: np.ndarray
                                         GENDER_CODE[GenderCategory.UNKNOWN])
     rank, known_rank = _token_codes(column("rank"), _Fields.of_array(_RANK_TOKENS),
                                     RANK_ORDER.index(ConferenceRank.UNRANKED))
-    codes = {"gender": (gender, _GENDER_TOKENS), "rank": _present(rank, _RANK_TOKENS)}
+    codes = {"gender": (gender, _GENDER_TOKENS), "rank": _present(_RANK_TOKENS, rank)}
     for name in ("country", "topic", "subfield"):
         codes[name] = _labelled(column(name))
     # one vocabulary for both roles, so the author rule compares codes
@@ -816,20 +831,23 @@ class PaperTable:
         paper."""
         return self.dates[cited] >= self.window_floors[citing]
 
-    def citable(self, citing, cited=slice(None)) -> np.ndarray:
-        """Whether ``citing`` may cite ``cited`` under the corpus rules.
-
-        ``cited`` must be :meth:`in_window`, and not both of its first and
-        last authors may be among ``citing``'s first/last authors (the
-        self-citation rule; a paper never cites itself, as a special
-        case).  Later-dated papers pass.  Index arrays broadcast; the
-        default ``cited`` is every paper.
-        """
+    def self_cites(self, citing, cited=slice(None)) -> np.ndarray:
+        """Whether both the first and the last author of ``cited`` are
+        among ``citing``'s first/last authors (the self-citation rule,
+        which holds for a paper and itself).  Index arrays broadcast, as in
+        :meth:`in_window`."""
         firsts, lasts = self.author_codes
         fi, li = firsts[citing], lasts[citing]
         fj, lj = firsts[cited], lasts[cited]
-        shared = ((fj == fi) | (fj == li)) & ((lj == fi) | (lj == li))
-        return self.in_window(citing, cited) & ~shared
+        return ((fj == fi) | (fj == li)) & ((lj == fi) | (lj == li))
+
+    def citable(self, citing, cited=slice(None)) -> np.ndarray:
+        """Whether ``citing`` may cite ``cited`` under the corpus rules:
+        ``cited`` is :meth:`in_window` and not :meth:`self_cites`.
+        Later-dated papers pass.  Index arrays broadcast; the default
+        ``cited`` is every paper.
+        """
+        return self.in_window(citing, cited) & ~self.self_cites(citing, cited)
 
     def attribute_codes(self, field: str) -> tuple[np.ndarray, tuple[str, ...]]:
         """Per-paper integer codes for one of :data:`SELECTABLE_FIELDS`, and
@@ -865,7 +883,7 @@ class PaperTable:
         narrowed to the values they hold."""
         codes = {}
         for name, (column, labels) in self.codes.items():
-            codes[name] = (_present(column[rows], labels) if name in _PRESENT_LABELS
+            codes[name] = (_present(labels, column[rows]) if name in _PRESENT_LABELS
                            else (column[rows], labels))
         return self.ids[rows], self.dates[rows], codes
 
@@ -1056,8 +1074,9 @@ def filter_edges(table: PaperTable, edges: np.ndarray) -> CitationNetwork:
     duplicates = keys.size - unique.size
     citing, cited = np.divmod(unique, max(n, 1))
     del keys, unique
+    # the two rules of citable, each evaluated once
     in_window = table.in_window(citing, cited)
-    keep = table.citable(citing, cited)
+    keep = in_window & ~table.self_cites(citing, cited)
     citing, cited = citing[keep], cited[keep]
     cites = np.zeros(n, dtype=bool)
     cites[citing] = True
@@ -1174,3 +1193,156 @@ def write_citations(net: CitationNetwork, path: str | Path) -> None:
     """Write the citation table from the edges; each id is quoted once."""
     ids = net.ids.tolist()
     write_table(path, CITATION_COLUMNS, ((net.edges[:, 0], ids), (net.edges[:, 1], ids)))
+
+
+# ---------------------------------------------------------------------------
+# array archives, and the parsed network stored in one beside its tables
+
+#: what reading a damaged array archive raises: numpy's errors for a bad
+#: entry and zipfile's for a bad archive, an unsupported, encrypted or
+#: corrupt compressed entry
+ARCHIVE_ERRORS = (OSError, EOFError, KeyError, ValueError, MemoryError, NotImplementedError,
+                  RuntimeError, zipfile.BadZipFile, zlib.error, lzma.LZMAError)
+
+
+@contextmanager
+def open_arrays(path: str | Path) -> Iterator[np.lib.npyio.NpzFile]:
+    """The array archive at ``path``, for reading with pickles refused.
+    Raises one of :data:`ARCHIVE_ERRORS` if it is not one."""
+    # np.load leaks its own handle when a zip turns out to be broken, and
+    # takes a file that is neither a zip nor an .npy for a pickle
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise ValueError("not an .npz archive")
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as npz:
+            yield npz
+
+
+def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """Store ``arrays`` at ``path`` as numpy's uncompressed array archive,
+    one ``<name>.npy`` entry each, every entry with the same fixed date,
+    so the bytes depend on the arrays alone."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+#: the format number of the networks :func:`write_network` stores
+NETWORK_FORMAT = 1
+#: the columns a paper table holds as codes and labels
+_CODED_COLUMNS = PAPER_COLUMNS[2:]
+#: the name of each coded column's labels in a stored network: the two
+#: author columns share one vocabulary
+_LABELS = {name: "author" if name.endswith("_author") else name for name in _CODED_COLUMNS}
+#: columns labelled with fixed tokens, not with their values as read
+_TOKEN_LABELS = ("gender", "rank")
+#: the dates a paper table can hold: those of years 1 to 9999
+_DATE_RANGE = (np.datetime64("0001-01-01"), np.datetime64("9999-12-31"))
+
+
+class NetworkFileError(ValueError):
+    """A stored network that cannot be read or fails a structural check;
+    the message names the file."""
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """A ``str`` array as wide as its longest value (at least one
+    character), as the load builds one (:meth:`_Fields.strings`); returned
+    as it is when it is."""
+    width = values.itemsize // 4
+    chars = np.ascontiguousarray(values).view(np.uint32).reshape(values.size, width)
+    held = np.flatnonzero(chars.any(axis=0))
+    fit = int(held[-1]) + 1 if held.size else 1
+    return values if fit == width else values.astype(f"U{fit}")
+
+
+def write_network(net: CitationNetwork, path: str | Path, papers_sha256: str,
+                  citations_sha256: str) -> None:
+    """Store ``net`` at ``path`` as :func:`read_papers` and
+    :func:`read_citations` parse the tables that :func:`write_papers` and
+    :func:`write_citations` write of it, whose SHA-256 digests are given:
+    the paper columns, labels narrowed to the values present and each
+    ``str`` array as wide as its longest value, and the citations as pairs
+    of paper rows, not yet filtered (:func:`read_network` filters them).
+    Codes and rows are stored as int32 when they fit."""
+    dtype = np.int32 if net.n <= np.iinfo(np.int32).max else np.int64
+    arrays = {"format": np.array(NETWORK_FORMAT),
+              "papers_sha256": np.array(papers_sha256),
+              "citations_sha256": np.array(citations_sha256),
+              "ids": _narrow(net.ids), "dates": net.dates}
+    columns = dict(net.codes)
+    first, last, vocabulary = _present(columns["first_author"][1], *net.author_codes)
+    columns.update(first_author=(first, vocabulary), last_author=(last, vocabulary))
+    for name, (codes, labels) in columns.items():
+        if name in _PRESENT_LABELS:
+            codes, labels = _present(labels, codes)
+        arrays[f"{name}_codes"] = codes.astype(dtype)
+        arrays[f"{_LABELS[name]}_labels"] = labels if name in _TOKEN_LABELS else _narrow(labels)
+    arrays["edges"] = net.edges.astype(dtype)
+    write_arrays(path, arrays)
+
+
+def read_network(path: str | Path, papers_sha256: str, citations_sha256: str
+                 ) -> CitationNetwork | None:
+    """The network :func:`write_network` stored at ``path``, run through
+    :func:`filter_edges` as :func:`load_network` runs the parsed tables,
+    or ``None`` if it was stored for tables with other SHA-256 digests
+    than those given.
+
+    Raises :class:`NetworkFileError`, naming ``path``, if the file is not
+    a readable array archive of :data:`NETWORK_FORMAT`, or fails a
+    structural check: 1-D native ``str`` ids and labels, one native
+    ``datetime64[D]`` date of the years 1 to 9999 per paper, one integer
+    code per paper inside its labels' range, every gender category and
+    only ranks in prestige order as labels, and citations as (M, 2)
+    integer rows in ``[0, N)``.
+    """
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise NetworkFileError(f"{path}: {what}")
+
+    def text(a: np.ndarray) -> str | None:
+        return a.item() if a.shape == () and a.dtype.kind == "U" else None
+
+    names = ("ids", "dates", "edges", *(f"{name}_codes" for name in _CODED_COLUMNS),
+             *dict.fromkeys(f"{name}_labels" for name in _LABELS.values()))
+    try:
+        with open_arrays(path) as npz:
+            form = npz["format"]
+            known = form.shape == () and form.dtype.kind == "i" and form == NETWORK_FORMAT
+            fresh = known and (text(npz["papers_sha256"]), text(npz["citations_sha256"])
+                               ) == (papers_sha256, citations_sha256)
+            stored = {name: npz[name] for name in names} if fresh else None
+    except ARCHIVE_ERRORS as exc:
+        raise NetworkFileError(f"{path} is not a readable network: {exc}") from exc
+    found = repr(form.item()) if form.size == 1 else f"an array of shape {form.shape}"
+    check(known, f"format {found}, not {NETWORK_FORMAT}: the file was written by another "
+                 "citegap version")
+    if stored is None:
+        return None
+    ids, dates, edges = stored["ids"], stored["dates"], stored["edges"]
+    n = ids.size
+    codes = [stored[f"{name}_codes"] for name in _CODED_COLUMNS]
+    labels = [stored[f"{_LABELS[name]}_labels"] for name in _CODED_COLUMNS]
+    check(all(a.ndim == 1 and a.dtype.kind == "U" and a.dtype.isnative for a in (ids, *labels)),
+          "ids and labels must be 1-D native str arrays")
+    check(dates.shape == (n,) and dates.dtype == np.dtype("datetime64[D]")
+          and bool(((dates >= _DATE_RANGE[0]) & (dates <= _DATE_RANGE[1])).all()),
+          "dates must hold one native datetime64[D] date of the years 1 to 9999 per paper")
+    check(all(c.shape == (n,) and c.dtype.kind == "i"
+              and (c.min(initial=0) >= 0) and c.max(initial=-1) < len(l)
+              for c, l in zip(codes, labels)),
+          "each column must hold one integer code per paper, inside its labels' range")
+    check(labels[0].dtype == _GENDER_TOKENS.dtype and np.array_equal(labels[0], _GENDER_TOKENS),
+          "gender must be labelled with every category")
+    rank = np.flatnonzero(np.isin(_RANK_TOKENS, labels[1]))
+    check(labels[1].dtype == _RANK_TOKENS.dtype and np.array_equal(_RANK_TOKENS[rank], labels[1]),
+          "ranks must be labelled in prestige order")
+    check(edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind == "i"
+          and edges.min(initial=0) >= 0 and edges.max(initial=-1) < n,
+          f"citations must be (M, 2) integer rows below {n}")
+    table = PaperTable(ids, dates, {name: (c.astype(np.int64, copy=False), l)
+                                    for name, c, l in zip(_CODED_COLUMNS, codes, labels)})
+    return filter_edges(table, edges)

@@ -62,7 +62,6 @@ and :func:`read_groups` reads it back, checked against its network.
 from __future__ import annotations
 
 import os
-import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -70,10 +69,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import (
+    ARCHIVE_ERRORS,
     ATTRIBUTE_ORDER,
     GENDER_CODE,
     CitationNetwork,
     canonical_attributes,
+    open_arrays,
+    write_arrays,
 )
 
 #: default tolerance when comparing running expected counts in PD
@@ -435,12 +437,8 @@ def write_groups(ec: ExpectedCitations, path: str | os.PathLike) -> None:
     uncompressed array archive, each zip entry with the same fixed date,
     so the bytes depend on the arrays alone; without intervals the
     :data:`INTERVAL_ARRAYS`, all zeros, are left out."""
-    with zipfile.ZipFile(path, "w") as zf:
-        for name in TABLE_ARRAYS:
-            if name in INTERVAL_ARRAYS and not ec.intervals:
-                continue
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, getattr(ec, name), allow_pickle=False)
+    write_arrays(path, {name: getattr(ec, name) for name in TABLE_ARRAYS
+                        if ec.intervals or name not in INTERVAL_ARRAYS})
 
 
 def read_groups(path: str | os.PathLike, net: CitationNetwork, model: str,
@@ -452,16 +450,11 @@ def read_groups(path: str | os.PathLike, net: CitationNetwork, model: str,
     does not."""
     order, categories = eligibility_index(net, attributes)
     try:
-        # np.load leaks its own handle when a zip turns out to be broken
-        with open(path, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with npz:
-                intervals = not set(INTERVAL_ARRAYS).isdisjoint(npz.files)
-                stored = {name: npz[name] for name in TABLE_ARRAYS
-                          if intervals or name not in INTERVAL_ARRAYS}
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        with open_arrays(path) as npz:
+            intervals = not set(INTERVAL_ARRAYS).isdisjoint(npz.files)
+            stored = {name: npz[name] for name in TABLE_ARRAYS
+                      if intervals or name not in INTERVAL_ARRAYS}
+    except ARCHIVE_ERRORS as exc:
         raise ModelError(f"{path} is not a readable group table: {exc}") from exc
     # a 0-d citing has a size too, and fails the 1-D check below
     groups = stored["citing"].size

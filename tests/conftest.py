@@ -1,3 +1,5 @@
+import struct
+import zipfile
 from datetime import date
 
 import pytest
@@ -15,6 +17,18 @@ def index_of(table):
     """The row of each id of a paper table (the last row holding it, if
     several do); the corpus resolves ids without such a dict."""
     return dict(zip(table.ids.tolist(), range(table.n)))
+
+
+def unsupported_compression(path):
+    """Mark every entry of the zip archive at ``path``, in its central
+    directory, as compressed by a method zipfile does not know (99)."""
+    with zipfile.ZipFile(path) as zf:
+        at, count = zf.start_dir, len(zf.infolist())
+    data = bytearray(path.read_bytes())
+    for _ in range(count):
+        data[at + 10:at + 12] = (99).to_bytes(2, "little")
+        at += 46 + sum(struct.unpack("<HHH", data[at + 28:at + 34]))
+    path.write_bytes(bytes(data))
 
 
 def make_paper(

@@ -17,6 +17,7 @@ import citegap
 from citegap import cli
 from citegap.__main__ import BLAS_THREAD_ENV, run as cli_entry
 from citegap.cli import main
+from conftest import unsupported_compression
 
 TOY4_PAPERS = """id\tpub_date\tgender\trank\tcountry\ttopic\tsubfield\tfirst_author\tlast_author
 P1\t2010-01-01\tMM\tA*\tUS\tT1\tS1\ta1\ta2
@@ -108,7 +109,8 @@ class TestIngest:
         papers, citations = toy_inputs
         run("ingest", papers, citations, tmp_path / "archive")
         names = {p.name for p in (tmp_path / "archive").iterdir()}
-        assert names == {"papers.tsv", "citations.tsv", "summary.json", "manifest.json"}
+        assert names == {"papers.tsv", "citations.tsv", "network.npz", "summary.json",
+                         "manifest.json"}
 
     def test_empty_network_errors(self, tmp_path, capsys):
         papers = tmp_path / "papers.tsv"
@@ -483,6 +485,7 @@ class TestImbalance:
          "exclusions must be strictly increasing"),
         ("pd", lambda path: add_interval(path, 0, 1), "outside their group's interval"),
         ("rd", lambda path: drop_array(path, "lo"), "not a readable group table"),
+        ("pd", unsupported_compression, "compression method is not supported"),
         ("rd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
         ("pd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
         ("rd", lambda path: rewrite_meta(path.with_name("model.json"), intervals=1),
@@ -497,7 +500,8 @@ class TestImbalance:
             "member-moved", "group-count-mismatch", "interval-past-end",
             "interval-reversed", "interval-across-categories", "interval-moved",
             "excluded-ptr-short", "exclusion-outside-interval", "exclusion-twice",
-            "member-inside-interval", "interval-array-missing", "citing-0-d",
+            "member-inside-interval", "interval-array-missing", "unknown-compression",
+            "citing-0-d",
             "citing-0-d-no-intervals", "interval-count-mismatch",
             "exclusion-count-mismatch", "stored-count-mismatch", *OVERSIZED_IDS])
     def test_tampered_groups_rejected(self, archive, tmp_path, capsys,

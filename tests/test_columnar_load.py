@@ -315,7 +315,7 @@ def test_archive_load_builds_no_paper(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Paper, "__init__", counting_init)
-    loaded = cli._load_archive(archive)
+    loaded, _, _ = cli._load_inputs(archive)
     # the raw tables of the csv path build none either
     network(*tables(0, messy=True))
     assert built == []

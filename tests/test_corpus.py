@@ -12,6 +12,7 @@ from citegap import (
     ConferenceRank,
     GenderCategory,
     IngestError,
+    PaperTable,
     ParseError,
     PublicationRecord,
     category_key,
@@ -327,6 +328,18 @@ class TestFilterCitations:
         }
         assert [p.id for p in net.papers] == ["A", "C", "LATER"]
         assert net.edges.tolist() == [[0, 2], [1, 0]]
+
+    def test_window_rule_evaluated_once(self, monkeypatch):
+        calls = []
+        in_window = PaperTable.in_window
+
+        def counting(self, *args):
+            calls.append(args)
+            return in_window(self, *args)
+
+        monkeypatch.setattr(PaperTable, "in_window", counting)
+        self.test_filter_counts_one_per_rule()
+        assert len(calls) == 1
 
     def test_degree_identity(self, toy4):
         assert toy4.out_degree.sum() == toy4.in_degree.sum() == toy4.m
