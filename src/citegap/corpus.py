@@ -1317,7 +1317,8 @@ def read_network(path: str | Path, papers_sha256: str, citations_sha256: str
             stored = {name: npz[name] for name in names} if fresh else None
     except ARCHIVE_ERRORS as exc:
         raise NetworkFileError(f"{path} is not a readable network: {exc}") from exc
-    found = repr(form.item()) if form.size == 1 else f"an array of shape {form.shape}"
+    found = (repr(form.item()) if form.shape == () and form.dtype.kind == "i"
+             else f"a {form.dtype} array of shape {form.shape}")
     check(known, f"format {found}, not {NETWORK_FORMAT}: the file was written by another "
                  "citegap version")
     if stored is None:

@@ -50,11 +50,11 @@ operator) with :meth:`ExpectedCitations.spread`, and ``W`` times a
 category indicator (gender expectations, pairwise counts) with
 :meth:`ExpectedCitations.category_sums`.  Each reads the intervals
 without their exclusions, and the explicit parts; on a table with
-intervals ``spread`` sums exactly, so papers held by the same groups get
-the same expected count.  The package needs numpy only; the tests check
-the tables against the explicit member lists RD and HD once stored, PD
-against a per-citer mask path, and the reductions against
-``scipy.sparse``.
+intervals ``spread`` sums exactly, by a difference array over the index,
+so papers held by the same groups get the same expected count.  The
+package needs numpy only; the tests check the tables against the
+explicit member lists RD and HD once stored, PD against a per-citer
+mask path, and the reductions against ``scipy.sparse``.
 
 This module also owns the stored table: :func:`write_groups` writes it
 and :func:`read_groups` reads it back, checked against its network.
@@ -99,9 +99,9 @@ GROUPS_FORMAT = 2
 #: the sizes of a table, as :attr:`ExpectedCitations.table_counts` names them
 TABLE_COUNTS = ("groups", "member_entries", "intervals", "exclusions", "stored_entries")
 
-#: the fixed point of the exact sums of ``spread``: limbs of 30 bits, so a
-#: prefix sum of up to 2^32 of them fits in int64, and five of them, 150
-#: bits below the largest mass
+#: the fixed point of the exact sums of ``spread``: five limbs of 30 bits,
+#: 150 bits below the largest mass; a float sum of fewer than 2^23 of
+#: them stays below 2^53, so it is exact
 _LIMB_BITS, _LIMBS = 30, 5
 
 
@@ -208,66 +208,43 @@ class ExpectedCitations:
         """``W.T @ y``: per paper, the sum of ``weight[g] * y[g]`` over the
         groups g it is a member of.  A table without intervals adds in
         table order; one with intervals sums exactly (:meth:`_exact_spread`),
-        so for ``y >= 0`` a paper no group holds gets exactly 0, none gets
-        a negative sum, and papers held by the same groups get equal sums."""
+        in O(G + E + M' + N) per call with nothing cached per table.  So for
+        ``y >= 0`` a paper no group holds gets exactly 0, none gets a
+        negative sum, and papers held by the same groups get equal sums."""
         mass = self.weight * y
         if self.intervals:
             return self._exact_spread(mass)
         return _spread(self.indptr, self.indices, mass, self.n_papers)
 
-    @cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The members as runs of consecutive positions in ``order``: each
-        interval cut at its exclusions, and each explicit member a run of
-        one.  Returns the group of each run in order of its start and in
-        order of its end, and per position how many runs start at or
-        before it and how many end at or before it."""
-        groups, n_excluded = len(self.citing), np.diff(self.excluded_ptr)
-        first = np.arange(groups) + self.excluded_ptr[:-1]
-        # exclusion x of group g ends run g + x and starts the next one
-        cut = np.repeat(np.arange(groups), n_excluded) + np.arange(self.excluded.size)
-        start = np.empty(groups + self.excluded.size, dtype=np.int64)
-        end = np.empty_like(start)
-        start[first] = self.lo
-        end[first + n_excluded] = self.hi
-        end[cut] = self.excluded
-        start[cut + 1] = self.excluded + 1
-        group = np.repeat(np.arange(groups), n_excluded + 1)
-        keep = start < end
-        single = self._position[self.indices]
-        start = np.concatenate((start[keep], single))
-        end = np.concatenate((end[keep], single + 1))
-        group = np.concatenate((group[keep], np.repeat(np.arange(groups),
-                                                       np.diff(self.indptr))))
-        by_start, by_end = np.argsort(start, kind="stable"), np.argsort(end, kind="stable")
-        position = np.arange(self.n_papers)
-        return (group[by_start], group[by_end],
-                np.searchsorted(start[by_start], position, side="right"),
-                np.searchsorted(end[by_end], position, side="right"))
-
     def _exact_spread(self, mass: np.ndarray) -> np.ndarray:
         """Per paper, the sum of ``mass[g]`` over the groups g that hold
-        it, summed exactly in fixed point over :attr:`_runs` and then
-        rounded.  Each mass is cut into ``_LIMBS`` integer limbs of
-        ``_LIMB_BITS`` bits at one scale by :func:`fixed_point_limbs`
-        (bits below 2^-150 of the largest mass are dropped).  A
-        position's sum of one limb is the prefix sum of that limb over
-        the runs started at or before it less the one over the runs
-        ended there: exact in int64, and exact as a float while fewer
-        than 2^23 runs hold the paper.  The limb sums are added into a
-        float from the top limb down, so the result depends on the
-        groups holding a paper, not on their order, and is within four
-        roundings of the true sum.
-        O(R log R + N) per table and O(G + R + N) per call, for R runs."""
-        by_start, by_end, started, ended = self._runs
+        it, summed exactly in fixed point and then rounded.  Each mass is
+        cut into ``_LIMBS`` integer limbs of ``_LIMB_BITS`` bits at one
+        scale by :func:`fixed_point_limbs` (bits below 2^-150 of the
+        largest mass are dropped).  A position's sum of one limb is the
+        prefix sum over the positions of the limbs of the intervals
+        starting less those ending there, less the limbs of the groups
+        excluding it, plus those of the groups holding it explicitly; every
+        partial sum is an integer below 2^53, so exact, while fewer than
+        2^23 groups start, end, exclude or explicitly hold a member at one
+        position, or cover it.  The limb sums are added into a float from
+        the top limb down, so the result depends on the groups holding a
+        paper, not on their order, and is within four roundings of the
+        true sum.  O(G + E + M' + N) per call, for E exclusions and M'
+        explicit members."""
+        n = self.n_papers
+        n_excluded, n_explicit = np.diff(self.excluded_ptr), np.diff(self.indptr)
+        explicit = self._position[self.indices]
         sign = np.sign(mass)
-        total = np.zeros(self.n_papers)
+        total = np.zeros(n)
         for limb, exponent in fixed_point_limbs(np.abs(mass), _LIMB_BITS, _LIMBS):
-            limb = (sign * limb).astype(np.int64)
-            limb_sum = (np.concatenate(([0], np.cumsum(limb[by_start])))[started]
-                        - np.concatenate(([0], np.cumsum(limb[by_end])))[ended])
-            total += np.ldexp(limb_sum.astype(np.float64), exponent)
-        out = np.empty(self.n_papers)
+            limb = sign * limb
+            limb_sum = np.cumsum(np.bincount(self.lo, limb, minlength=n + 1)
+                                 - np.bincount(self.hi, limb, minlength=n + 1))[:n]
+            limb_sum -= np.bincount(self.excluded, np.repeat(limb, n_excluded), minlength=n)
+            limb_sum += np.bincount(explicit, np.repeat(limb, n_explicit), minlength=n)
+            total += np.ldexp(limb_sum, exponent)
+        out = np.empty(n)
         out[self.order] = total
         return out
 

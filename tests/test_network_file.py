@@ -313,6 +313,9 @@ BROKEN = {
     "no digest": rewrite(papers_sha256=None),
     "format 2": rewrite(format=lambda a: np.array(NETWORK_FORMAT + 1)),
     "format as text": rewrite(format=lambda a: np.array("1")),
+    "format in 1-D": rewrite(format=lambda a: np.array([NETWORK_FORMAT])),
+    "format as uint8": rewrite(format=lambda a: np.array(NETWORK_FORMAT, np.uint8)),
+    "format as float": rewrite(format=lambda a: np.array(float(NETWORK_FORMAT))),
     "dates as integers": rewrite(dates=lambda a: a.astype(np.int64)),
     "NaT date": rewrite(dates=set_first(np.datetime64("NaT"))),
     "ids as integers": rewrite(ids=lambda a: np.arange(a.size)),
@@ -340,5 +343,9 @@ def test_broken_file_draws_one_warning(mutation, archive, tmp_path, caplog):
     cli._load_inputs(archive)
     found = warnings(caplog)
     assert len(found) == 1 and str(path) in found[0] and "reading the tables" in found[0]
+    # a stored 1 that is not a 0-d signed integer is named by its dtype and
+    # shape, not as the very format it fails to be
+    for value in (NETWORK_FORMAT, float(NETWORK_FORMAT)):
+        assert f"format {value}, not {NETWORK_FORMAT}" not in found[0]
     assert outputs(tmp_path, archive, "broken") == expected
 
