@@ -9,24 +9,25 @@ both the observed counts and the expectations.
 
 A selection (:class:`PaperFilter`) is a boolean mask over the network's
 attribute codes (:meth:`CitationNetwork.attribute_codes`); strata are
-the labels of the rank or subfield codes.  The per-group gender member
-counts are one pass over the model's group table and the bootstrap
-draws are made once per report; every selection and stratum shares both.
+the labels of the rank or subfield codes.  A report is one
+:func:`bootstrap_ci` call: one mask per filter, one pass over the
+model's group table for the per-group gender member counts, and one fold
+per selection, whose sums are the point estimates; every selection and
+stratum shares the table pass and the bootstrap draws.
 
-The bootstrap folds each selection into rows over the N papers, built
-once per report: per citer, its observed citations into each category
-and its expected ones, the latter cut into integer limbs.  The
-multiplicities of a block of ``_BLOCK`` resamples take one product with
-the rows of every selection, exact in float64, so the CIs do not depend
-on the BLAS, its threads or the block size, and the memory beyond the
-rows is one ``_BLOCK x N`` block.
+The bootstrap turns each fold into rows over the N papers: per citer,
+its observed citations into each category and its expected ones, the
+latter cut into integer limbs.  The multiplicities of a block of
+``_BLOCK`` resamples take one product with the rows of every selection,
+exact in float64, so the CIs do not depend on the BLAS, its threads or
+the block size, and the memory beyond the rows is one ``_BLOCK x N``
+block.  With no resamples it builds no rows and draws nothing.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -113,10 +114,8 @@ def observed_by_gender(
     target's gender category.  The UNKNOWN entry is the separate tally of
     citations whose target category is unknown."""
     keep = from_filter.mask(net)[net.edges[:, 0]] & to_filter.mask(net)[net.edges[:, 1]]
-    counts = np.bincount(
-        net.gender_codes[net.edges[keep, 1]], minlength=len(GenderCategory)
-    )
-    return {g: int(counts[k]) for k, g in enumerate(GenderCategory)}
+    counts = np.bincount(net.gender_codes[net.edges[keep, 1]], minlength=len(GenderCategory))
+    return dict(zip(GenderCategory, counts.tolist()))
 
 
 def expected_by_gender(
@@ -134,11 +133,7 @@ def expected_by_gender(
     UNKNOWN entry reports the mass falling on UNKNOWN-gender members for
     the same citations.
     """
-    ec.check_network(net)
-    _, m_to, counts, sizes = _counted_groups(net, ec, from_filter.mask(net),
-                                             to_filter.mask(net))
-    totals = (m_to[:, None] * counts / sizes[:, None]).sum(axis=0)
-    return {g: float(totals[k]) for k, g in enumerate(GenderCategory)}
+    return bootstrap_ci(net, ec, from_filter, [to_filter], 0)[0].expected
 
 
 def over_under(n_obs: float, n_expected: float) -> float | None:
@@ -149,43 +144,28 @@ def over_under(n_obs: float, n_expected: float) -> float | None:
     return (n_obs - n_expected) / n_expected
 
 
-@lru_cache(maxsize=1)
-def _gender_counts(net: CitationNetwork, ec: ExpectedCitations) -> np.ndarray:
-    """Per group, its member count in each gender category: one pass over
-    the table, kept for the last (network, model) pair, whose every
-    selection and stratum reads it (both objects are immutable)."""
-    size = len(GenderCategory)
-    # a count is at most N, which the dtype of the table's positions holds
-    counts = np.concatenate([np.zeros((0, size), ec.lo.dtype)] + [
-        sums for _, _, sums in ec.category_sums(net.gender_codes, size)
-    ], dtype=ec.lo.dtype)
-    counts.setflags(write=False)
-    return counts
-
-
-def _counted_groups(
-    net: CitationNetwork,
-    ec: ExpectedCitations,
-    from_mask: np.ndarray,
-    to_mask: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The groups with a citer in the from-set and citations to known-gender
-    papers in the to-set: their citers, those citation counts, their
-    member counts per gender category, and their sizes."""
+def _fold(net: CitationNetwork, ec: ExpectedCitations, counts: np.ndarray,
+          from_mask: np.ndarray, to_mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One selection, folded once: per gender category, its observed and
+    expected citations; and per known category and paper, the paper's
+    citations, as a citer in the from-set, into the category's papers of
+    the to-set, then its expected ones.  Each group with a citer in the
+    from-set expects, per category, its citations to known-gender papers
+    of the to-set x the category's share of its members (``counts`` holds
+    their count per group and category), summed in table order."""
+    n, k, size = net.n, len(KNOWN_CATEGORIES), len(GenderCategory)
+    citers, cited = net.edges[:, 0], net.edges[:, 1]
+    keep = from_mask[citers] & to_mask[cited]
+    observed = np.bincount(net.gender_codes[cited[keep]] * n + citers[keep],
+                           minlength=size * n).reshape(size, n)
     known = net.gender_codes != _UNKNOWN
     counted = np.concatenate(([0], np.cumsum(to_mask[ec.targets] & known[ec.targets])))
     m_to = counted[ec.target_ptr[1:]] - counted[ec.target_ptr[:-1]]
     keep = from_mask[ec.citing] & (m_to > 0)
-    return ec.citing[keep], m_to[keep], _gender_counts(net, ec)[keep], ec.sizes[keep]
-
-
-def _expected_by_citer(net: CitationNetwork, ec: ExpectedCitations,
-                       from_mask: np.ndarray, to_mask: np.ndarray) -> np.ndarray:
-    """Per known category and paper, the expected citations of the paper,
-    as a citer in the from-set, into the category's papers of the to-set."""
-    citing, m_to, counts, sizes = _counted_groups(net, ec, from_mask, to_mask)
-    return np.stack([np.bincount(citing, m_to * counts[:, c] / sizes, minlength=net.n)
-                     for c in range(len(KNOWN_CATEGORIES))])
+    expected, citing = m_to[keep, None] * counts[keep] / ec.sizes[keep, None], ec.citing[keep]
+    rows = np.vstack([observed[:k], *(np.bincount(citing, expected[:, c], minlength=n)
+                                      for c in range(k))])
+    return observed.sum(axis=1), expected.sum(axis=0), rows
 
 
 def _limb_count(values: np.ndarray, bits: int) -> int:
@@ -202,12 +182,15 @@ def _limb_count(values: np.ndarray, bits: int) -> int:
 
 class BootstrapCIs(dict):
     """:func:`bootstrap_ci`'s CI (or None) per known category, with
-    ``defined``: per category, how many resamples gave it a value."""
+    ``defined``: per category, how many resamples gave it a value; and the
+    point estimates ``observed`` and ``expected`` per gender category, as
+    :func:`observed_by_gender` and :func:`expected_by_gender` give them."""
 
     def __init__(self, cis: dict[GenderCategory, tuple[float, float] | None],
-                 defined: dict[GenderCategory, int]) -> None:
+                 defined: dict[GenderCategory, int], observed: dict[GenderCategory, int],
+                 expected: dict[GenderCategory, float]) -> None:
         super().__init__(cis)
-        self.defined = defined
+        self.defined, self.observed, self.expected = defined, observed, expected
 
 
 def _percentiles(values: np.ndarray, q: Sequence[float]) -> np.ndarray:
@@ -242,7 +225,13 @@ def bootstrap_ci(
     seed: int = 0,
 ) -> list[BootstrapCIs]:
     """95% percentile bootstrap CI of over/under-citation per category,
-    one result per to-selection.
+    with the point estimates, one result per to-selection.
+
+    Each filter's mask is evaluated once, and each selection folded once
+    (:func:`_fold`); a result's ``observed`` and ``expected`` are the
+    sums of its fold, the expected ones over the groups in table order.
+    With ``resamples=0`` the call ends there: every CI is None and
+    ``defined`` is 0.
 
     Each resample draws N papers with replacement; a paper drawn m times
     contributes its outgoing citations and its group fractions m times.
@@ -253,11 +242,11 @@ def bootstrap_ci(
     defined resamples remain.  A result's ``defined`` counts, per
     category, the defined resamples.
 
-    Each selection is folded into rows over the N papers: per citer, its
-    observed citations into each category, and its expected citations
-    of each category cut into integer limbs at one scale of the
-    selection, as many as drop no bit (:func:`fixed_point_limbs`).  A
-    limb holds ``53 - N.bit_length()`` bits, so its dot product with a
+    The bootstrap reads each fold as rows over the N papers: per citer,
+    its observed citations into each category, and its expected
+    citations of each category cut into integer limbs at one scale of
+    the selection, as many as drop no bit (:func:`fixed_point_limbs`).
+    A limb holds ``53 - N.bit_length()`` bits, so its dot product with a
     resample's multiplicities, which sum to N, is exact in float64.  The
     multiplicities of ``_BLOCK`` resamples fill a ``_BLOCK x N`` block,
     and one product of every selection's rows with the block gives their
@@ -268,39 +257,60 @@ def bootstrap_ci(
     its threads or the block size, and the memory beyond the rows,
     ``k (1 + limbs)`` of them per selection, is the block's.
     """
-    if resamples < 2:
-        raise ValueError("resamples must be at least 2")
+    if resamples < 0 or resamples == 1:
+        raise ValueError(f"resamples must be 0 (no CIs) or at least 2, got {resamples}")
     ec.check_network(net)
+    masks = {f: f.mask(net) for f in dict.fromkeys((from_filter, *to_filters))}
+    # per group, its member count in each category: one pass over the
+    # table; a count is at most N, which the dtype of its positions holds
+    size = len(GenderCategory)
+    counts = np.concatenate([np.zeros((0, size), ec.lo.dtype)] + [
+        sums for _, _, sums in ec.category_sums(net.gender_codes, size)], dtype=ec.lo.dtype)
+    points, rows = [], []
+    for f in to_filters:
+        *point, selection = _fold(net, ec, counts, masks[from_filter], masks[f])
+        points.append(point)
+        rows.append(selection)
+    results = []
+    for (observed, expected), values in zip(points, _resampled(net, rows, resamples, seed)):
+        columns = [column[~np.isnan(column)] for column in values.T]
+        cis = [tuple(_percentiles(c, (2.5, 97.5)).tolist()) if c.size >= 2 else None
+               for c in columns]
+        results.append(BootstrapCIs(dict(zip(KNOWN_CATEGORIES, cis)),
+                                    dict(zip(KNOWN_CATEGORIES, [c.size for c in columns])),
+                                    dict(zip(GenderCategory, observed.tolist())),
+                                    dict(zip(GenderCategory, expected.tolist()))))
+    return results
+
+
+def _resampled(net: CitationNetwork, folded: list[np.ndarray], resamples: int,
+               seed: int) -> np.ndarray:
+    """Per selection, resample and known category, the over/under-citation
+    of the resample (NaN where undefined), from the rows :func:`_fold`
+    gives each selection, which leave ``folded`` once in the table."""
     n, k = net.n, len(KNOWN_CATEGORIES)
-    fm = from_filter.mask(net)
-    known = net.gender_codes != _UNKNOWN
-    citers, cited = net.edges[:, 0], net.edges[:, 1]
+    values = np.full((len(folded), resamples, k), np.nan)
+    if not resamples:
+        return values
     bits = 53 - n.bit_length()
+    # per selection, how many limbs cut its expected rows
+    limbs = [_limb_count(selection[k:], bits) for selection in folded]
 
-    # per selection, the expected citations of each citer into each
-    # category, and how many limbs cut them
-    masks = [to_filter.mask(net) for to_filter in to_filters]
-    by_citer = [_expected_by_citer(net, ec, fm, tm) for tm in masks]
-    limbs = [_limb_count(rows, bits) for rows in by_citer]
-
-    # the table: per selection, its observed rows, then its limbs' rows,
-    # each selection's expected rows let go once cut; layout holds a
-    # selection's first row and its limbs' exponents
-    table = np.empty((k * (len(masks) + sum(limbs)), n))
+    # the table: per selection, its observed rows, then its limbs' rows;
+    # layout holds a selection's first row and its limbs' exponents
+    table = np.empty((k * (len(folded) + sum(limbs)), n))
     layout, row = [], 0
-    for tm, count in zip(masks, limbs):
+    for count in limbs:
+        selection = folded.pop(0)
         rows = table[row:row + k * (1 + count)].reshape(1 + count, k, n)
-        keep = fm[citers] & tm[cited] & known[cited]
-        rows[0] = np.bincount(net.gender_codes[cited[keep]] * n + citers[keep],
-                              minlength=k * n).reshape(k, n)
+        rows[0] = selection[:k]
         exponents = []
-        for limb, exponent in fixed_point_limbs(by_citer.pop(0), bits, count):
+        for limb, exponent in fixed_point_limbs(selection[k:], bits, count):
             rows[1 + len(exponents)] = limb
             exponents.append(exponent)
         layout.append((row, exponents))
         row += k * (1 + count)
 
-    values = np.full((len(layout), resamples, k), np.nan)
     block = np.empty((_BLOCK, n))
     panel = max(1, _PANEL_WORK // (len(table) * _BLOCK))
     sequence = np.random.SeedSequence(seed)
@@ -322,15 +332,7 @@ def bootstrap_ci(
             ratio = np.full((k, size), np.nan)
             np.divide(observed - expected, expected, out=ratio, where=expected > 0)
             values[s, start:start + size] = ratio.T
-
-    results = []
-    for block in values:
-        columns = [column[~np.isnan(column)] for column in block.T]
-        cis = [tuple(_percentiles(c, (2.5, 97.5)).tolist()) if c.size >= 2 else None
-               for c in columns]
-        results.append(BootstrapCIs(dict(zip(KNOWN_CATEGORIES, cis)),
-                                    dict(zip(KNOWN_CATEGORIES, [c.size for c in columns]))))
-    return results
+    return values
 
 
 @dataclass(frozen=True)
@@ -396,21 +398,16 @@ def _reports(net: CitationNetwork, ec: ExpectedCitations, from_filter: PaperFilt
              to_filters: Sequence[PaperFilter], strata: Sequence[str | None],
              resamples: int, seed: int) -> list[ImbalanceReport]:
     """The reports of every to-selection, each labelled with its stratum,
-    from one bootstrap over all of them."""
-    if resamples:
-        cis = bootstrap_ci(net, ec, from_filter, to_filters, resamples, seed)
-    else:
-        none = dict.fromkeys(KNOWN_CATEGORIES)
-        cis = [BootstrapCIs(none, dict.fromkeys(KNOWN_CATEGORIES, 0))] * len(to_filters)
+    from one :func:`bootstrap_ci` call over all of them."""
     reports = []
+    cis = bootstrap_ci(net, ec, from_filter, to_filters, resamples, seed)
     for to_filter, stratum, ci in zip(to_filters, strata, cis):
-        observed = observed_by_gender(net, from_filter, to_filter)
-        expected = expected_by_gender(net, ec, from_filter, to_filter)
         for g in KNOWN_CATEGORIES:
             low, high = ci[g] or (None, None)
+            n_obs, n_expected = ci.observed[g], ci.expected[g]
             reports.append(ImbalanceReport(
-                gender=g, n_obs=observed[g], n_expected=expected[g],
-                over_under=over_under(observed[g], expected[g]), ci_low=low, ci_high=high,
+                gender=g, n_obs=n_obs, n_expected=n_expected,
+                over_under=over_under(n_obs, n_expected), ci_low=low, ci_high=high,
                 model=ec.model, from_filter=from_filter.description,
                 to_filter=to_filter.description, stratum=stratum,
                 resamples_defined=ci.defined[g]))

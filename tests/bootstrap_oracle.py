@@ -4,17 +4,31 @@
 selection, took two products with them: the per-citer observed counts
 (built with ``np.add.at``) and the member fractions of the counted groups
 times the drawn citers' citation counts.  :func:`per_resample_bootstrap`
-is that loop; :func:`assert_matches_oracle` checks a blocked result
-against it.
+is that loop, over the groups :func:`counted_groups` finds one by one;
+:func:`assert_matches_oracle` checks a blocked result against it.
 """
 import numpy as np
 
-from citegap.corpus import KNOWN_CATEGORIES
-from citegap.imbalance import _UNKNOWN, ALL_PAPERS, _counted_groups
+from citegap.corpus import KNOWN_CATEGORIES, GenderCategory
+from citegap.imbalance import _UNKNOWN, ALL_PAPERS
 
 #: largest error of a CI bound against the oracle: relative, or absolute
 #: when the bound's magnitude is below 1
 TOL = 1e-12
+
+
+def counted_groups(net, ec, from_mask, to_mask):
+    """The groups with a citer in the from-set and citations to
+    known-gender papers in the to-set, found by a loop over the table's
+    groups: their citers, those citation counts, and their member counts
+    per gender category."""
+    counted = (to_mask & (net.gender_codes != _UNKNOWN)).tolist()
+    size = len(GenderCategory)
+    rows = [(g.citing, m_to, np.bincount(net.gender_codes[g.members], minlength=size))
+            for g in ec.groups
+            if from_mask[g.citing] and (m_to := sum(counted[t] for t in g.targets))]
+    citing, m_to, counts = zip(*rows) if rows else ((), (), ())
+    return np.array(citing, np.int64), np.array(m_to, np.int64), np.reshape(counts, (-1, size))
 
 
 def per_resample_bootstrap(net, ec, from_filter=ALL_PAPERS, to_filters=(ALL_PAPERS,),
@@ -33,8 +47,8 @@ def per_resample_bootstrap(net, ec, from_filter=ALL_PAPERS, to_filters=(ALL_PAPE
         keep = fm[citers] & tm[cited] & known[cited]
         obs = np.zeros((k, net.n))
         np.add.at(obs, (net.gender_codes[cited[keep]], citers[keep]), 1.0)
-        citing, m_to, counts, sizes = _counted_groups(net, ec, fm, tm)
-        selections.append((obs, citing, m_to, (counts[:, :k] / sizes[:, None]).T))
+        citing, m_to, counts = counted_groups(net, ec, fm, tm)
+        selections.append((obs, citing, m_to, (counts[:, :k] / counts.sum(axis=1)[:, None]).T))
 
     values = np.full((len(selections), resamples, k), np.nan)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):

@@ -1,9 +1,11 @@
 """The blocked bootstrap against the per-resample loop it replaced
 (``bootstrap_oracle``), on synth and year-only rawgen corpora, for every
-model and selection the CLI runs; its independence from the block and
-panel sizes; the exactness of the fixed-point limbs its expectations
+model and selection the CLI runs; the point estimates, which do not
+depend on the resamples; its independence from the block and panel
+sizes; the exactness of the fixed-point limbs its expectations
 are cut into; and its percentiles against ``np.percentile``."""
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -11,9 +13,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from citegap import SynthConfig, bootstrap_ci, compute_model, generate_network, load_network
+from citegap import (
+    SynthConfig,
+    bootstrap_ci,
+    compute_model,
+    expected_by_gender,
+    generate_network,
+    imbalance_report,
+    load_network,
+    observed_by_gender,
+    stratified_imbalance,
+)
 from citegap import imbalance
-from citegap.imbalance import ALL_PAPERS, PaperFilter, _limb_count, _percentiles
+from citegap.imbalance import (
+    ALL_PAPERS,
+    STRATIFIERS,
+    PaperFilter,
+    _limb_count,
+    _percentiles,
+)
 from citegap.refmodels import fixed_point_limbs
 from bootstrap_oracle import assert_matches_oracle, per_resample_bootstrap
 
@@ -54,12 +72,15 @@ def model(net, name):
 
 
 def selection(net, name):
-    """The from-filter and to-filters of a plain, a ``--from gender=WW``
-    and a ``--stratify rank|subfield`` report."""
+    """The from-filter and to-filters of a plain, a ``--from gender=WW``,
+    a ``--from gender=WW --to rank=A`` and a ``--stratify rank|subfield``
+    report."""
     if name == "plain":
         return ALL_PAPERS, [ALL_PAPERS]
     if name == "from-ww":
         return PaperFilter.parse("gender=WW"), [ALL_PAPERS]
+    if name == "from-to":
+        return PaperFilter.parse("gender=WW"), [PaperFilter.parse("rank=A")]
     strata = net.attribute_codes(name)[1]
     return ALL_PAPERS, [PaperFilter(f"{name}={value}", ((name, value),)) for value in strata]
 
@@ -74,6 +95,36 @@ def test_matches_per_resample_oracle(corpus, model_name, chosen, seed):
     assert any(ci is not None for result in results for ci in result.values())
     assert_matches_oracle(results, per_resample_bootstrap(corpus, ec, from_filter, to_filters,
                                                           resamples=200, seed=seed))
+
+
+@lru_cache(maxsize=None)
+def synth(seed):
+    return generate_network(SynthConfig(n_papers=300, seed=seed))
+
+
+@pytest.mark.parametrize("chosen", ["plain", "from-to", "rank", "subfield"])
+@pytest.mark.parametrize("model_name", ["rd", "hd-rank", "pd"])
+def test_point_estimates_do_not_depend_on_the_bootstrap(model_name, chosen):
+    # the point estimates are the sums of the fold the bootstrap reads:
+    # with no resamples nothing is drawn, and every field but the CIs and
+    # the defined resamples stays; they are the counts and expectations
+    # of each selection taken alone
+    net = synth(1)
+    ec = model(net, model_name)
+    from_filter, to_filters = selection(net, chosen)
+
+    def reports(resamples):
+        if chosen in STRATIFIERS:
+            return stratified_imbalance(net, ec, chosen, resamples, seed=5)
+        return imbalance_report(net, ec, from_filter, to_filters[0], resamples, seed=5)
+
+    drawn, none = reports(20), reports(0)
+    assert any(r.ci_low is not None for r in drawn)
+    assert none == [replace(r, ci_low=None, ci_high=None, resamples_defined=0) for r in drawn]
+    for r in none:
+        to_filter = PaperFilter.parse(r.to_filter)
+        assert r.n_obs == observed_by_gender(net, from_filter, to_filter)[r.gender]
+        assert r.n_expected == expected_by_gender(net, ec, from_filter, to_filter)[r.gender]
 
 
 @pytest.mark.parametrize("model_name", ["rd", "pd"])

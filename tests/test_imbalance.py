@@ -1,6 +1,8 @@
 import csv
+import gc
 import json
 import warnings
+import weakref
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -194,8 +196,16 @@ class TestBootstrap:
         assert cis.defined == {MM: 30, MW: 0, WM: 0, WW: 30}
 
     def test_requires_two_resamples(self, toy4):
-        with pytest.raises(ValueError):
-            bootstrap_ci(toy4, random_draws(toy4), resamples=1, seed=0)
+        # or none: then no CI is drawn, and the point estimates remain
+        ec = random_draws(toy4)
+        for resamples in (1, -1):
+            with pytest.raises(ValueError, match="0 \\(no CIs\\) or at least 2"):
+                bootstrap_ci(toy4, ec, resamples=resamples, seed=0)
+        (none,) = bootstrap_ci(toy4, ec, resamples=0)
+        assert none == dict.fromkeys((MM, MW, WM, WW))
+        assert none.defined == dict.fromkeys((MM, MW, WM, WW), 0)
+        assert none.observed == observed_by_gender(toy4)
+        assert none.expected == expected_by_gender(toy4, ec)
 
 
 class TestImbalanceReport:
@@ -219,6 +229,21 @@ class TestImbalanceReport:
         )
         assert all(r.status == "undefined" for r in reports)
         assert all(r.over_under is None for r in reports)
+
+    @pytest.mark.parametrize("field", [None, "rank"])
+    @pytest.mark.parametrize("resamples", [0, 20])
+    def test_nothing_kept_after_the_call(self, field, resamples):
+        # no module-level state holds the network or the model table
+        net = generate_network(SynthConfig(n_papers=120, seed=2))
+        ec = random_draws(net)
+        if field is None:
+            imbalance_report(net, ec, resamples=resamples)
+        else:
+            stratified_imbalance(net, ec, field, resamples=resamples)
+        refs = weakref.ref(net), weakref.ref(ec)
+        del net, ec
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 def _biased_rank_network():
@@ -288,25 +313,41 @@ class TestStratified:
             stratified_imbalance(toy4, random_draws(toy4), "venue")
 
     def test_one_table_pass_for_every_stratum(self, monkeypatch):
-        # every stratum and bootstrap of one (network, model) pair reads the
-        # same per-group gender counts; another model needs its own pass
+        # every stratum and bootstrap of one call reads the same per-group
+        # gender counts, and each filter's mask once; another call makes
+        # its own pass
         net = _biased_rank_network()
-        passes = []
-        category_sums = ExpectedCitations.category_sums
+        passes, masks = [], []
+        category_sums, mask = ExpectedCitations.category_sums, PaperFilter.mask
 
         def counted(self, *args, **kwargs):
             passes.append(self.model)
             return category_sums(self, *args, **kwargs)
 
+        def evaluated(self, net):
+            masks.append(self.description)
+            return mask(self, net)
+
         monkeypatch.setattr(ExpectedCitations, "category_sums", counted)
+        monkeypatch.setattr(PaperFilter, "mask", evaluated)
         reports = stratified_imbalance(net, random_draws(net), "rank",
                                        resamples=20)
         assert [r.stratum for r in reports[::4]] == ["A*", "B"]
         assert all(r.ci_low is not None for r in reports if r.gender in (MM, WW))
         assert passes == ["RD"]
+        assert masks == ["all", "rank=A*", "rank=B"]
         stratified_imbalance(net, homophilic_draws(net, ("rank",)), "rank",
                              resamples=20)
         assert passes == ["RD", "HD"]
+        for to, resamples in (("all", 0), ("all", 20), ("rank=A*", 20)):
+            masks.clear()
+            imbalance_report(net, random_draws(net), PaperFilter.parse("gender=WW"),
+                             PaperFilter.parse(to), resamples)
+            assert masks == ["gender=WW", to]
+        masks.clear()
+        imbalance_report(net, random_draws(net), resamples=20)
+        assert masks == ["all"]
+        assert passes == ["RD", "HD", "RD", "RD", "RD", "RD"]
 
     @pytest.mark.parametrize("field", ["rank", "subfield"])
     def test_strata_equal_plain_reports(self, field):

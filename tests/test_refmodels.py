@@ -29,7 +29,8 @@ from citegap import (
     structural_report,
 )
 from citegap import cli, refmodels
-from citegap.imbalance import ALL_PAPERS, PaperFilter, _counted_groups
+from citegap.corpus import KNOWN_CATEGORIES
+from citegap.imbalance import ALL_PAPERS, PaperFilter, _fold
 from citegap.ranking import (
     DEFAULT_ALPHA,
     DEFAULT_EPS,
@@ -47,6 +48,7 @@ from citegap.refmodels import (
     ks_distance,
     survival_points,
 )
+from bootstrap_oracle import counted_groups
 from conftest import build_toy_pd, index_of, make_paper
 from explicit_tables import table_from_rows
 
@@ -711,14 +713,22 @@ def assert_reductions_match_scipy(net, ec):
     assert_equal(ec.spread(y), W.T @ y)
 
     # member counts per gender: the mass W puts on a category over weight
+    size = len(GenderCategory)
+    counts = np.concatenate([sums for _, _, sums in ec.category_sums(net.gender_codes, size)])
+    mass = (W @ onehot(net.gender_codes, size)).toarray()
+    np.testing.assert_array_equal(counts, np.rint(mass / ec.weight[:, None]))
+    np.testing.assert_array_equal(ec.sizes, W.getnnz(axis=1))
+    # what imbalance folds of the whole network: the expectations of the
+    # groups counted in a loop over them, summed in table order and per
+    # citer
     everything = np.ones(net.n, dtype=bool)
-    citing, m_to, counts, sizes = _counted_groups(net, ec, everything, everything)
-    mass = (W @ onehot(net.gender_codes, len(GenderCategory))).toarray()
-    known = net.gender_codes != list(GenderCategory).index(GenderCategory.UNKNOWN)
-    keep = np.add.reduceat(known[ec.targets], ec.target_ptr[:-1]) > 0
-    np.testing.assert_array_equal(counts, np.rint(mass / ec.weight[:, None])[keep])
-    np.testing.assert_array_equal(sizes, W.getnnz(axis=1)[keep])
-    np.testing.assert_array_equal(citing, ec.citing[keep])
+    citing, m_to, member_counts = counted_groups(net, ec, everything, everything)
+    by_group = m_to[:, None] * member_counts / member_counts.sum(axis=1)[:, None]
+    _, expected, rows = _fold(net, ec, counts, everything, everything)
+    np.testing.assert_array_equal(expected, by_group.sum(axis=0))
+    k = len(KNOWN_CATEGORIES)
+    np.testing.assert_array_equal(
+        rows[k:], [np.bincount(citing, by_group[:, c], minlength=net.n) for c in range(k)])
 
     report = structural_report(net, ec)
     for attribute, pairs in report.pairwise.items():
