@@ -290,7 +290,7 @@ def _resampled(net: CitationNetwork, folded: list[np.ndarray], resamples: int,
     gives each selection, which leave ``folded`` once in the table."""
     n, k = net.n, len(KNOWN_CATEGORIES)
     values = np.full((len(folded), resamples, k), np.nan)
-    if not resamples:
+    if not (resamples and folded):
         return values
     bits = 53 - n.bit_length()
     # per selection, how many limbs cut its expected rows

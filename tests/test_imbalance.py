@@ -207,6 +207,10 @@ class TestBootstrap:
         assert none.observed == observed_by_gender(toy4)
         assert none.expected == expected_by_gender(toy4, ec)
 
+    @pytest.mark.parametrize("resamples", [0, 20])
+    def test_no_selection_gives_no_result(self, toy4, resamples):
+        assert bootstrap_ci(toy4, random_draws(toy4), to_filters=[], resamples=resamples) == []
+
 
 class TestImbalanceReport:
     def test_toy4_rd_report(self, toy4):
