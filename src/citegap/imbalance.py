@@ -162,9 +162,11 @@ def _fold(net: CitationNetwork, ec: ExpectedCitations, counts: np.ndarray,
     counted = np.concatenate(([0], np.cumsum(to_mask[ec.targets] & known[ec.targets])))
     m_to = counted[ec.target_ptr[1:]] - counted[ec.target_ptr[:-1]]
     keep = from_mask[ec.citing] & (m_to > 0)
-    expected, citing = m_to[keep, None] * counts[keep] / ec.sizes[keep, None], ec.citing[keep]
-    rows = np.vstack([observed[:k], *(np.bincount(citing, expected[:, c], minlength=n)
-                                      for c in range(k))])
+    expected = m_to[keep, None] * counts[keep] / ec.sizes[keep, None]
+    rows = np.empty((2 * k, n))
+    rows[:k] = observed[:k]
+    for c in range(k):
+        rows[k + c] = np.bincount(ec.citing[keep], expected[:, c], minlength=n)
     return observed.sum(axis=1), expected.sum(axis=0), rows
 
 
