@@ -26,19 +26,16 @@ _EXPORTS = {
         ),
         "imbalance": (
             "ImbalanceReport", "PaperFilter", "bootstrap_ci", "expected_by_gender",
-            "imbalance_report", "observed_by_gender", "over_under", "spearman",
-            "stratified_imbalance",
+            "imbalance_report", "observed_by_gender", "over_under", "stratified_imbalance",
         ),
         "ranking": (
             "RankingResult", "SharePoint", "citation_scores", "normalized_scores",
-            "pagerank_observed", "pagerank_reference", "share_curve", "top_share",
+            "pagerank_observed", "pagerank_reference", "share_curve",
         ),
         "refmodels": (
-            "ContributionGroup", "ExpectedCitations", "ModelError",
-            "citation_probability", "compute_model", "eligible_set_hd",
-            "eligible_set_rd", "homophilic_draws", "ks_distance",
-            "observed_as_expectations", "preferential_draws", "random_draws",
-            "structural_report",
+            "ContributionGroup", "ExpectedCitations", "ModelError", "compute_model",
+            "homophilic_draws", "ks_distance", "observed_as_expectations",
+            "preferential_draws", "random_draws", "structural_report",
         ),
         "synth": (
             "GenerationError", "OracleEstimate", "SynthConfig", "generate_network",

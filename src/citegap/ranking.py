@@ -195,12 +195,6 @@ def _top_shares(scores: np.ndarray, net: CitationNetwork, d_grid: Sequence[float
     return [int(hits[take - 1]) / take for take in takes]
 
 
-def top_share(scores: np.ndarray, net: CitationNetwork, d: float) -> float:
-    """Fraction of papers with a woman as first and/or last author among
-    the ceil(d*N/100) papers with the highest scores."""
-    return _top_shares(scores, net, [d])[0]
-
-
 @dataclass(frozen=True)
 class SharePoint:
     d: float

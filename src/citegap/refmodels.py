@@ -46,15 +46,18 @@ members are sorted once, after the walk.
 Each downstream sum is one of two reductions over the table, in plain
 numpy, with ``W`` the G x N matrix holding ``weight[g]`` at (g, j) for
 every member j: ``W.T @ y`` (expected in-citations, the PageRank
-operator) with :meth:`ExpectedCitations.spread`, and ``W`` times a
-category indicator (gender expectations, pairwise counts) with
-:meth:`ExpectedCitations.category_sums`.  Each reads the intervals
-without their exclusions, and the explicit parts; on a table with
-intervals ``spread`` sums exactly, by a difference array over the index,
-so papers held by the same groups get the same expected count.  The
-package needs numpy only; the tests check the tables against the
-explicit member lists RD and HD once stored, PD against a per-citer
-mask path, and the reductions against ``scipy.sparse``.
+operator) with :meth:`ExpectedCitations.spread`, and each group's
+integer member counts per category with
+:meth:`ExpectedCitations.category_sums`, which callers weight:
+``weight[g]`` times group g's counts is row g of ``W`` times a category
+indicator (gender expectations, pairwise counts), rounded once per
+category.  Each reduction reads the intervals without their exclusions,
+and the explicit parts; on a table with intervals ``spread`` sums
+exactly, by a difference array over the index, so papers held by the
+same groups get the same expected count.  The package needs numpy only;
+the tests check the tables against the explicit member lists RD and HD
+once stored, PD against a per-citer mask path, and the reductions
+against ``scipy.sparse``.
 
 This module also owns the stored table: :func:`write_groups` writes it
 and :func:`read_groups` reads it back, checked against its network.
@@ -248,16 +251,17 @@ class ExpectedCitations:
         out[self.order] = total
         return out
 
-    def category_sums(self, codes: np.ndarray, size: int, *, weighted: bool = False
+    def category_sums(self, codes: np.ndarray, size: int
                       ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """``W @ onehot(codes)`` in blocks of consecutive groups: yields
-        ``(a, b, sums)`` where ``sums[g - a, c]`` is the number of members
-        of group g with code c (int64), or with ``weighted`` their mass
-        (float64): ``weight[g]`` added once per explicit member in member
-        order, plus ``weight[g]`` times the interval members' count.  An
-        interval of at most ``size`` papers is counted paper by paper, a
-        longer one by two binary searches per code in the positions sorted
-        by (code, position); its exclusions' codes are then taken off."""
+        """The member counts ``C @ onehot(codes)``, for ``C`` the G x N
+        membership matrix, in blocks of consecutive groups: yields ``(a, b,
+        counts)`` where ``counts[g - a, c]`` (int64) is the number of
+        members of group g with code c.  A caller weights them:
+        ``weight[g] * counts[g - a]`` is row g of ``W @ onehot(codes)``,
+        rounded once per group and code.  An interval of at most ``size``
+        papers is counted paper by paper, a longer one by two binary
+        searches per code in the positions sorted by (code, position); its
+        exclusions' codes are then taken off."""
         n = self.n_papers
         n_explicit, entries = np.diff(self.indptr), self.indptr
         if self.intervals:
@@ -269,15 +273,14 @@ class ExpectedCitations:
             rows, cells = np.arange(b - a) * size, (b - a) * size
             key = np.repeat(rows, n_explicit[a:b])
             key += codes[self.indices[self.indptr[a]:self.indptr[b]]]
-            mass = np.repeat(self.weight[a:b], n_explicit[a:b]) if weighted else None
-            sums = np.bincount(key, mass, minlength=cells)
+            counts = np.bincount(key, minlength=cells)
             if self.intervals:
                 lo, hi = self.lo[a:b], self.hi[a:b]
                 listed = np.where(hi - lo <= size, hi - lo, 0)
                 first = np.cumsum(listed) - listed
                 positions = np.arange(listed.sum()) + np.repeat(lo - first, listed)
-                counts = np.bincount(np.repeat(rows, listed) + codes[self.order[positions]],
-                                     minlength=cells)
+                counts += np.bincount(np.repeat(rows, listed) + codes[self.order[positions]],
+                                      minlength=cells)
                 excluded = self.excluded[self.excluded_ptr[a]:self.excluded_ptr[b]]
                 counts -= np.bincount(np.repeat(rows, n_excluded[a:b])
                                       + codes[self.order[excluded]], minlength=cells)
@@ -285,11 +288,7 @@ class ExpectedCitations:
                 long = np.flatnonzero(hi - lo > size)
                 counts[long] += (np.searchsorted(by_code, code_start + hi[long, None])
                                  - np.searchsorted(by_code, code_start + lo[long, None]))
-                counts = counts.ravel()
-                if weighted:
-                    counts = np.repeat(self.weight[a:b], size) * counts
-                sums = sums + counts
-            yield a, b, sums.reshape(b - a, size)
+            yield a, b, counts.reshape(b - a, size)
 
     @cached_property
     def _position(self) -> np.ndarray:
@@ -297,13 +296,6 @@ class ExpectedCitations:
         position = np.empty(self.n_papers, dtype=np.int64)
         position[self.order] = np.arange(self.n_papers)
         return position
-
-    def holds(self, g: int, j: int) -> bool:
-        """Whether paper j is a member of group g."""
-        p = self._position[j]
-        if self.lo[g] <= p < self.hi[g]:
-            return p not in self.excluded[self.excluded_ptr[g]:self.excluded_ptr[g + 1]]
-        return j in self.indices[self.indptr[g]:self.indptr[g + 1]]
 
     def members(self, g: int) -> np.ndarray:
         """The ascending members of group g."""
@@ -602,33 +594,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _eligible(net: CitationNetwork, codes: np.ndarray, i: int, cat: int) -> np.ndarray:
-    """Sorted indices of the papers of category ``cat`` under ``codes``
-    that paper i may cite and that are not dated after it: its slice of
-    the eligibility index without its exclusions."""
-    citer = np.array([i])
-    order, lo, hi = _slices(net, codes, citer, np.array([cat]))
-    excluded = _exclusions(net, order, citer, lo, hi)[1]
-    return np.sort(np.delete(order[lo[0]:hi[0]], excluded - lo[0]))
-
-
-def eligible_set_rd(net: CitationNetwork, i: int) -> np.ndarray:
-    """Sorted indices of papers that paper i could cite under RD."""
-    return _eligible(net, np.zeros(net.n, dtype=np.int64), i, 0)
-
-
-def eligible_set_hd(
-    net: CitationNetwork,
-    i: int,
-    i_prime: int,
-    attributes: Iterable[str] = ATTRIBUTE_ORDER,
-) -> np.ndarray:
-    """Sorted indices of the RD-eligible papers sharing the observed
-    target's category, always including the target itself."""
-    codes = _key_codes(net, canonical_attributes(attributes))
-    return np.union1d(_eligible(net, codes, i, codes[i_prime]), [i_prime])
-
-
 def random_draws(net: CitationNetwork) -> ExpectedCitations:
     """Expected citations when every citation is redrawn uniformly from
     the citer's eligible set.  One group per citing paper, its interval
@@ -651,41 +616,52 @@ def random_draws(net: CitationNetwork) -> ExpectedCitations:
                        net.edges[:, 1])
 
 
+def _bases(net: CitationNetwork, attrs: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """The bases of the citations of ``net`` under ``attrs``: the set a
+    citation is drawn from under HD, and narrowed from under PD.  A base
+    is fixed by its citer and its target's category, or by the target
+    itself when that is dated after the citer: it is the citer's slice of
+    the target category without its exclusions, plus the target when that
+    is later-dated.
+
+    Returns the category codes; per citation whether its target is
+    later-dated; each base's first citation (``lead``, ascending: by
+    citer, then as the citer lists its targets); per citation its base;
+    and each base's slice ``order``, ``lo``, ``hi`` (:func:`_slices`) and
+    its ``excluded_ptr``, ``excluded`` (:func:`_exclusions`)."""
+    codes = _key_codes(net, attrs)
+    citing, cited = net.edges[:, 0], net.edges[:, 1]
+    later = net.dates[cited] > net.dates[citing]
+    n_codes = int(codes.max(initial=0)) + 1
+    key = citing * (n_codes + net.n) + np.where(later, n_codes + cited, codes[cited])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    lead = np.sort(first)
+    order, lo, hi = _slices(net, codes, citing[lead], codes[cited[lead]])
+    return (codes, later, lead, rank[inverse.reshape(-1)], order, lo, hi,
+            *_exclusions(net, order, citing[lead], lo, hi))
+
+
 def homophilic_draws(
     net: CitationNetwork, attributes: Iterable[str] = ATTRIBUTE_ORDER
 ) -> ExpectedCitations:
     """Expected citations when each observed citation is redrawn
     uniformly within the target's category inside the eligible set.
 
-    Citations from the same paper into the same member set merge into a
-    single group with summed multiplicity, listed in the order of its
-    first citation.  A group's interval is the citer's slice of the
-    target category; a citation to a later-dated paper has that paper as
-    the explicit member of a group of its own.
+    One group per base (:func:`_bases`), in the order of its first
+    citation, holding every citation of that base: its interval is the
+    citer's slice of the target category, and a citation to a later-dated
+    paper has that paper as the explicit member of a group of its own.
     """
     attrs = canonical_attributes(attributes)
-    codes = _key_codes(net, attrs)
-    citing, cited = net.edges[:, 0], net.edges[:, 1]
-    later = net.dates[cited] > net.dates[citing]
-    # the member set is fixed by the citer and the target's category, or
-    # by the target itself when it is later-dated
-    n_codes = int(codes.max(initial=0)) + 1
-    key = citing * (n_codes + net.n) + np.where(later, n_codes + cited, codes[cited])
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    # groups in order of their first citation (``lead``): by citer, then
-    # as the citer lists its targets
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    group = rank[inverse.reshape(-1)]
-    lead = np.sort(first)
-    order, lo, hi = _slices(net, codes, citing[lead], codes[cited[lead]])
-    excluded_ptr, excluded = _exclusions(net, order, citing[lead], lo, hi)
-    forced = later[lead]
-    n_targets = np.bincount(group, minlength=lead.size)
-    return group_table("HD", attrs, order, citing[lead], lo, hi, excluded_ptr, excluded,
+    _, later, lead, base, order, lo, hi, excluded_ptr, excluded = _bases(net, attrs)
+    cited, forced = net.edges[:, 1], later[lead]
+    n_targets = np.bincount(base, minlength=lead.size)
+    return group_table("HD", attrs, order, net.edges[lead, 0], lo, hi, excluded_ptr, excluded,
                        np.concatenate(([0], np.cumsum(forced))), cited[lead][forced],
                        np.concatenate(([0], np.cumsum(n_targets))),
-                       cited[np.argsort(group, kind="stable")])
+                       cited[np.argsort(base, kind="stable")])
 
 
 def date_order(net: CitationNetwork) -> np.ndarray:
@@ -722,22 +698,13 @@ def preferential_draws(
     if not count_tol >= 0:
         raise ValueError(f"the count tolerance must be a number >= 0, got {count_tol}")
     attrs = canonical_attributes(attributes)
-    codes = _key_codes(net, attrs)
+    # one unit per base (:func:`_bases`); nothing below depends on how the
+    # units are numbered
+    codes, later, lead, unit, order, lo, hi, excluded_ptr, excluded = _bases(net, attrs)
     citing, cited = net.edges[:, 0], net.edges[:, 1]
-    later = net.dates[cited] > net.dates[citing]
     when = np.empty(net.n, dtype=np.int64)
     when[date_order(net)] = np.arange(net.n)
-    # one unit per distinct base, by citer in date order: a citation's base
-    # is fixed by its citer and its target's category, or also by the
-    # target itself when that is dated after the citer
-    n_codes = int(codes.max(initial=0)) + 1
-    _, lead, unit = np.unique(when[citing] * (n_codes + net.n)
-                              + np.where(later, n_codes + cited, codes[cited]),
-                              return_index=True, return_inverse=True)
-    unit = unit.reshape(-1)
     category = codes[cited[lead]]
-    order, lo, hi = _slices(net, codes, citing[lead], category)
-    excluded_ptr, excluded = _exclusions(net, order, citing[lead], lo, hi)
     position = np.empty(net.n, dtype=np.int64)
     position[order] = np.arange(net.n)
 
@@ -877,17 +844,6 @@ def observed_as_expectations(net: CitationNetwork) -> ExpectedCitations:
                        net.edges[:, 1].copy(), net.in_degree.astype(float))
 
 
-def citation_probability(ec: ExpectedCitations, i: int, j: int) -> float:
-    """Probability mass the model puts on a citation from i to j."""
-    lo, hi = np.searchsorted(ec.citing, [i, i + 1])
-    return float(sum(ec.weight[g] for g in range(lo, hi) if ec.holds(g, j)))
-
-
-def expected_out(ec: ExpectedCitations) -> np.ndarray:
-    """Per-paper total probability mass placed on outgoing citations."""
-    return np.bincount(ec.citing, ec.weight * ec.sizes, minlength=ec.n_papers)
-
-
 # ---------------------------------------------------------------------------
 # structural comparison of a model against the observed network
 
@@ -970,10 +926,10 @@ def structural_report(net: CitationNetwork, ec: ExpectedCitations) -> Structural
         observed = np.zeros((size, size))
         np.add.at(observed, (codes[net.edges[:, 0]], codes[net.edges[:, 1]]), 1.0)
         expected = np.zeros((size, size))
-        for a, b, mass in ec.category_sums(codes, size, weighted=True):
+        for a, b, counts in ec.category_sums(codes, size):
             # row-major cells, so each cell adds its groups in group order
             cells = (codes[ec.citing[a:b], None] * size + np.arange(size)).ravel()
-            np.add.at(expected.reshape(-1), cells, mass.ravel())
+            np.add.at(expected.reshape(-1), cells, (ec.weight[a:b, None] * counts).ravel())
         pairwise[attribute] = PairwiseCounts(attribute, labels, observed, expected)
 
     c_obs = net.in_degree.astype(float)

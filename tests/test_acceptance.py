@@ -28,8 +28,9 @@ from citegap import (
     share_curve,
 )
 from citegap.cli import main
-from citegap.refmodels import compute_model, expected_out, ks_distance, structural_report
+from citegap.refmodels import compute_model, ks_distance, structural_report
 from conftest import build_toy4, build_toy_pd, index_of
+from explicit_tables import expected_out
 
 ATTRS = ("rank", "country", "topic")
 KNOWN = (

@@ -947,6 +947,27 @@ def test_every_export_resolves():
         citegap.no_such_name
 
 
+def test_public_names_are_pinned():
+    assert citegap.__all__ == [
+        "ATTRIBUTE_ORDER", "CitationNetwork", "ConferenceRank", "ContributionGroup",
+        "ExpectedCitations", "GenderCategory", "GenerationError", "ImbalanceReport",
+        "IngestError", "ModelError", "OracleEstimate", "Paper", "PaperFilter", "PaperTable",
+        "ParseError", "PublicationRecord", "RankingResult", "SharePoint", "SynthConfig",
+        "bootstrap_ci", "category_key", "citation_scores", "compute_model",
+        "expected_by_gender", "filter_citations", "gender_category", "generate_network",
+        "homophilic_draws", "imbalance_report", "ks_distance", "levenshtein", "load_network",
+        "match_records", "monte_carlo_oracle", "normalized_scores", "observed_as_expectations",
+        "observed_by_gender", "over_under", "pagerank_observed", "pagerank_reference",
+        "preferential_draws", "random_draws", "share_curve", "stratified_imbalance",
+        "structural_report",
+    ]
+    # no command used these; tests keep their own versions
+    for name in ("spearman", "top_share", "eligible_set_rd", "eligible_set_hd",
+                 "citation_probability"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(citegap, name)
+
+
 @pytest.mark.parametrize("env, expected", [
     ({}, {"OPENBLAS_NUM_THREADS": "1"}),
     ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),

@@ -32,11 +32,11 @@ from citegap import (
     ModelError,
     PaperFilter,
     compute_model,
-    eligible_set_hd,
-    eligible_set_rd,
     filter_citations,
+    homophilic_draws,
     normalized_scores,
     observed_as_expectations,
+    random_draws,
     stratified_imbalance,
 )
 from citegap.cli import _network_summary
@@ -55,6 +55,7 @@ from explicit_tables import (
     assert_matches_explicit,
     category_codes,
     explicit_model,
+    group_members,
     table_from_rows,
 )
 from pd_oracle import assert_same_pd, per_citer_preferential_draws
@@ -130,14 +131,28 @@ def test_rule_arrays_match_a_fresh_network(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_eligible_sets_match_bruteforce(seed):
+    # a citer's RD group is its eligible set, and the HD group of each of
+    # its citations that set's papers in the target's category, plus the
+    # target; with no attributes that is the whole set plus the target,
+    # which checks the rule where RD refuses a citer with an empty set
     net = filter_citations(*random_corpus(seed))
-    for i in range(net.n):
-        eligible = _eligible_bruteforce(net, i)
-        assert eligible_set_rd(net, i).tolist() == eligible
+    citers = np.flatnonzero(net.out_degree).tolist()
+    eligible = {i: _eligible_bruteforce(net, i) for i in citers}
+    try:
+        rd = random_draws(net)
+    except ModelError as err:
+        empty = next(i for i in citers if not eligible[i])
+        assert str(err).startswith(f"paper {str(net.ids[empty])!r} makes ")
+        rd = None
+    hd = {attrs: homophilic_draws(net, attrs) for attrs in ((), ATTRS)}
+    for i in citers:
         for t in net.out_targets[i].tolist():
-            np.testing.assert_array_equal(
-                eligible_set_hd(net, i, t, ATTRS),
-                _hd_members_bruteforce(net, eligible, t, ATTRS))
+            if rd is not None:
+                assert group_members(rd, i, t).tolist() == eligible[i]
+            for attrs, ec in hd.items():
+                np.testing.assert_array_equal(
+                    group_members(ec, i, t),
+                    _hd_members_bruteforce(net, eligible[i], t, attrs))
 
 
 def sweep_cases(net):

@@ -25,12 +25,12 @@ from citegap import (
     observed_by_gender,
     over_under,
     random_draws,
-    spearman,
     stratified_imbalance,
 )
 from citegap.imbalance import ALL_PAPERS, write_report_csv, write_report_json
 from citegap.refmodels import ExpectedCitations
 from conftest import make_paper
+from rank_correlation import spearman
 
 MM, MW, WM, WW = (
     GenderCategory.MM,

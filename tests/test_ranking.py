@@ -18,9 +18,8 @@ from citegap import (
     pagerank_reference,
     random_draws,
     share_curve,
-    top_share,
 )
-from citegap.ranking import ranking_order, write_ranking_csv, write_share_csv
+from citegap.ranking import _top_shares, ranking_order, write_ranking_csv, write_share_csv
 from conftest import index_of, make_paper
 
 MM, WW = GenderCategory.MM, GenderCategory.WW
@@ -198,27 +197,27 @@ class TestTopShare:
     def test_quartile_cuts(self):
         net = self.build([MM, WW, MM, WW])
         scores = np.array([5.0, 3.0, 2.0, 1.0])
-        assert top_share(scores, net, 25) == 0.0
-        assert top_share(scores, net, 50) == 0.5
+        assert _top_shares(scores, net, [25])[0] == 0.0
+        assert _top_shares(scores, net, [50])[0] == 0.5
 
     def test_full_population_gives_global_fraction(self):
         net = self.build([MM, WW, MM, WW])
         scores = np.array([5.0, 3.0, 2.0, 1.0])
-        assert top_share(scores, net, 100) == pytest.approx(2 / 4)
+        assert _top_shares(scores, net, [100])[0] == pytest.approx(2 / 4)
 
     def test_all_w_corpus(self):
         net = self.build([WW, WW, WW, WW])
         scores = np.arange(net.n, dtype=float)
         for d in (10, 40, 100):
-            assert top_share(scores, net, d) == 1.0
+            assert _top_shares(scores, net, [d])[0] == 1.0
 
     def test_invariant_under_increasing_transforms(self):
         net = generate_network(SynthConfig(n_papers=60, seed=2))
         scores = net.in_degree.astype(float)
         for d in (5, 25, 80):
-            base = top_share(scores, net, d)
-            assert top_share(3.0 * scores + 7.0, net, d) == base
-            assert top_share(np.exp(scores / 4.0), net, d) == base
+            base = _top_shares(scores, net, [d])[0]
+            assert _top_shares(3.0 * scores + 7.0, net, [d])[0] == base
+            assert _top_shares(np.exp(scores / 4.0), net, [d])[0] == base
 
     def test_ties_break_by_paper_id(self):
         net = self.build([MM, WW, MM])
@@ -227,9 +226,9 @@ class TestTopShare:
 
     def test_d_out_of_range_rejected(self, toy4):
         with pytest.raises(ValueError):
-            top_share(np.zeros(toy4.n), toy4, 0)
+            _top_shares(np.zeros(toy4.n), toy4, [0])[0]
         with pytest.raises(ValueError):
-            top_share(np.zeros(toy4.n), toy4, 101)
+            _top_shares(np.zeros(toy4.n), toy4, [101])[0]
 
 
 class TestShareCurve:

@@ -15,9 +15,6 @@ from citegap import (
     GenderCategory,
     ModelError,
     SynthConfig,
-    citation_probability,
-    eligible_set_hd,
-    eligible_set_rd,
     expected_by_gender,
     filter_citations,
     generate_network,
@@ -44,13 +41,12 @@ from citegap.refmodels import (
     ExpectedCitations,
     compute_model,
     date_order,
-    expected_out,
     ks_distance,
     survival_points,
 )
 from bootstrap_oracle import counted_groups
 from conftest import build_toy_pd, index_of, make_paper
-from explicit_tables import table_from_rows
+from explicit_tables import citation_probability, expected_out, group_members, table_from_rows
 
 ATTRS = ("rank", "country", "topic")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,16 +70,26 @@ def assert_group_invariants(net, ec: ExpectedCitations):
     assert ec.c_bar.sum() == pytest.approx(net.m, abs=1e-9)
 
 
+def rd_set(net, i):
+    """The members of citer i's RD group: its eligible set."""
+    return group_members(random_draws(net), i, int(net.out_targets[i][0])).tolist()
+
+
+def hd_set(net, i, t, attrs):
+    """The members of the HD group of the citation i -> t."""
+    return group_members(homophilic_draws(net, attrs), i, t).tolist()
+
+
 class TestEligibleSets:
     def test_toy4_rd_sets(self, toy4):
         p1, p2, p3, p4 = ids(toy4, "P1", "P2", "P3", "P4")
-        assert list(eligible_set_rd(toy4, p3)) == [p1, p2]
-        assert list(eligible_set_rd(toy4, p4)) == [p1, p2, p3]
+        assert rd_set(toy4, p3) == [p1, p2]
+        assert rd_set(toy4, p4) == [p1, p2, p3]
 
     def test_author_sharing_candidate_excluded(self, toy_pd):
         p3 = index_of(toy_pd)["P3"]
         p2 = index_of(toy_pd)["P2"]
-        assert p2 not in eligible_set_rd(toy_pd, p3)
+        assert p2 not in rd_set(toy_pd, p3)
 
     def test_same_date_papers_are_mutually_eligible(self):
         papers = [
@@ -91,33 +97,32 @@ class TestEligibleSets:
             make_paper("B", date(2010, 1, 1)),
             make_paper("C", date(2011, 1, 1)),
         ]
-        net = filter_citations(papers, [("C", "A"), ("C", "B")])
+        net = filter_citations(papers, [("C", "A"), ("C", "B"), ("A", "C"), ("B", "C")])
         a, b = index_of(net)["A"], index_of(net)["B"]
-        assert b in eligible_set_rd(net, a)
-        assert a in eligible_set_rd(net, b)
+        assert b in rd_set(net, a)
+        assert a in rd_set(net, b)
 
     def test_hd_set_filters_by_key(self, toy4):
         p1, p2, p3, p4 = ids(toy4, "P1", "P2", "P3", "P4")
-        assert list(eligible_set_hd(toy4, p3, p1, ATTRS)) == [p1, p2]
-        assert list(eligible_set_hd(toy4, p4, p2, ATTRS)) == [p1, p2]
+        assert hd_set(toy4, p3, p1, ATTRS) == [p1, p2]
+        assert hd_set(toy4, p4, p2, ATTRS) == [p1, p2]
 
     def test_hd_empty_attribute_set_equals_rd(self, toy4):
         p1, p4 = ids(toy4, "P1", "P4")
-        assert list(eligible_set_hd(toy4, p4, p1, ())) == list(
-            eligible_set_rd(toy4, p4)
-        )
+        assert hd_set(toy4, p4, p1, ()) == rd_set(toy4, p4)
 
     def test_hd_always_contains_target(self):
         # a citation to a later-dated paper: the target is outside the
         # RD-eligible set but must still be in its own HD set
         papers = [
+            make_paper("Z", date(2009, 1, 1)),
             make_paper("A", date(2010, 1, 1)),
             make_paper("B", date(2012, 1, 1), topic="T2"),
         ]
-        net = filter_citations(papers, [("A", "B")])
+        net = filter_citations(papers, [("A", "Z"), ("A", "B")])
         a, b = index_of(net)["A"], index_of(net)["B"]
-        assert b not in eligible_set_rd(net, a)
-        assert list(eligible_set_hd(net, a, b, ATTRS)) == [b]
+        assert b not in rd_set(net, a)
+        assert hd_set(net, a, b, ATTRS) == [b]
 
 
 class TestRandomDraws:
@@ -671,15 +676,11 @@ def test_table_reductions_match_group_loops(seed, corpus, model, tmp_path):
             [table[g] for g in GenderCategory],
             loop_expected_by_gender(net, ec, from_filter, to_filter),
         )
-    # the pairwise sums run in another order: equal to a few ulps
+    # each group's weight times its member counts, added in group order
     report = structural_report(net, ec)
     for attribute in report.pairwise:
-        np.testing.assert_allclose(report.pairwise[attribute].expected,
-                                   loop_pairwise(net, ec, attribute), rtol=1e-12, atol=0)
-    for i, j in net.edges[::7]:
-        groups = ec.groups[slice(*np.searchsorted(ec.citing, [i, i + 1]))]
-        direct = sum(g.weight for g in groups if j in g.members)
-        assert citation_probability(ec, int(i), int(j)) == pytest.approx(direct, rel=1e-12)
+        np.testing.assert_array_equal(report.pairwise[attribute].expected,
+                                      loop_pairwise(net, ec, attribute))
     assert_reductions_match_scipy(net, ec)
 
 
@@ -730,11 +731,15 @@ def assert_reductions_match_scipy(net, ec):
     np.testing.assert_array_equal(
         rows[k:], [np.bincount(citing, by_group[:, c], minlength=net.n) for c in range(k)])
 
+    # the pairwise cells weight each group's member counts once per
+    # category: (weight[g] * C[g]) @ onehot, for C the 0/1 membership of W
     report = structural_report(net, ec)
+    C = sparse.csr_matrix((np.ones(W.nnz), W.indices, W.indptr), shape=W.shape)
     for attribute, pairs in report.pairwise.items():
         codes, labels = net.attribute_codes(attribute)
         size = len(labels)
-        expected = onehot(codes[ec.citing], size).T @ (W @ onehot(codes, size))
+        expected = (onehot(codes[ec.citing], size).T @ sparse.diags(ec.weight)
+                    @ (C @ onehot(codes, size)))
         assert_equal(pairs.expected, expected.toarray())
 
     # both PageRank flows, iterated to the end

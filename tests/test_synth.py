@@ -15,7 +15,6 @@ from citegap import (
     GenderCategory,
     GenerationError,
     SynthConfig,
-    citation_probability,
     expected_by_gender,
     filter_citations,
     generate_network,
@@ -30,6 +29,7 @@ from citegap.cli import main
 from citegap.corpus import KNOWN_CATEGORIES, Paper, citation_window_floor
 from citegap.synth import _choice, load_config
 from conftest import index_of
+from explicit_tables import citation_probability
 import synth_oracle
 
 ATTRS = ("rank", "country", "topic")
