@@ -11,13 +11,15 @@ Two files are binary, numpy's uncompressed array archives (read with
   read the tables otherwise (after one warning when it cannot be read);
   its format and checks belong to :mod:`citegap.corpus`
   (``write_network``, ``read_network``);
-* a model artifact's group table, ``groups.npz``: ``model`` computes the
-  table once, with its structural report, and ``imbalance`` and ``rank``
-  load it instead of recomputing it; its format and checks belong to
-  :mod:`citegap.refmodels` (``write_groups``, ``read_groups``).
+* a model artifact's ``groups.npz``: ``model`` computes the model once
+  and stores its group table there with its name, attributes, archive
+  digests and ``c_bar``; it is all ``imbalance`` and ``rank`` read of
+  the artifact, instead of recomputing the model.  Its format and checks
+  belong to :mod:`citegap.refmodels` (``write_groups``, ``read_groups``).
+  ``c_bar.tsv``, ``model.json`` and the structural report beside it are
+  reports, written by ``model`` and read by no command.
 
-This module owns the file names, ``model.json`` (its schema and archive
-digests) and the check of ``c_bar.tsv``.  Every command is a
+This module owns the file names and ``model.json``.  Every command is a
 pure function of its inputs, flags, and seed; reruns produce identical
 outputs (manifests stamp SOURCE_DATE_EPOCH when set, wall-clock time
 otherwise).
@@ -27,14 +29,12 @@ Subcommands: ingest, model, imbalance, rank, synth.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
 import os
 import re
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -78,7 +78,6 @@ from .ranking import (
 from .refmodels import (
     DEFAULT_COUNT_TOL,
     GROUPS_FORMAT,
-    TABLE_COUNTS,
     ExpectedCitations,
     StructuralReport,
     compute_model,
@@ -193,13 +192,18 @@ def _load_inputs(archive: Path, artifact: Path | None = None
                  ) -> tuple[CitationNetwork, ExpectedCitations | None, dict[str, dict[str, str]]]:
     """The archive's network, the model artifact's expectations if an
     artifact is given, and the records of the files both were read from
-    (manifest inputs, see :func:`_inputs`)."""
+    (manifest inputs, see :func:`_inputs`).  Of an artifact only
+    ``groups.npz`` is read, checked against the archive by
+    :func:`read_groups`."""
     inputs = _archive_inputs(archive)
     net = _load_archive(archive, inputs)
     if artifact is None:
         return net, None, inputs
-    ec = _load_model_artifact(inputs, artifact, net)
-    inputs.update(_inputs(c_bar=artifact / CBAR_FILE, groups=artifact / GROUPS_FILE))
+    groups = artifact / GROUPS_FILE
+    if not groups.is_file():
+        raise CliError(f"model artifact {artifact} is missing {GROUPS_FILE}")
+    ec = read_groups(groups, net, inputs["papers"]["sha256"], inputs["citations"]["sha256"])
+    inputs.update(_inputs(groups=groups))
     return net, ec, inputs
 
 
@@ -280,9 +284,12 @@ def _write_structural(report: StructuralReport, out: Path) -> None:
 def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
                           archive: dict[str, dict[str, str]], out: Path, *, exact: bool,
                           count_tol: float) -> None:
-    """Write the artifact of ``ec``; ``archive`` holds the :func:`_inputs`
+    """Write the artifact of ``ec``: ``groups.npz``, all that ``imbalance``
+    and ``rank`` read of it, and ``c_bar.tsv``, ``model.json`` and the
+    structural report as reports.  ``archive`` holds the :func:`_inputs`
     records of the archive's papers and citations, whose digests
-    ``model.json`` keeps."""
+    ``groups.npz`` and ``model.json`` keep."""
+    digests = {f"{name}_sha256": archive[name]["sha256"] for name in ("papers", "citations")}
     write_table(out / CBAR_FILE, ("paper_id", "c_bar"),
                 (net.ids.tolist(), list(map(repr, ec.c_bar.tolist()))))
     report = structural_report(net, ec)
@@ -296,14 +303,13 @@ def _write_model_artifact(net: CitationNetwork, ec: ExpectedCitations,
         "n_citations": ec.n_citations,
         **ec.table_counts,
         "ks_in_degree": report.ks_in_degree,
-        "archive": {f"{name}_sha256": archive[name]["sha256"]
-                    for name in ("papers", "citations")},
+        "archive": digests,
     }
     with open(out / MODEL_META_FILE, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_structural(report, out)
-    write_groups(ec, out / GROUPS_FILE)
+    write_groups(ec, out / GROUPS_FILE, **digests)
 
 
 def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
@@ -327,88 +333,6 @@ def cmd_model(args: argparse.Namespace, header: dict[str, object]) -> int:
     for name, count in ec.table_counts.items():
         print(f"{name.replace('_', ' ')}: {count}")
     return 0
-
-
-def _read_model_meta(path: Path) -> dict:
-    """model.json, schema-checked: the archive digests its artifact must
-    match, the model and attributes its group table is labelled with, and
-    the table's format and sizes (``exact`` and ``count_tol`` record how
-    the table was computed)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except ValueError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
-    fields = meta if isinstance(meta, dict) else {}
-    if fields.get("format") != GROUPS_FORMAT:
-        found = f"format {fields['format']!r}" if "format" in fields else "no format"
-        raise CliError(f"{path} has {found}, not format {GROUPS_FORMAT}: the artifact "
-                       "was written by another citegap version; rerun model")
-    archive = fields.get("archive")
-    attributes = fields.get("attributes")
-    count_tol = fields.get("count_tol", DEFAULT_COUNT_TOL)
-    if not (
-        isinstance(archive, dict)
-        and all(isinstance(archive.get(f"{name}_sha256"), str)
-                for name in ("papers", "citations"))
-        and isinstance(fields.get("model"), str)
-        and isinstance(attributes, list)
-        and all(isinstance(a, str) for a in attributes)
-        and all(isinstance(fields.get(name), int) and not isinstance(fields[name], bool)
-                for name in TABLE_COUNTS)
-        and isinstance(fields.get("exact", False), bool)
-        and isinstance(count_tol, (int, float)) and not isinstance(count_tol, bool)
-    ):
-        raise CliError(f"{path} needs string archive.papers_sha256, archive."
-                       "citations_sha256 and model, a list of string attributes, "
-                       f"integer {', '.join(TABLE_COUNTS)}, and optionally a "
-                       "boolean exact and a numeric count_tol")
-    return meta
-
-
-def _read_c_bar(path: Path) -> dict[str, float]:
-    stored = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        next(reader, None)
-        for row in reader:
-            if len(row) != 2:
-                raise CliError(f"{path} line {reader.line_num}: expected 2 "
-                               f"columns, got {len(row)}")
-            try:
-                stored[row[0]] = float(row[1])
-            except ValueError as exc:
-                raise CliError(f"{path} line {reader.line_num}: {exc}") from exc
-    return stored
-
-
-def _load_model_artifact(archive: dict[str, dict[str, str]], artifact: Path,
-                         net: CitationNetwork) -> ExpectedCitations:
-    """Load the group table of a model artifact, verified against the
-    archive (the :func:`_inputs` records of its papers and citations) and
-    against the stored c_bar, which it then carries."""
-    for name in (MODEL_META_FILE, GROUPS_FILE, CBAR_FILE):
-        if not (artifact / name).is_file():
-            raise CliError(f"model artifact {artifact} is missing {name}")
-    meta = _read_model_meta(artifact / MODEL_META_FILE)
-    for name, digest in (("papers", meta["archive"]["papers_sha256"]),
-                         ("citations", meta["archive"]["citations_sha256"])):
-        if archive[name]["sha256"] != digest:
-            raise CliError(
-                f"model artifact {artifact} was built from a different archive "
-                f"({name}.tsv digest mismatch)"
-            )
-    ec = read_groups(artifact / GROUPS_FILE, net, meta["model"], meta["attributes"])
-    for name, count in ec.table_counts.items():
-        if meta[name] != count:
-            raise CliError(f"model artifact {artifact}: {MODEL_META_FILE} records "
-                           f"{meta[name]} {name}, {GROUPS_FILE} holds {count}")
-    stored = _read_c_bar(artifact / CBAR_FILE)
-    c_bar = np.array([stored.get(pid, np.nan) for pid in net.ids.tolist()])
-    if len(stored) != net.n or not (np.abs(c_bar - ec.c_bar) <= 1e-9).all():
-        raise CliError(f"model artifact {artifact} is inconsistent with the archive "
-                       f"({CBAR_FILE} is not the column sums of {GROUPS_FILE})")
-    return replace(ec, c_bar=c_bar)
 
 
 def cmd_imbalance(args: argparse.Namespace, header: dict[str, object]) -> int:
@@ -463,6 +387,8 @@ def _parse_d_grid(text: str) -> list[float]:
         raise CliError(f"bad --d-grid {text!r}") from exc
     if not grid or any(not 0 < d <= 100 for d in grid):
         raise CliError("--d-grid values must be in (0, 100]")
+    if len(set(grid)) < len(grid):
+        raise CliError(f"--d-grid values must be distinct, got {text!r}")
     return grid
 
 

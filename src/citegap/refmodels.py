@@ -59,8 +59,10 @@ the tests check the tables against the explicit member lists RD and HD
 once stored, PD against a per-citer mask path, and the reductions
 against ``scipy.sparse``.
 
-This module also owns the stored table: :func:`write_groups` writes it
-and :func:`read_groups` reads it back, checked against its network.
+This module also owns the stored model artifact, ``groups.npz``: the
+table, its model and attributes, the digests of the archive it was
+computed on, and its ``c_bar``.  :func:`write_groups` writes it and
+:func:`read_groups` reads it back, checked against the archive.
 """
 from __future__ import annotations
 
@@ -78,6 +80,7 @@ from .corpus import (
     CitationNetwork,
     canonical_attributes,
     open_arrays,
+    scalar_text,
     write_arrays,
 )
 
@@ -97,8 +100,8 @@ TABLE_ARRAYS = ("citing", "lo", "hi", "excluded_ptr", "excluded", "indptr", "ind
                 "target_ptr", "targets")
 #: the arrays of the interval parts, left out of a table that has none
 INTERVAL_ARRAYS = ("lo", "hi", "excluded_ptr", "excluded")
-#: the format number of the interval-coded tables :func:`write_groups` stores
-GROUPS_FORMAT = 2
+#: the format number of the model artifacts :func:`write_groups` stores
+GROUPS_FORMAT = 3
 #: the sizes of a table, as :attr:`ExpectedCitations.table_counts` names them
 TABLE_COUNTS = ("groups", "member_entries", "intervals", "exclusions", "stored_entries")
 
@@ -401,30 +404,69 @@ def group_table(model: str, attributes: tuple[str, ...], order: np.ndarray,
                              targets, c_bar)
 
 
-def write_groups(ec: ExpectedCitations, path: str | os.PathLike) -> None:
-    """Store the table's :data:`TABLE_ARRAYS` at ``path`` as numpy's
+def write_groups(ec: ExpectedCitations, path: str | os.PathLike, papers_sha256: str,
+                 citations_sha256: str) -> None:
+    """Store the model artifact of ``ec``, computed on the archive whose
+    tables have the SHA-256 digests given, at ``path`` as numpy's
     uncompressed array archive, each zip entry with the same fixed date,
-    so the bytes depend on the arrays alone; without intervals the
-    :data:`INTERVAL_ARRAYS`, all zeros, are left out."""
-    write_arrays(path, {name: getattr(ec, name) for name in TABLE_ARRAYS
-                        if ec.intervals or name not in INTERVAL_ARRAYS})
+    so the bytes depend on the arrays alone: :data:`GROUPS_FORMAT`, the
+    model name and attributes, the digests, ``c_bar`` as computed and the
+    :data:`TABLE_ARRAYS`; without intervals the :data:`INTERVAL_ARRAYS`,
+    all zeros, are left out."""
+    write_arrays(path, {"format": np.array(GROUPS_FORMAT), "model": np.array(ec.model),
+                        "attributes": np.array(ec.attributes, dtype=str),
+                        "papers_sha256": np.array(papers_sha256),
+                        "citations_sha256": np.array(citations_sha256), "c_bar": ec.c_bar,
+                        **{name: getattr(ec, name) for name in TABLE_ARRAYS
+                           if ec.intervals or name not in INTERVAL_ARRAYS}})
 
 
-def read_groups(path: str | os.PathLike, net: CitationNetwork, model: str,
-                attributes: Sequence[str]) -> ExpectedCitations:
-    """The table of ``model`` over ``attributes`` that :func:`write_groups`
-    stored at ``path``, checked to form a table over the papers of ``net``
-    and its eligibility index, and whose (citer, target) pairs are the
-    edges of ``net``; raises :class:`ModelError`, naming ``path``, if it
-    does not."""
-    order, categories = eligibility_index(net, attributes)
+def read_groups(path: str | os.PathLike, net: CitationNetwork, papers_sha256: str,
+                citations_sha256: str) -> ExpectedCitations:
+    """The model artifact :func:`write_groups` stored at ``path`` for the
+    archive of ``net``, whose tables have the SHA-256 digests given,
+    carrying its stored ``c_bar``.
+
+    Raises :class:`ModelError`, naming ``path``, if the file is not a
+    readable array archive of :data:`GROUPS_FORMAT`, was stored for other
+    digests, names its model by no string, or attributes other than
+    distinct ones in :data:`ATTRIBUTE_ORDER`; if its arrays do not form a
+    table over the papers of ``net`` and its eligibility index whose
+    (citer, target) pairs are the edges of ``net``; or if its ``c_bar``
+    is not one float64 per paper within 1e-9 of the table's column sums.
+    """
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise ModelError(f"{path}: {what}")
+
     try:
         with open_arrays(path) as npz:
+            found = npz.format_mismatch(GROUPS_FORMAT)
             intervals = not set(INTERVAL_ARRAYS).isdisjoint(npz.files)
-            stored = {name: npz[name] for name in TABLE_ARRAYS
-                      if intervals or name not in INTERVAL_ARRAYS}
+            stored = {name: npz[name] for name in ("model", "attributes", "papers_sha256",
+                                                   "citations_sha256", "c_bar", *TABLE_ARRAYS)
+                      if found is None and (intervals or name not in INTERVAL_ARRAYS)}
     except ARCHIVE_ERRORS as exc:
         raise ModelError(f"{path} is not a readable group table: {exc}") from exc
+    check(found is None, f"{found}, not format {GROUPS_FORMAT}: the artifact was written by "
+                         "another citegap version; rerun model")
+    check((scalar_text(stored["papers_sha256"]), scalar_text(stored["citations_sha256"]))
+          == (papers_sha256, citations_sha256),
+          "the table was built from a different archive: its papers_sha256 and "
+          "citations_sha256, 0-d str arrays, are not the digests of the archive's tables")
+    model = scalar_text(stored["model"])
+    check(model is not None, "model must be a 0-d str array")
+    labels = stored["attributes"]
+    attributes = tuple(labels.tolist()) if labels.ndim == 1 and labels.dtype.kind == "U" else None
+    check(attributes is not None
+          and attributes == tuple(a for a in ATTRIBUTE_ORDER if a in attributes),
+          f"attributes must be a 1-D str array of distinct names in the order "
+          f"{', '.join(ATTRIBUTE_ORDER)}")
+    c_bar = stored["c_bar"]
+    n = net.n
+    check(c_bar.dtype == np.float64 and c_bar.shape == (n,),
+          f"c_bar must be a native float64 array of {n} entries, one per paper")
+    order, categories = eligibility_index(net, attributes)
     # a 0-d citing has a size too, and fails the 1-D check below
     groups = stored["citing"].size
     if not intervals:
@@ -432,11 +474,6 @@ def read_groups(path: str | os.PathLike, net: CitationNetwork, model: str,
         stored.update(lo=zeros[1:], hi=zeros[1:], excluded_ptr=zeros, excluded=zeros[:0])
     arrays = [stored[name] for name in TABLE_ARRAYS]
     citing, lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr, targets = arrays
-
-    def check(ok: bool, what: str) -> None:
-        if not ok:
-            raise ModelError(f"{path}: {what}")
-
     check(all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays),
           f"{', '.join(TABLE_ARRAYS)} must be 1-D signed integer arrays")
     check(len(lo) == len(hi) == groups
@@ -451,7 +488,6 @@ def read_groups(path: str | os.PathLike, net: CitationNetwork, model: str,
               f"{name} must start at 0, never decrease and end at the number "
               f"of {what}")
     check((target_ptr[1:] > target_ptr[:-1]).all(), "a group has no targets")
-    n = net.n
     check(((lo >= 0) & (lo <= hi) & (hi <= n)).all(),
           f"intervals must satisfy 0 <= lo <= hi <= {n}")
     check((_sizes(lo, hi, excluded_ptr, indptr) > 0).all(), "a group has no members")
@@ -479,7 +515,10 @@ def read_groups(path: str | os.PathLike, net: CitationNetwork, model: str,
     check(np.array_equal(citers[sort], net.edges[:, 0])
           and np.array_equal(targets[sort], net.edges[:, 1]),
           "its (citer, target) pairs are not the archive's citations")
-    return group_table(model, tuple(attributes), order, *arrays)
+    ec = group_table(model, attributes, order, *arrays, c_bar)
+    check((np.abs(ec.spread(np.ones(groups)) - c_bar) <= 1e-9).all(),
+          "its table and c_bar are inconsistent: c_bar is not the table's column sums")
+    return ec
 
 
 def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:

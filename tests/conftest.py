@@ -31,6 +31,17 @@ def unsupported_compression(path):
     path.write_bytes(bytes(data))
 
 
+def raw_entry(path, name, data=b""):
+    """Rewrite the zip archive at ``path`` with its entry ``name.npy``
+    holding the bytes ``data``, which are not an .npy."""
+    with zipfile.ZipFile(path) as zf:
+        entries = {info.filename: zf.read(info) for info in zf.infolist()}
+    entries[f"{name}.npy"] = data
+    with zipfile.ZipFile(path, "w") as zf:
+        for filename, held in entries.items():
+            zf.writestr(filename, held)
+
+
 def make_paper(
     pid,
     pub_date,

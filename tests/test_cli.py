@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import citegap
 from citegap import cli
 from citegap.__main__ import BLAS_THREAD_ENV, run as cli_entry
 from citegap.cli import main
-from conftest import unsupported_compression
+from conftest import raw_entry, unsupported_compression
 
 TOY4_PAPERS = """id\tpub_date\tgender\trank\tcountry\ttopic\tsubfield\tfirst_author\tlast_author
 P1\t2010-01-01\tMM\tA*\tUS\tT1\tS1\ta1\ta2
@@ -218,9 +219,14 @@ class TestModel:
         out = tmp_path / "hd"
         run("model", archive, out, "--model", "hd")
         with np.load(out / "groups.npz", allow_pickle=False) as groups:
-            assert sorted(groups.files) == ["citing", "excluded", "excluded_ptr", "hi",
-                                            "indices", "indptr", "lo", "target_ptr",
+            assert sorted(groups.files) == ["attributes", "c_bar", "citations_sha256",
+                                            "citing", "excluded", "excluded_ptr",
+                                            "format", "hi", "indices", "indptr", "lo",
+                                            "model", "papers_sha256", "target_ptr",
                                             "targets"]
+            assert (groups["format"].item(), groups["model"].item()) == (3, "HD")
+            assert groups["attributes"].tolist() == ["rank", "country", "topic"]
+            assert groups["c_bar"].tolist() == [1.5, 1.5, 0.0, 0.0]
             # two groups (P3's and P4's merged pair)
             assert groups["citing"].tolist() == [2, 3]
             assert groups["target_ptr"].tolist() == [0, 1, 3]
@@ -235,16 +241,35 @@ class TestModel:
         meta = json.loads((out / "model.json").read_text())
         assert {k: meta[k] for k in ("format", "groups", "member_entries", "intervals",
                                      "exclusions", "stored_entries")} == {
-            "format": 2, "groups": 2, "member_entries": 4, "intervals": 2,
+            "format": 3, "groups": 2, "member_entries": 4, "intervals": 2,
             "exclusions": 1, "stored_entries": 5}
         assert ("groups: 2\nmember entries: 4\nintervals: 2\nexclusions: 1\n"
                 "stored entries: 5\n") in capsys.readouterr().out
         # pd groups are explicit: its table leaves the interval arrays out
         run("model", archive, tmp_path / "pd", "--model", "pd")
         with np.load(tmp_path / "pd" / "groups.npz", allow_pickle=False) as groups:
-            assert sorted(groups.files) == ["citing", "indices", "indptr", "target_ptr",
+            assert sorted(groups.files) == ["attributes", "c_bar", "citations_sha256",
+                                            "citing", "format", "indices", "indptr",
+                                            "model", "papers_sha256", "target_ptr",
                                             "targets"]
             assert groups["indices"].tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("flags", [("rd",), ("hd", "--attrs", "rank"), ("pd",),
+                                       ("pd", "--exact")],
+                             ids=["rd", "hd-rank", "pd", "pd-exact"])
+    def test_groups_c_bar_is_c_bar_tsv(self, tmp_path, flags):
+        # groups.npz stores the c_bar that c_bar.tsv reports, bit for bit:
+        # for pd its running vector, not the table's column sums
+        config = tmp_path / "synth.cfg"
+        config.write_text(SYNTH_CONFIG)
+        run("synth", config, tmp_path / "corpus")
+        out = tmp_path / "model"
+        assert run("model", tmp_path / "corpus", out, "--model", *flags) == 0
+        with open(out / "c_bar.tsv", newline="") as fh:
+            reported = np.array([float(v) for _, v in list(csv.reader(fh, delimiter="\t"))[1:]])
+        with np.load(out / "groups.npz", allow_pickle=False) as groups:
+            assert groups["c_bar"].dtype == np.float64
+            assert groups["c_bar"].tobytes() == reported.tobytes()
 
     def test_rerun_identical(self, archive, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -390,68 +415,100 @@ class TestImbalance:
         assert run("imbalance", archive, model_dir, out, "--stratify", "rank",
                    "--from", "all", "--to", "all", "--bootstrap", "0") == 0
 
-    @pytest.mark.parametrize("broken", [
-        lambda meta: {k: v for k, v in meta.items() if k != "archive"},
-        lambda meta: {**meta, "attributes": None},
-        lambda meta: [meta],
-        lambda meta: {**meta, "archive": {"papers_sha256": "0" * 64}},
-        lambda meta: {**meta, "model": 3},
-        lambda meta: {**meta, "exact": "yes"},
-        lambda meta: {**meta, "count_tol": "1e-9"},
-        lambda meta: {**meta, "member_entries": float(meta["member_entries"])},
-        lambda meta: {**meta, "intervals": None},
-        lambda meta: {**meta, "stored_entries": True},
-    ], ids=["no-archive", "null-attributes", "top-level-array", "no-digest",
-            "model-not-string", "exact-not-bool", "count-tol-not-number",
-            "member-entries-not-int", "intervals-not-int", "stored-entries-bool"])
-    def test_malformed_model_json_rejected(self, archive, tmp_path, capsys, broken):
-        model_dir = tmp_path / "rd"
-        run("model", archive, model_dir, "--model", "rd")
-        meta_path = model_dir / "model.json"
-        meta_path.write_text(json.dumps(broken(json.loads(meta_path.read_text()))))
-        capsys.readouterr()
-        assert run("imbalance", archive, model_dir, tmp_path / "imb") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("edit, message", [
-        (lambda meta: {k: v for k, v in meta.items() if k != "format"},
-         "has no format, not format 2"),
-        (lambda meta: {**meta, "format": 1}, "has format 1, not format 2"),
-    ], ids=["no-format", "format-1"])
+        (lambda path: drop_array(path, "format"), "no format, not format 3"),
+        (lambda path: edit_entry(path, "format", lambda a: np.array(1)),
+         "format 1, not format 3"),
+        (lambda path: edit_entry(path, "format", lambda a: np.array(2)),
+         "format 2, not format 3"),
+        (lambda path: edit_entry(path, "format", lambda a: np.array([3])),
+         "shape (1,) as its format, not format 3"),
+        (lambda path: edit_entry(path, "format", lambda a: np.array(3.0)),
+         "a float64 array of shape () as its format, not format 3"),
+    ], ids=["no-format", "format-1", "format-2", "format-1-d", "format-float"])
     def test_artifact_of_another_format_asks_for_rerun(self, archive, tmp_path, capsys,
                                                       edit, message):
-        # an artifact written before groups were interval-coded has no format
+        # a groups.npz written before it held its labels and c_bar has no
+        # format entry
         model_dir = tmp_path / "rd"
         run("model", archive, model_dir, "--model", "rd")
-        meta_path = model_dir / "model.json"
-        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        edit(model_dir / "groups.npz")
         capsys.readouterr()
         assert run("rank", archive, tmp_path / "rank", "--model-artifact", model_dir) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err and "rerun model" in err
+        assert err.startswith("error:") and "groups.npz" in err
+        assert message in err and "rerun model" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("tamper, message", [
-        (lambda text: text.replace("P1\t", "P1\t9"), "inconsistent"),
-        (lambda text: re.sub(r"P1\t\S+", "P1\tnan", text), "inconsistent"),
-        (lambda text: re.sub(r"P1\t\S+", "P1\tinf", text), "inconsistent"),
-        (lambda text: "", "inconsistent"),
-        (lambda text: re.sub(r"P1\t\S+", "P1", text),
-         "c_bar.tsv line 2: expected 2 columns, got 1"),
-    ], ids=["9-prefix", "nan", "inf", "empty-file", "one-column"])
+        (lambda c: np.array([float(f"9{float(c[0])!r}"), *c[1:]]), "inconsistent"),
+        (lambda c: np.array([np.nan, *c[1:]]), "inconsistent"),
+        (lambda c: np.array([np.inf, *c[1:]]), "inconsistent"),
+        (None, "not a readable group table"),
+        (lambda c: c[:, None], "float64 array of 4 entries"),
+        (lambda c: c[:-1], "float64 array of 4 entries"),
+        (lambda c: np.array([c[0] + 2e-9, *c[1:]]), "inconsistent"),
+        (lambda c: c.astype(np.float32), "float64 array of 4 entries"),
+        (lambda c: c.astype(">f8"), "float64 array of 4 entries"),
+    ], ids=["9-prefix", "nan", "inf", "empty-file", "one-column", "short", "nudged",
+            "float32", "big-endian"])
     def test_tampered_artifact_rejected(self, archive, tmp_path, capsys,
                                         tamper, message):
+        # the c_bar entry of groups.npz; "empty-file" leaves its .npy empty
         model_dir = tmp_path / "rd"
         run("model", archive, model_dir, "--model", "rd")
-        cbar = model_dir / "c_bar.tsv"
-        cbar.write_text(tamper(cbar.read_text()))
+        path = model_dir / "groups.npz"
+        if tamper is None:
+            raw_entry(path, "c_bar")
+        else:
+            edit_entry(path, "c_bar", tamper)
         code = run("imbalance", archive, model_dir, tmp_path / "imb")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and "groups.npz" in err and message in err
         assert "Traceback" not in err
+
+    def test_c_bar_within_tolerance_is_the_stored_one(self, archive, tmp_path):
+        # a c_bar within 1e-9 of the column sums passes, and is the one used
+        model_dir = tmp_path / "rd"
+        run("model", archive, model_dir, "--model", "rd")
+        edit_entry(model_dir / "groups.npz", "c_bar", lambda c: c + 5e-10)
+        nudged = cli._load_inputs(archive, model_dir)[1].c_bar
+        with np.load(model_dir / "groups.npz") as npz:
+            assert nudged.tobytes() == npz["c_bar"].tobytes()
+
+    def test_artifact_of_another_archive_rejected(self, archive, toy_inputs, tmp_path,
+                                                  capsys):
+        model_dir = tmp_path / "rd"
+        run("model", archive, model_dir, "--model", "rd")
+        papers, citations = toy_inputs
+        papers.write_text(TOY4_PAPERS.replace("\tT2\t", "\tT3\t"))
+        other = tmp_path / "other"
+        run("ingest", papers, citations, other)
+        capsys.readouterr()
+        assert run("rank", other, tmp_path / "rank", "--model-artifact", model_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "groups.npz" in err
+        assert "built from a different archive" in err and "Traceback" not in err
+
+    def test_artifact_reads_only_groups(self, archive, tmp_path):
+        # imbalance and rank read groups.npz and nothing else of the
+        # artifact: without model.json, c_bar.tsv and the structural
+        # report every output but the manifest keeps its bytes
+        model_dir, bare = tmp_path / "pd", tmp_path / "bare"
+        run("model", archive, model_dir, "--model", "pd")
+        bare.mkdir()
+        shutil.copy(model_dir / "groups.npz", bare)
+        for artifact in (model_dir, bare):
+            assert run("imbalance", archive, artifact, artifact / "imb",
+                       "--bootstrap", "20") == 0
+            assert run("rank", archive, artifact / "rank", "--model-artifact", artifact,
+                       "--metric", "pagerank") == 0
+        for name in ("imb", "rank"):
+            full, stripped = tree_hashes(model_dir / name), tree_hashes(bare / name)
+            # the manifests name the artifact's path
+            assert full.pop("manifest.json") != stripped.pop("manifest.json")
+            assert full == stripped and len(full) == 2
 
     @pytest.mark.parametrize("model, tamper, message", [
         ("rd", lambda path: path.unlink(), "is missing groups.npz"),
@@ -466,8 +523,8 @@ class TestImbalance:
         ("pd", lambda path: rewrite_groups(path, "indptr", 1, 0), "a group has no members"),
         ("rd", lambda path: rewrite_groups(path, "targets", 0, 1), "archive's citations"),
         ("pd", lambda path: rewrite_groups(path, "indices", 1, 3), "inconsistent"),
-        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), groups=3),
-         "records 3 groups"),
+        ("rd", lambda path: edit_entry(path, "citing", lambda a: np.append(a, a[-1])),
+         "lo and hi need one entry per group"),
         # intervals: rd's index is P1..P4, P3's group positions [0, 3)
         # without 2, P4's [0, 4) without 3; hd's index is P1, P2, P4
         # (topic T1), P3 (topic T2)
@@ -485,25 +542,61 @@ class TestImbalance:
          "exclusions must be strictly increasing"),
         ("pd", lambda path: add_interval(path, 0, 1), "outside their group's interval"),
         ("rd", lambda path: drop_array(path, "lo"), "not a readable group table"),
+        ("rd", lambda path: raw_entry(path, "targets", b"not an array"),
+         "targets is not an .npy entry"),
         ("pd", unsupported_compression, "compression method is not supported"),
         ("rd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
         ("pd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
-        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), intervals=1),
-         "records 1 intervals"),
-        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), exclusions=0),
-         "records 0 exclusions"),
-        ("rd", lambda path: rewrite_meta(path.with_name("model.json"), stored_entries=9),
-         "records 9 stored_entries"),
+        ("rd", lambda path: edit_entry(path, "hi", lambda a: a[:-1]),
+         "lo and hi need one entry per group"),
+        ("rd", lambda path: edit_entry(path, "excluded", lambda a: np.append(a, 3)),
+         "end at the number of exclusions"),
+        ("pd", lambda path: edit_entry(path, "indices", lambda a: np.append(a, 3)),
+         "end at the number of members"),
+        # the entries that label the table
+        *[("rd", lambda path, name=name: drop_array(path, name), "not a readable group table")
+          for name in ("model", "attributes", "papers_sha256", "citations_sha256", "c_bar")],
+        ("rd", lambda path: edit_entry(path, "model", lambda a: np.array(3)),
+         "model must be a 0-d str array"),
+        ("rd", lambda path: edit_entry(path, "model", lambda a: np.array(["RD"])),
+         "model must be a 0-d str array"),
+        ("hd", lambda path: edit_entry(path, "attributes",
+                                       lambda a: np.array(["rank", "colour"])),
+         "attributes must be a 1-D str array of distinct names"),
+        ("hd", lambda path: edit_entry(path, "attributes", lambda a: a[::-1]),
+         "attributes must be a 1-D str array of distinct names"),
+        ("hd", lambda path: edit_entry(path, "attributes", lambda a: np.append(a, a[0])),
+         "attributes must be a 1-D str array of distinct names"),
+        ("hd", lambda path: edit_entry(path, "attributes", lambda a: np.array(a[0])),
+         "attributes must be a 1-D str array of distinct names"),
+        ("hd", lambda path: edit_entry(path, "attributes", lambda a: np.arange(3)),
+         "attributes must be a 1-D str array of distinct names"),
+        ("rd", lambda path: edit_entry(path, "papers_sha256", lambda a: np.array("0" * 64)),
+         "built from a different archive"),
+        ("rd", lambda path: edit_entry(path, "citations_sha256",
+                                       lambda a: np.array(str(a)[::-1])),
+         "built from a different archive"),
+        ("rd", lambda path: edit_entry(path, "papers_sha256", lambda a: np.array([a])),
+         "built from a different archive"),
+        ("rd", lambda path: edit_entry(path, "citations_sha256",
+                                       lambda a: np.array(str(a).encode())),
+         "built from a different archive"),
         *OVERSIZED_GROUPS,
     ], ids=["missing", "truncated", "object-array", "member-out-of-range",
             "member-repeated", "indptr-short", "empty-group", "target-not-an-edge",
             "member-moved", "group-count-mismatch", "interval-past-end",
             "interval-reversed", "interval-across-categories", "interval-moved",
             "excluded-ptr-short", "exclusion-outside-interval", "exclusion-twice",
-            "member-inside-interval", "interval-array-missing", "unknown-compression",
-            "citing-0-d",
-            "citing-0-d-no-intervals", "interval-count-mismatch",
-            "exclusion-count-mismatch", "stored-count-mismatch", *OVERSIZED_IDS])
+            "member-inside-interval", "interval-array-missing", "targets-not-npy",
+            "unknown-compression", "citing-0-d", "citing-0-d-no-intervals",
+            "interval-count-mismatch",
+            "exclusion-count-mismatch", "stored-count-mismatch",
+            *(f"{name}-missing" for name in ("model", "attributes", "papers-digest",
+                                              "citations-digest", "c-bar")),
+            "model-not-string", "model-1-d", "attribute-unknown",
+            "attributes-reversed", "attribute-repeated", "attributes-0-d",
+            "attributes-not-str", "papers-digest-other", "citations-digest-other",
+            "papers-digest-1-d", "citations-digest-bytes", *OVERSIZED_IDS])
     def test_tampered_groups_rejected(self, archive, tmp_path, capsys,
                                       model, tamper, message):
         model_dir = tmp_path / model
@@ -534,9 +627,14 @@ def drop_array(path, name):
 
 def scalar_array(path, name):
     """Rewrite groups.npz with ``arrays[name]`` the 0-d array of its first entry."""
+    edit_entry(path, name, lambda a: np.array(a[0]))
+
+
+def edit_entry(path, name, change):
+    """Rewrite groups.npz with ``arrays[name]`` replaced by ``change`` of it."""
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    arrays[name] = np.array(arrays[name][0])
+    arrays[name] = change(arrays[name])
     np.savez(path, **arrays)
 
 
@@ -550,10 +648,6 @@ def add_interval(path, group, hi):
                   excluded=np.zeros(0, np.int64))
     arrays["hi"][group] = hi
     np.savez(path, **arrays)
-
-
-def rewrite_meta(path, **fields):
-    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
 BAD_PAGERANK_PARAMETERS = [
@@ -648,6 +742,12 @@ class TestRank:
         # the grid is checked before any input is read
         assert run("rank", tmp_path / "missing", tmp_path / "r", "--d-grid", "0,5") == 2
         assert capsys.readouterr().err == "error: --d-grid values must be in (0, 100]\n"
+        # a repeated value would write a share-curve row twice
+        assert run("rank", archive, tmp_path / "r", "--d-grid", "5,5,100") == 2
+        assert capsys.readouterr().err == \
+            "error: --d-grid values must be distinct, got '5,5,100'\n"
+        assert run("rank", archive, tmp_path / "r", "--d-grid", "5,5.0") == 2
+        assert "distinct" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
 
@@ -752,15 +852,14 @@ class TestDeterminism:
         assert len(first) > 10
 
     def test_each_input_is_hashed_once_per_command(self, archive, tmp_path, monkeypatch):
-        # model.json's archive digests and the manifest read one record per
-        # input file
+        # the archive digests of groups.npz and model.json and the manifest
+        # read one record per input file
         hashed = []
         sha256 = cli._sha256
         monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(str(path)) or sha256(path))
         model_dir = tmp_path / "pd"
         archive_files = {"papers": archive / "papers.tsv", "citations": archive / "citations.tsv"}
-        model_files = {**archive_files, "c_bar": model_dir / "c_bar.tsv",
-                       "groups": model_dir / "groups.npz"}
+        model_files = {**archive_files, "groups": model_dir / "groups.npz"}
         commands = [
             (("model", archive, model_dir, "--model", "pd"), model_dir, archive_files),
             (("imbalance", archive, model_dir, tmp_path / "imb", "--bootstrap", "10"),
@@ -776,9 +875,11 @@ class TestDeterminism:
             manifest = json.loads((out / "manifest.json").read_text())
             assert {name: record["path"] for name, record in manifest["inputs"].items()} == {
                 name: str(path) for name, path in inputs.items()}
-        meta = json.loads((model_dir / "model.json").read_text())
-        assert meta["archive"] == {f"{name}_sha256": manifest["inputs"][name]["sha256"]
-                                   for name in archive_files}
+        digests = {f"{name}_sha256": manifest["inputs"][name]["sha256"]
+                   for name in archive_files}
+        assert json.loads((model_dir / "model.json").read_text())["archive"] == digests
+        with np.load(model_dir / "groups.npz", allow_pickle=False) as groups:
+            assert {name: groups[name].item() for name in digests} == digests
 
 
 def test_pipeline_runs_with_scipy_blocked(tmp_path):

@@ -34,7 +34,7 @@ from citegap.corpus import (
     write_arrays,
 )
 from citegap.synth import SynthConfig, generate_network
-from conftest import unsupported_compression
+from conftest import raw_entry, unsupported_compression
 from test_columnar_load import FAULTS, SEEDS, tables
 from test_table_writer import labels
 
@@ -331,6 +331,9 @@ BROKEN = {
     "edges flat": rewrite(edges=lambda a: a.reshape(-1)),
     "edge row past N": rewrite(edges=set_first(10**6)),
     "edge row at 2**31": rewrite(edges=set_first(2**31, np.int64)),
+    # numpy returns an entry that is not an .npy as bytes
+    "format not an .npy": lambda path: raw_entry(path, "format"),
+    "ids not an .npy": lambda path: raw_entry(path, "ids", b"not an array"),
 }
 
 
