@@ -62,12 +62,13 @@ against ``scipy.sparse``.
 This module also owns the stored model artifact, ``groups.npz``: the
 table, its model and attributes, the digests of the archive it was
 computed on, and its ``c_bar``.  :func:`write_groups` writes it and
-:func:`read_groups` reads it back, checked against the archive.
+:func:`read_groups` reads it back: an RD or HD table must equal the one
+its labels build, a PD table's members must lie in their bases.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -429,11 +430,12 @@ def read_groups(path: str | os.PathLike, net: CitationNetwork, papers_sha256: st
 
     Raises :class:`ModelError`, naming ``path``, if the file is not a
     readable array archive of :data:`GROUPS_FORMAT`, was stored for other
-    digests, names its model by no string, or attributes other than
-    distinct ones in :data:`ATTRIBUTE_ORDER`; if its arrays do not form a
-    table over the papers of ``net`` and its eligibility index whose
-    (citer, target) pairs are the edges of ``net``; or if its ``c_bar``
-    is not one float64 per paper within 1e-9 of the table's column sums.
+    digests, or is labelled by no model among RD, HD and PD or attributes
+    other than distinct ones in :data:`ATTRIBUTE_ORDER` (none for RD); if
+    an RD or HD table is not the one :func:`compute_model` builds under its
+    labels, or a PD table has intervals, (citer, target) pairs other than
+    the edges of ``net``, or a member or target outside its group's base
+    (:func:`_bases`); or if ``c_bar`` is not within 1e-9 of the column sums.
     """
     def check(ok: bool, what: str) -> None:
         if not ok:
@@ -462,63 +464,61 @@ def read_groups(path: str | os.PathLike, net: CitationNetwork, papers_sha256: st
           and attributes == tuple(a for a in ATTRIBUTE_ORDER if a in attributes),
           f"attributes must be a 1-D str array of distinct names in the order "
           f"{', '.join(ATTRIBUTE_ORDER)}")
-    c_bar = stored["c_bar"]
-    n = net.n
+    check(model == "HD" or (model, attributes) == ("RD", ())
+          or (model, intervals) == ("PD", False),
+          f"model {model!r} must be RD, HD or PD; RD has no attributes, PD no intervals")
+    c_bar, n = stored["c_bar"], net.n
     check(c_bar.dtype == np.float64 and c_bar.shape == (n,),
           f"c_bar must be a native float64 array of {n} entries, one per paper")
-    order, categories = eligibility_index(net, attributes)
     # a 0-d citing has a size too, and fails the 1-D check below
     groups = stored["citing"].size
     if not intervals:
         zeros = np.zeros(groups + 1, np.int64)
         stored.update(lo=zeros[1:], hi=zeros[1:], excluded_ptr=zeros, excluded=zeros[:0])
     arrays = [stored[name] for name in TABLE_ARRAYS]
-    citing, lo, hi, excluded_ptr, excluded, indptr, indices, target_ptr, targets = arrays
+    citing, indptr, indices, target_ptr, targets = arrays[:1] + arrays[5:]
+    # before any comparison: numpy 1.24 warns on == between str and int arrays
     check(all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays),
           f"{', '.join(TABLE_ARRAYS)} must be 1-D signed integer arrays")
-    check(len(lo) == len(hi) == groups
-          and len(excluded_ptr) == len(indptr) == len(target_ptr) == groups + 1,
-          "lo and hi need one entry per group, excluded_ptr, indptr and target_ptr "
-          "one more")
-    # comparisons rather than differences, which could overflow
-    for name, ptr, data, what in (("excluded_ptr", excluded_ptr, excluded, "exclusions"),
-                                  ("indptr", indptr, indices, "members"),
-                                  ("target_ptr", target_ptr, targets, "targets")):
-        check(ptr[0] == 0 and ptr[-1] == data.size and (ptr[1:] >= ptr[:-1]).all(),
-              f"{name} must start at 0, never decrease and end at the number "
-              f"of {what}")
-    check((target_ptr[1:] > target_ptr[:-1]).all(), "a group has no targets")
-    check(((lo >= 0) & (lo <= hi) & (hi <= n)).all(),
-          f"intervals must satisfy 0 <= lo <= hi <= {n}")
-    check((_sizes(lo, hi, excluded_ptr, indptr) > 0).all(), "a group has no members")
-    spans = hi > lo
-    check((categories[lo[spans]] == categories[hi[spans] - 1]).all(),
-          "an interval spans more than one category of the eligibility index")
-    # values below n rise within each group iff ``owner * n + value`` rises
-    owner = np.repeat(np.arange(groups), np.diff(excluded_ptr))
-    check(((excluded >= lo[owner]) & (excluded < hi[owner])).all(),
-          "every exclusion must lie inside its group's interval")
-    check((np.diff(owner * n + excluded) > 0).all(),
-          "exclusions must be strictly increasing within each group")
-    owner = np.repeat(np.arange(groups), np.diff(indptr))
-    check(indices.size == 0 or (indices.min() >= 0 and indices.max() < n
-                                and (np.diff(owner * n + indices) > 0).all()),
-          f"members must be paper indices below {n}, strictly increasing "
-          "within each group")
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    check(not ((position[indices] >= lo[owner]) & (position[indices] < hi[owner])).any(),
-          "explicit members must lie outside their group's interval")
-    check((citing[1:] >= citing[:-1]).all(), "citing must be ascending")
-    citers = np.repeat(citing, np.diff(target_ptr))
-    sort = np.lexsort((targets, citers))
-    check(np.array_equal(citers[sort], net.edges[:, 0])
-          and np.array_equal(targets[sort], net.edges[:, 1]),
-          "its (citer, target) pairs are not the archive's citations")
-    ec = group_table(model, attributes, order, *arrays, c_bar)
-    check((np.abs(ec.spread(np.ones(groups)) - c_bar) <= 1e-9).all(),
+    if model != "PD":
+        try:
+            table = compute_model(net, model, attributes)
+        except ModelError as exc:
+            raise ModelError(f"{path}: its {model} table cannot be built: {exc}") from exc
+        check(all(np.array_equal(stored[name], getattr(table, name)) for name in TABLE_ARRAYS),
+              f"its table is not the {model} table of the archive under its attributes")
+    else:
+        check(len(indptr) == len(target_ptr) == groups + 1,
+              "indptr and target_ptr need one entry more than citing")
+        # comparisons rather than differences, which could overflow
+        for name, ptr, data, what in (("indptr", indptr, indices, "members"),
+                                      ("target_ptr", target_ptr, targets, "targets")):
+            check(ptr[0] == 0 and ptr[-1] == data.size and (ptr[1:] >= ptr[:-1]).all(),
+                  f"{name} must start at 0, never decrease and end at the number of {what}")
+            check((ptr[1:] > ptr[:-1]).all(), f"a group has no {what}")
+        check(indices.size == 0 or (indices.min() >= 0 and indices.max() < n),
+              f"members must be paper indices below {n}")
+        check((citing[1:] >= citing[:-1]).all(), "citing must be ascending")
+        pairs = np.column_stack((np.repeat(citing, np.diff(target_ptr)), targets))
+        check(np.array_equal(pairs[np.lexsort((targets, pairs[:, 0]))], net.edges),
+              "its (citer, target) pairs are not the archive's citations")
+        # by blocks, each member and target j against its group's citer i and first target t
+        codes = _key_codes(net, attributes)
+        for a, b in _blocks(indptr.astype(np.int64) + target_ptr):
+            rows = np.arange(a, b)
+            owner = np.repeat(rows, np.diff(indptr[a:b + 1]))
+            j = indices[indptr[a]:indptr[b]]
+            check((np.diff(owner * n + j) > 0).all(),
+                  "members must be strictly increasing within each group")
+            owner = np.concatenate((owner, np.repeat(rows, np.diff(target_ptr[a:b + 1]))))
+            j = np.concatenate((j, targets[target_ptr[a]:target_ptr[b]]))
+            i, t = citing[owner], targets[target_ptr[owner]]
+            check(((codes[j] == codes[t]) & net.citable(i, j) & (net.dates[j] <= net.dates[i])
+                   | (j == t)).all(), "a member or target lies outside its group's base")
+        table = group_table(model, attributes, _index(net, codes)[0], *arrays)
+    check((np.abs(table.c_bar - c_bar) <= 1e-9).all(),
           "its table and c_bar are inconsistent: c_bar is not the table's column sums")
-    return ec
+    return replace(table, c_bar=c_bar)
 
 
 def _key_codes(net: CitationNetwork, attributes: tuple[str, ...]) -> np.ndarray:

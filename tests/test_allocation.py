@@ -1,4 +1,5 @@
-"""Allocation bounds of the corpus text I/O, as multiples of the tables.
+"""Allocation bounds of the corpus text I/O and of the model artifact
+reader, as multiples of the files they read or write.
 
 On a year-only ``perfbench/rawgen.py`` archive of about 3,000 papers, the
 ``tracemalloc`` peak of ``load_network`` and that of ``write_papers`` plus
@@ -9,6 +10,11 @@ keep; the writers quote each distinct label once and gather the rows from
 the network's codes and edges.  The bounds were set from this code with a
 margin: a load that copies the text and its field ranges on the way, or
 writers that build a ``str`` per field, go past them.
+
+The peak of ``read_groups`` on the archive's pd ``--attrs rank`` table
+must stay under a multiple of the bytes of its ``groups.npz``: it checks
+the members against their bases a block of groups at a time, so a check
+that builds int64 arrays over every member entry goes past it.
 """
 import sys
 import tracemalloc
@@ -17,12 +23,15 @@ from pathlib import Path
 import pytest
 
 from citegap.corpus import load_network, write_citations, write_papers
+from citegap.refmodels import preferential_draws, read_groups, write_groups
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: tracemalloc peak over the bytes of papers.tsv and citations.tsv
 LOAD_BOUND = 7.5
 WRITE_BOUND = 6.0
+#: tracemalloc peak of read_groups over the bytes of groups.npz
+READ_GROUPS_BOUND = 7.0
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +81,12 @@ def test_write_peak_follows_the_tables(archive, tmp_path):
     peak, _ = traced_peak(write)
     assert table_bytes(tmp_path) == table_bytes(archive)
     assert peak < WRITE_BOUND * table_bytes(archive), peak / table_bytes(archive)
+
+
+def test_read_groups_peak_follows_the_table(archive, tmp_path):
+    net = load_network(archive / "papers.tsv", archive / "citations.tsv")
+    path = tmp_path / "groups.npz"
+    write_groups(preferential_draws(net, ("rank",)), path, "papers", "citations")
+    peak, ec = traced_peak(lambda: read_groups(path, net, "papers", "citations"))
+    assert ec.attributes == ("rank",) and ec.member_entries > 100_000
+    assert peak < READ_GROUPS_BOUND * path.stat().st_size, peak / path.stat().st_size

@@ -70,18 +70,19 @@ def tree_hashes(root: Path) -> dict[str, str]:
 
 # integers past every range of the toy tables, written over the first entry
 # of one array of groups.npz: the values int64 holds, and int32's extremes
-# with the array stored as int32; each row names the check that rejects it
+# with the array stored as int32; each row names the check that rejects it,
+# for rd the comparison with the table rd builds
+NOT_RD = "its table is not the RD table of the archive"
 OVERSIZED = [(np.int64, 2**31, "2**31"), (np.int64, 2**62, "2**62"),
              (np.int64, -2**63, "-2**63"), (np.int32, 2**31 - 1, "int32-max"),
              (np.int32, -2**31, "int32-min")]
 OVERSIZED_ARRAYS = [
-    ("rd", "lo", "0 <= lo <= hi <= 4", "0 <= lo <= hi <= 4"),
+    ("rd", "lo", NOT_RD, NOT_RD),
     ("pd", "indptr", "end at the number of members", "end at the number of members"),
     ("pd", "indices", "below 4", "below 4"),
-    ("rd", "excluded", "inside its group's interval", "inside its group's interval"),
-    # citing is checked ascending before its pairs are compared
-    ("rd", "citing", "citing must be ascending", "archive's citations"),
-    ("rd", "targets", "archive's citations", "archive's citations"),
+    ("rd", "excluded", NOT_RD, NOT_RD),
+    ("rd", "citing", NOT_RD, NOT_RD),
+    ("rd", "targets", NOT_RD, NOT_RD),
 ]
 OVERSIZED_GROUPS = [
     (model, lambda path, name=name, value=value, dtype=dtype:
@@ -305,6 +306,15 @@ class TestModel:
         run("ingest", papers, citations, archive)
         assert run("model", archive, tmp_path / "rd", "--model", "rd") == 2
         assert "eligible set" in capsys.readouterr().err
+        # pd's base of that citation is the later-dated target: a pd table
+        # relabelled rd names its file
+        assert run("model", archive, tmp_path / "pd", "--model", "pd") == 0
+        relabel(tmp_path / "pd" / "groups.npz", model="RD", attributes=[])
+        capsys.readouterr()
+        assert run("rank", archive, tmp_path / "rank", "--model-artifact", tmp_path / "pd") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "pd/groups.npz: its RD table cannot be built" in err[0]
+        assert "eligible set is empty" in err[0]
 
 
 class TestImbalance:
@@ -521,36 +531,33 @@ class TestImbalance:
         ("pd", lambda path: rewrite_groups(path, "indices", 1, 0), "strictly increasing"),
         ("pd", lambda path: rewrite_groups(path, "indptr", -1, 3), "end at the number"),
         ("pd", lambda path: rewrite_groups(path, "indptr", 1, 0), "a group has no members"),
-        ("rd", lambda path: rewrite_groups(path, "targets", 0, 1), "archive's citations"),
-        ("pd", lambda path: rewrite_groups(path, "indices", 1, 3), "inconsistent"),
-        ("rd", lambda path: edit_entry(path, "citing", lambda a: np.append(a, a[-1])),
-         "lo and hi need one entry per group"),
+        ("rd", lambda path: rewrite_groups(path, "targets", 0, 1), NOT_RD),
+        # P2 moved to P4, which is dated after the citer P3
+        ("pd", lambda path: rewrite_groups(path, "indices", 1, 3), "outside its group's base"),
+        ("rd", lambda path: edit_entry(path, "citing", lambda a: np.append(a, a[-1])), NOT_RD),
         # intervals: rd's index is P1..P4, P3's group positions [0, 3)
         # without 2, P4's [0, 4) without 3; hd's index is P1, P2, P4
-        # (topic T1), P3 (topic T2)
-        ("rd", lambda path: rewrite_groups(path, "hi", -1, 5), "0 <= lo <= hi <= 4"),
-        ("rd", lambda path: rewrite_groups(path, "lo", 0, 4), "0 <= lo <= hi <= 4"),
-        ("hd", lambda path: rewrite_groups(path, "hi", 1, 4), "more than one category"),
+        # (topic T1), P3 (topic T2); rd and hd tables are compared with
+        # the table the model builds
+        ("rd", lambda path: rewrite_groups(path, "hi", -1, 5), NOT_RD),
+        ("rd", lambda path: rewrite_groups(path, "lo", 0, 4), NOT_RD),
+        ("hd", lambda path: rewrite_groups(path, "hi", 1, 4),
+         "its table is not the HD table of the archive"),
         ("rd", lambda path: (rewrite_groups(path, "lo", 0, 1),
-                             rewrite_groups(path, "hi", 0, 4)), "inconsistent"),
-        ("rd", lambda path: rewrite_groups(path, "excluded_ptr", -1, 1),
-         "end at the number of exclusions"),
-        ("rd", lambda path: rewrite_groups(path, "excluded", 0, 3),
-         "inside its group's interval"),
+                             rewrite_groups(path, "hi", 0, 4)), NOT_RD),
+        ("rd", lambda path: rewrite_groups(path, "excluded_ptr", -1, 1), NOT_RD),
+        ("rd", lambda path: rewrite_groups(path, "excluded", 0, 3), NOT_RD),
         ("rd", lambda path: (rewrite_groups(path, "excluded_ptr", 1, 0),
-                             rewrite_groups(path, "excluded", 0, 3)),
-         "exclusions must be strictly increasing"),
-        ("pd", lambda path: add_interval(path, 0, 1), "outside their group's interval"),
+                             rewrite_groups(path, "excluded", 0, 3)), NOT_RD),
+        ("pd", lambda path: add_interval(path, 0, 1), "PD no intervals"),
         ("rd", lambda path: drop_array(path, "lo"), "not a readable group table"),
         ("rd", lambda path: raw_entry(path, "targets", b"not an array"),
          "targets is not an .npy entry"),
         ("pd", unsupported_compression, "compression method is not supported"),
         ("rd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
         ("pd", lambda path: scalar_array(path, "citing"), "1-D signed integer arrays"),
-        ("rd", lambda path: edit_entry(path, "hi", lambda a: a[:-1]),
-         "lo and hi need one entry per group"),
-        ("rd", lambda path: edit_entry(path, "excluded", lambda a: np.append(a, 3)),
-         "end at the number of exclusions"),
+        ("rd", lambda path: edit_entry(path, "hi", lambda a: a[:-1]), NOT_RD),
+        ("rd", lambda path: edit_entry(path, "excluded", lambda a: np.append(a, 3)), NOT_RD),
         ("pd", lambda path: edit_entry(path, "indices", lambda a: np.append(a, 3)),
          "end at the number of members"),
         # the entries that label the table
@@ -581,6 +588,24 @@ class TestImbalance:
         ("rd", lambda path: edit_entry(path, "citations_sha256",
                                        lambda a: np.array(str(a).encode())),
          "built from a different archive"),
+        # the labels: an rd or hd table is compared with the table its labels
+        # give, a pd table's members must lie in their bases; the toy's pd
+        # rank table is its pd table, so the synth archive shows those edits
+        ("synth pd --attrs rank", lambda path: relabel(path, attributes=["topic"]),
+         "outside its group's base"),
+        ("synth pd --attrs rank", lambda path: relabel(path, attributes=["rank", "country"]),
+         "outside its group's base"),
+        ("rd", lambda path: relabel(path, model="XYZ"), "model 'XYZ' must be RD, HD or PD"),
+        ("pd", lambda path: relabel(path, model="RD"), "RD has no attributes"),
+        ("pd", lambda path: relabel(path, model="RD", attributes=[]), NOT_RD),
+        ("pd", lambda path: relabel(path, model="HD"), "its table is not the HD table"),
+        ("hd", lambda path: relabel(path, model="PD"), "PD no intervals"),
+        ("rd", lambda path: relabel(path, attributes=["rank"]), "RD has no attributes"),
+        ("hd", lambda path: relabel(path, attributes=["rank"]), "its table is not the HD table"),
+        # P2 moved, in P4's group, to P3 of topic T2, and to P4, which P4
+        # may not cite
+        ("pd", lambda path: rewrite_groups(path, "indices", 3, 2), "outside its group's base"),
+        ("pd", lambda path: rewrite_groups(path, "indices", 3, 3), "outside its group's base"),
         *OVERSIZED_GROUPS,
     ], ids=["missing", "truncated", "object-array", "member-out-of-range",
             "member-repeated", "indptr-short", "empty-group", "target-not-an-edge",
@@ -596,17 +621,28 @@ class TestImbalance:
             "model-not-string", "model-1-d", "attribute-unknown",
             "attributes-reversed", "attribute-repeated", "attributes-0-d",
             "attributes-not-str", "papers-digest-other", "citations-digest-other",
-            "papers-digest-1-d", "citations-digest-bytes", *OVERSIZED_IDS])
+            "papers-digest-1-d", "citations-digest-bytes", "pd-rank-relabelled-topic",
+            "pd-rank-relabelled-rank-country", "model-unknown", "pd-relabelled-rd",
+            "pd-relabelled-rd-no-attributes", "pd-relabelled-hd", "hd-relabelled-pd",
+            "rd-with-attributes", "hd-other-attributes", "member-other-category",
+            "member-not-citable",
+            *OVERSIZED_IDS])
     def test_tampered_groups_rejected(self, archive, tmp_path, capsys,
                                       model, tamper, message):
-        model_dir = tmp_path / model
-        run("model", archive, model_dir, "--model", model)
+        flags = model.split()
+        if flags[0] == "synth":
+            config, archive = tmp_path / "synth.cfg", tmp_path / "synth"
+            config.write_text(SYNTH_CONFIG)
+            run("synth", config, archive)
+            flags = flags[1:]
+        model_dir = tmp_path / flags[0]
+        run("model", archive, model_dir, "--model", *flags)
         tamper(model_dir / "groups.npz")
         capsys.readouterr()
         assert run("imbalance", archive, model_dir, tmp_path / "imb") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "groups.npz" in err and message in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def rewrite_groups(path, name, index, value, dtype=None):
@@ -617,6 +653,14 @@ def rewrite_groups(path, name, index, value, dtype=None):
     arrays[name] = arrays[name].astype(dtype or arrays[name].dtype)
     arrays[name][index] = value
     np.savez(path, **arrays)
+
+
+def relabel(path, model=None, attributes=None):
+    """Rewrite groups.npz with another model name or attributes."""
+    if model is not None:
+        edit_entry(path, "model", lambda a: np.array(model))
+    if attributes is not None:
+        edit_entry(path, "attributes", lambda a: np.array(attributes, dtype=str))
 
 
 def drop_array(path, name):
