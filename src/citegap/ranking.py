@@ -1,8 +1,10 @@
 """Citation-count and PageRank impact scores, and top-share curves.
 
-Scores are computed for the observed network and for reference models
-(using expected in-citations and the model's transition operator), then
-normalized by the mean score of papers sharing publication year and
+Every score is read from a group table, a reference model's or the
+observed network's own (:func:`observed_as_expectations`): citation
+scores are its expected in-citations and PageRank walks its transition
+operator, so the observed ranking is the ranking of that table.  Scores
+are normalized by the mean score of papers sharing publication year and
 subfield (the year of the network's ``dates``, its subfield codes).
 Each PageRank result records its iterations, final residual and whether
 it converged.  The group-share curve reports, for a grid of d values,
@@ -20,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import GENDER_CODE, W_CATEGORIES, CitationNetwork, write_table
-from .refmodels import ExpectedCitations
+from .refmodels import ExpectedCitations, observed_as_expectations
 
 log = logging.getLogger(__name__)
 
@@ -104,42 +106,10 @@ def _power_iteration(
     return p, t_max, False, residual
 
 
-def pagerank_observed(
-    net: CitationNetwork,
-    alpha: float = DEFAULT_ALPHA,
-    eps: float = DEFAULT_EPS,
-    t_max: int = DEFAULT_T_MAX,
+def _pagerank(
+    ec: ExpectedCitations, net: CitationNetwork, alpha: float, eps: float, t_max: int
 ) -> RankingResult:
-    """PageRank of the observed network.
-
-    Random walk follows one of the citer's references uniformly with
-    probability alpha and otherwise teleports to a paper drawn
-    proportionally to its in-citations; papers making no citations
-    always teleport.
-    """
-    if net.m == 0:
-        raise ValueError("PageRank needs at least one citation (teleport "
-                         "distribution is proportional to citations received)")
-    teleport = net.in_degree / net.m
-    k = net.out_degree
-    citing, cited = net.edges[:, 0], net.edges[:, 1]
-    share = 1.0 / k[citing]
-    flow = lambda p: np.bincount(cited, share * p[citing], minlength=net.n)
-    p, used, converged, residual = _power_iteration(
-        flow, teleport, k == 0, alpha, eps, t_max
-    )
-    return RankingResult("pagerank", "observed", p, normalized_scores(p, net),
-                         alpha, used, converged, residual)
-
-
-def pagerank_reference(
-    ec: ExpectedCitations,
-    net: CitationNetwork,
-    alpha: float = DEFAULT_ALPHA,
-    eps: float = DEFAULT_EPS,
-    t_max: int = DEFAULT_T_MAX,
-) -> RankingResult:
-    """PageRank under a reference model's transition probabilities.
+    """PageRank under a group table's transition probabilities.
 
     Citer rows move mass with probability (citation probability)/k_i;
     teleport and dangling rows are proportional to expected in-citations.
@@ -149,32 +119,56 @@ def pagerank_reference(
     """
     ec.check_network(net)
     if net.m == 0:
-        raise ValueError("PageRank needs at least one citation")
-    teleport = ec.c_bar / net.m
+        raise ValueError("PageRank needs at least one citation (teleport "
+                         "distribution is proportional to citations received)")
     k = net.out_degree
-
     k_citing = k[ec.citing]
     flow = lambda p: ec.spread(p[ec.citing] / k_citing)
-
     p, used, converged, residual = _power_iteration(
-        flow, teleport, k == 0, alpha, eps, t_max
+        flow, ec.c_bar / net.m, k == 0, alpha, eps, t_max
     )
     return RankingResult("pagerank", ec.model, p, normalized_scores(p, net),
                          alpha, used, converged, residual)
 
 
+def pagerank_observed(
+    net: CitationNetwork,
+    alpha: float = DEFAULT_ALPHA,
+    eps: float = DEFAULT_EPS,
+    t_max: int = DEFAULT_T_MAX,
+) -> RankingResult:
+    """PageRank of the observed network: the PageRank of its own group
+    table (:func:`observed_as_expectations`).
+
+    Random walk follows one of the citer's references uniformly with
+    probability alpha and otherwise teleports to a paper drawn
+    proportionally to its in-citations; papers making no citations
+    always teleport.
+    """
+    return _pagerank(observed_as_expectations(net), net, alpha, eps, t_max)
+
+
+def pagerank_reference(
+    ec: ExpectedCitations,
+    net: CitationNetwork,
+    alpha: float = DEFAULT_ALPHA,
+    eps: float = DEFAULT_EPS,
+    t_max: int = DEFAULT_T_MAX,
+) -> RankingResult:
+    """PageRank under a reference model's transition probabilities."""
+    return _pagerank(ec, net, alpha, eps, t_max)
+
+
 def citation_scores(
     net: CitationNetwork, ec: ExpectedCitations | None = None
 ) -> RankingResult:
-    """Citation counts (observed) or expected citation counts (model)."""
+    """Expected citation counts ``c_bar`` of a model's table, or of the
+    observed network's own table (its citation counts) when ``ec`` is None."""
     if ec is None:
-        raw = net.in_degree.astype(float)
-        source = "observed"
-    else:
-        ec.check_network(net)
-        raw = ec.c_bar.copy()
-        source = ec.model
-    return RankingResult("citations", source, raw, normalized_scores(raw, net),
+        ec = observed_as_expectations(net)
+    ec.check_network(net)
+    raw = ec.c_bar.copy()
+    return RankingResult("citations", ec.model, raw, normalized_scores(raw, net),
                          None, 0, True, None)
 
 

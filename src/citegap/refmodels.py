@@ -872,10 +872,11 @@ def compute_model(
 
 
 def observed_as_expectations(net: CitationNetwork) -> ExpectedCitations:
-    """Degenerate expectations putting unit mass on each observed edge.
-
-    Useful as a consistency anchor: reference-model machinery applied to
-    these groups must reproduce observed statistics exactly.
+    """Degenerate expectations putting unit mass on each observed edge:
+    the observed network's own group table, whose rankings are the
+    observed rankings.  Also a consistency anchor: reference-model
+    machinery applied to these groups must reproduce observed statistics
+    exactly.
     """
     ptr, zeros = np.arange(net.m + 1), np.zeros(net.m + 1, dtype=np.int64)
     return group_table("observed", (), eligibility_index(net)[0], net.edges[:, 0].copy(),

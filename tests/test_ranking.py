@@ -126,8 +126,12 @@ class TestPagerankObserved:
 
     def test_empty_network_rejected(self):
         net = filter_citations([], [])
-        with pytest.raises(ValueError):
-            pagerank_observed(net)
+        message = ("PageRank needs at least one citation (teleport distribution "
+                   "is proportional to citations received)")
+        for rank in (pagerank_observed,
+                     lambda net: pagerank_reference(observed_as_expectations(net), net)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rank(net)
 
     @pytest.mark.parametrize("params, shown", [
         ({"alpha": 1.5}, "alpha=1.5, eps=1e-06, t_max=100"),
@@ -158,9 +162,9 @@ class TestPagerankReference:
         degenerate = pagerank_reference(
             observed_as_expectations(toy4), toy4, eps=1e-12, t_max=500
         )
-        np.testing.assert_allclose(
-            degenerate.raw_score, observed.raw_score, atol=1e-9
-        )
+        np.testing.assert_array_equal(degenerate.raw_score, observed.raw_score)
+        assert degenerate.iterations_used == observed.iterations_used
+        assert degenerate.final_residual == observed.final_residual
 
     def test_reference_scores_sum_to_one(self, toy4):
         result = pagerank_reference(random_draws(toy4), toy4)

@@ -747,13 +747,14 @@ def assert_reductions_match_scipy(net, ec):
                     @ (C @ onehot(codes, size)))
         assert_equal(pairs.expected, expected.toarray())
 
-    # both PageRank flows, iterated to the end
+    # both PageRank flows, iterated to the end; the observed one adds each
+    # citation's p[citing] / k[citing] in edge order
     k = net.out_degree
     citing, cited = net.edges[:, 0], net.edges[:, 1]
-    transition = sparse.csr_matrix((1.0 / k[citing], (cited, citing)),
-                                   shape=(net.n, net.n))
     for result, flow, teleport in [
-        (pagerank_observed(net), transition.dot, net.in_degree / net.m),
+        (pagerank_observed(net), lambda p: np.bincount(cited, p[citing] / k[citing],
+                                                       minlength=net.n),
+         net.in_degree / net.m),
         (pagerank_reference(ec, net), lambda p: W.T @ (p[ec.citing] / k[ec.citing]),
          ec.c_bar / net.m),
     ]:
